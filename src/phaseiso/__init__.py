@@ -11,7 +11,7 @@ from .orthogonality import (Hyperplane, L1OrthogonalityTriple, OrthogonalityVerd
                             l1_orthogonality_triple, orthogonal_hyperplane)
 from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SampleFormatError,
                          SignAssignment, canonical_ray, check_phase_equation,
-                         check_wigner_equation, generate_isometry,
+                         check_phase_equation_batch, check_wigner_equation, generate_isometry,
                          generate_phase_isometry, check_phase_invariants,
                          make_sign_flip_oracle, multiset_match, ray_key,
                          read_samples, write_samples)

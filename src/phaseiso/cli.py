@@ -26,7 +26,7 @@ from .decomposition import (DecompositionError, NoStabilization, NotDecomposable
 from .harness import CampaignConfig, run_campaign
 from .orthogonality import birkhoff_verdict
 from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
-                         check_phase_equation, generate_isometry,
+                         check_phase_equation_batch, generate_isometry,
                          generate_phase_isometry, key_string, read_samples,
                          write_samples)
 from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
@@ -61,7 +61,7 @@ def _load_space(arg: str) -> NormSpec:
             return NormSpec.from_json(arg)
         with open(arg) as fh:
             return NormSpec.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SampleFormatError(arg, 0, f"cannot load space description: {exc}")
 
 
@@ -79,9 +79,8 @@ def _parse_vector(text: str) -> np.ndarray:
         raise SampleFormatError("<arg>", 0, f"cannot parse vector {text!r}: {exc}")
 
 
-def _table_oracle(space: NormSpec, samples_path: str, declared: bool,
+def _table_oracle(space: NormSpec, pairs, declared: bool,
                   name: str, codomain: Optional[NormSpec] = None) -> PhaseMapOracle:
-    pairs = read_samples(samples_path)
     for x, fx in pairs:
         if x.shape != (space.dim,):
             raise _dimension_error(space.dim, x.shape)
@@ -101,6 +100,26 @@ def _dimension_error(expected, got):
     return _DimensionError(f"dimension mismatch: space has dim {expected}, sample has shape {got}")
 
 
+def _sample_pairs(n: int, cap: int, seed: int):
+    """Row indices (i, j), i <= j, of the pairs that ``check`` evaluates.
+
+    The n(n+1)/2 pairs of n rows are numbered row-major.  When more than
+    ``cap`` exist, ``cap`` numbers are drawn uniformly without replacement
+    from the seed's stream; each number k is then unranked, in sorted order,
+    from the offsets of the rows, so the pairs are never listed.
+    """
+    total = n * (n + 1) // 2
+    if total > cap:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC4E]))
+        k = np.sort(rng.choice(total, size=cap, replace=False))
+    else:
+        k = np.arange(total)
+    rows = np.arange(n)
+    offsets = rows * n - rows * (rows - 1) // 2  # pairs numbered before row i
+    i = np.searchsorted(offsets, k, side="right") - 1
+    return i, i + (k - offsets[i])
+
+
 def _seed_oracle(space: NormSpec, oracle_seed: int, even: bool) -> PhaseMapOracle:
     t = generate_isometry(space, oracle_seed)
     return generate_phase_isometry(t, oracle_seed, even=even)
@@ -115,20 +134,18 @@ def cmd_check(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
     codomain = _load_space(args.codomain) if args.codomain else None
-    oracle = _table_oracle(space, args.samples, declared=False, name="check",
-                           codomain=codomain)
-    points = [x for x, _ in read_samples(args.samples)]
-    pairs = [(points[i], points[j])
-             for i in range(len(points)) for j in range(i, len(points))]
-    cap = args.max_pairs
-    if len(pairs) > cap:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC4E]))
-        idx = rng.choice(len(pairs), size=cap, replace=False)
-        pairs = [pairs[i] for i in sorted(idx)]
-    report = check_phase_equation(oracle, pairs, tol)
+    rows = read_samples(args.samples)
+    oracle = _table_oracle(space, rows, declared=False, name="check", codomain=codomain)
+    cod = oracle.codomain
+    points = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), space.dim)
+    # each row's image is looked up once; duplicate x rows resolve as the oracle does
+    images = np.array([oracle(x) for x in points], dtype=float).reshape(len(rows), cod.dim)
+    i, j = _sample_pairs(len(rows), args.max_pairs, args.seed)
+    report = check_phase_equation_batch(space, cod, points[i], points[j],
+                                        images[i], images[j], tol)
     data = report.to_dict()
     data["tolerances"] = tol.to_dict()
-    data["sampled_pairs"] = len(pairs)
+    data["sampled_pairs"] = len(i)
     _emit(data, args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -156,7 +173,7 @@ def cmd_decompose(args) -> int:
         resolved = route_for(space) if route == "auto" else route
         plan = plan_queries(space, resolved, args.seed, tol)
         codomain = _load_space(args.codomain) if args.codomain else None
-        oracle = _table_oracle(space, args.samples, declared, name="table",
+        oracle = _table_oracle(space, read_samples(args.samples), declared, name="table",
                                codomain=codomain)
         missing = oracle.missing_points(plan.all_points())
         if missing:
@@ -189,7 +206,7 @@ def cmd_lemma(args) -> int:
     x_star = space.functional(coords)
     if args.samples:
         codomain = _load_space(args.codomain) if args.codomain else None
-        f = _table_oracle(space, args.samples, declared=False, name="lemma",
+        f = _table_oracle(space, read_samples(args.samples), declared=False, name="lemma",
                           codomain=codomain)
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)

@@ -37,6 +37,7 @@ __all__ = [
     "PhaseCheckReport",
     "InvariantReport",
     "check_phase_equation",
+    "check_phase_equation_batch",
     "check_wigner_equation",
     "check_phase_invariants",
     "generate_isometry",
@@ -332,19 +333,39 @@ def _pair_coords(pair, space: NormSpec):
 
 
 def check_phase_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
-    """Check {|f(x)+f(y)|, |f(x)-f(y)|} = {|x+y|, |x-y|} on each pair."""
+    """Check {|f(x)+f(y)|, |f(x)-f(y)|} = {|x+y|, |x-y|} on each pair.
+
+    The oracle is queried at x then y, pair by pair; the equation itself is
+    evaluated by :func:`check_phase_equation_batch`.
+    """
     dom, cod = f.domain, f.codomain
-    checks = []
-    worst = 0.0
-    for pair in pairs:
-        xc, yc = _pair_coords(pair, dom)
-        fx, fy = f(xc), f(yc)
-        got = (cod.norm_of(fx + fy), cod.norm_of(fx - fy))
-        want = (dom.norm_of(xc + yc), dom.norm_of(xc - yc))
-        ok, disc = multiset_match(got, want, tol)
-        worst = max(worst, disc)
-        checks.append(PairCheck(xc, yc, ok, disc))
-    return PhaseCheckReport(checks, worst)
+    coords = np.array([_pair_coords(pair, dom) for pair in pairs], dtype=float)
+    coords = coords.reshape(-1, 2, dom.dim)
+    images = np.array([(f(x), f(y)) for x, y in coords], dtype=float).reshape(-1, 2, cod.dim)
+    return check_phase_equation_batch(dom, cod, coords[:, 0], coords[:, 1],
+                                      images[:, 0], images[:, 1], tol)
+
+
+def check_phase_equation_batch(dom: NormSpec, cod: NormSpec, X: np.ndarray, Y: np.ndarray,
+                               FX: np.ndarray, FY: np.ndarray,
+                               tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
+    """Check the phase equation on the pairs (X[k], Y[k]) with images (FX[k], FY[k]).
+
+    X and Y are (m, dom.dim) arrays, FX and FY (m, cod.dim).  Each pair gets
+    the verdict and discrepancy of :func:`multiset_match` on its two norm
+    multisets, to the bit; a pair whose discrepancy is NaN fails, and then
+    ``max_discrepancy`` is NaN too.
+    """
+    got_a, got_b = cod.norms_of(FX + FY), cod.norms_of(FX - FY)
+    want_a, want_b = dom.norms_of(X + Y), dom.norms_of(X - Y)
+    got_hi, want_hi = np.maximum(got_a, got_b), np.maximum(want_a, want_b)
+    disc = np.maximum(np.abs(np.minimum(got_a, got_b) - np.minimum(want_a, want_b)),
+                      np.abs(got_hi - want_hi))
+    # norms are nonnegative, so the larger of the two maxima is the largest magnitude
+    passed = disc <= tol.rel * (1.0 + np.maximum(got_hi, want_hi))
+    checks = [PairCheck(x, y, ok, d)
+              for x, y, ok, d in zip(X, Y, passed.tolist(), disc.tolist())]
+    return PhaseCheckReport(checks, float(np.max(disc, initial=0.0)))
 
 
 def check_wigner_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
@@ -544,7 +565,9 @@ def write_samples(path: str, oracle: PhaseMapOracle, points: Sequence[np.ndarray
 
 
 def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Parse a samples file; malformed or non-finite rows raise SampleFormatError."""
     pairs = []
+    line_nos = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -559,4 +582,10 @@ def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:
             if x.ndim != 1 or fx.ndim != 1:
                 raise SampleFormatError(path, line_no, "x and fx must be flat arrays")
             pairs.append((x, fx))
+            line_nos.append(line_no)
+    # one finiteness scan over every value; the slow search runs only on failure
+    if pairs and not np.isfinite(np.concatenate([v for pair in pairs for v in pair])).all():
+        line_no = next(n for n, (x, fx) in zip(line_nos, pairs)
+                       if not (np.isfinite(x).all() and np.isfinite(fx).all()))
+        raise SampleFormatError(path, line_no, "x and fx must be finite")
     return pairs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,8 @@ class Tolerances:
                    estimates on the t-schedule
     tie            residual spread below which sign pinning is treated as tied
     functional     relative bound for |x*(x)| vs |phi(f(x))| agreement
+
+    Every value must be finite and > 0.
     """
 
     rel: float = 1e-9
@@ -27,6 +30,11 @@ class Tolerances:
     stabilization: float = 1e-9
     tie: float = 1e-9
     functional: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name!r} must be finite and > 0, got {value}")
 
     def with_rel(self, rel: float) -> "Tolerances":
         return replace(self, rel=rel)

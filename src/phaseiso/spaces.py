@@ -77,17 +77,19 @@ class NormSpec:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind in ("lp", "weighted_lp"):
-            if self.p is None or (self.p < 1.0 and not math.isinf(self.p)):
+            if self.p is None or math.isnan(self.p) or (self.p < 1.0 and not math.isinf(self.p)):
                 raise ValueError("p must satisfy p >= 1 or p = inf")
         if self.kind == "weighted_lp":
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.dim,) or np.any(w <= 0):
-                raise ValueError("weights must be dim positive reals")
+            if w.shape != (self.dim,) or not np.all((w > 0) & np.isfinite(w)):
+                raise ValueError("weights must be dim positive finite reals")
             object.__setattr__(self, "weights", _frozen(w))
         if self.kind == "polyhedral":
             a = np.asarray(self.functionals, dtype=float)
             if a.ndim != 2 or a.shape[1] != self.dim:
                 raise ValueError("functionals must be an (m, dim) array")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("functionals must be finite")
             if np.linalg.matrix_rank(a) < self.dim:
                 raise ValueError("polyhedral functionals must span the dual space")
             object.__setattr__(self, "functionals", _frozen(a))
@@ -144,6 +146,35 @@ class NormSpec:
                 return float(np.max(self.weights * np.abs(a)))
             return float(np.sum(self.weights * np.abs(a) ** self.p) ** (1.0 / self.p))
         return float(np.max(np.abs(self.functionals @ a)))
+
+    def norms_of(self, rows) -> np.ndarray:
+        """Norms of the rows of an (m, dim) array.
+
+        Equal bit for bit to ``norm_of`` on each row: the sums and maxima run
+        row-wise in the scalar code's order, the final root is taken per
+        element on Python floats (numpy's array ``**`` can differ from the
+        scalar one in the last bit), and polyhedral values come from one
+        matrix-vector product per row (``X @ A.T`` rounds differently).
+        """
+        a = np.ascontiguousarray(rows, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.dim:
+            raise ValueError(f"dimension mismatch: expected rows of {self.dim} coordinates, "
+                             f"got shape {a.shape}")
+        if self.kind == "polyhedral":
+            return np.max(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]), axis=1)
+        mag = np.abs(a)
+        if self.kind == "weighted_lp":
+            if math.isinf(self.p):
+                return np.max(self.weights * mag, axis=1)
+            sums = np.sum(self.weights * mag ** self.p, axis=1)
+        elif math.isinf(self.p):
+            return np.max(mag, axis=1)
+        elif self.p == 1.0:
+            return np.sum(mag, axis=1)
+        else:
+            sums = np.sum(mag ** self.p, axis=1)
+        inv = 1.0 / self.p
+        return np.array([s ** inv for s in sums.tolist()], dtype=float)
 
     def dual_norm_of(self, coords) -> float:
         """Norm of a dual element acting by the dot product.
@@ -205,10 +236,14 @@ class NormSpec:
     def from_json(cls, data: Union[dict, str]) -> "NormSpec":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("a space description must be a JSON object")
         kind = data.get("kind")
         dim = int(data.get("dim", 0))
         if kind in ("lp", "weighted_lp"):
             p = data.get("p")
+            if p is None:
+                raise ValueError(f"{kind} spaces need an exponent p")
             p = math.inf if p == "inf" else float(p)
             if kind == "lp":
                 return cls.lp(dim, p)

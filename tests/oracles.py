@@ -92,3 +92,29 @@ def brute_polyhedral_directional(space, u, x, atol=1e-12):
         if abs(abs(v) - m) <= atol * (1.0 + m):
             best = max(best, np.sign(v) * float(space.functionals[i] @ x))
     return best
+
+
+def scalar_phase_check(f, pairs, rel=1e-9):
+    """The phase equation checked one pair at a time with scalar norms.
+
+    Returns (passed, max_discrepancy, failures) with failures as
+    (x, y, discrepancy) triples, computed the way the library did before it
+    evaluated pairs in batches: sort each two-element multiset, compare
+    componentwise, and keep the running maximum from 0.0.
+    """
+    dom, cod = f.domain, f.codomain
+    worst = 0.0
+    passed = True
+    failures = []
+    for x, y in pairs:
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        fx, fy = f(x), f(y)
+        got = sorted((cod.norm_of(fx + fy), cod.norm_of(fx - fy)))
+        want = sorted((dom.norm_of(x + y), dom.norm_of(x - y)))
+        disc = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+        ok = disc <= rel * (1.0 + max(got + want))
+        worst = max(worst, disc)
+        passed = passed and ok
+        if not ok:
+            failures.append((list(x), list(y), disc))
+    return passed, worst, failures

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phaseiso.cli import main
+from phaseiso import NormSpec, plan_queries
+from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
 
 L1_3 = '{"kind": "lp", "dim": 3, "p": 1}'
 L2_2 = '{"kind": "lp", "dim": 2, "p": 2}'
@@ -78,6 +80,52 @@ class TestCheck:
         samples.write_text('{"x": [1.0, 0.0, 0.0], "fx": [1.0, 0.0, 0.0]}\n')
         code = run(["check", "--space", L2_2, "--samples", str(samples)])
         assert code == 65
+
+    def test_non_finite_sample_exit_64(self, tmp_path, capsys):
+        samples = tmp_path / "nan.jsonl"
+        samples.write_text('{"x": [1.0, 0.0], "fx": [1.0, 0.0]}\n'
+                           '{"x": [0.0, 1.0], "fx": [NaN, 1.0]}\n')
+        code = run(["check", "--space", L2_2, "--samples", str(samples)])
+        assert code == 64
+        assert ":2:" in capsys.readouterr().err
+
+
+def _materialised_pairs(n, cap, seed):
+    """The pair sample drawn from the full list of n(n+1)/2 pairs."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if len(pairs) > cap:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC4E]))
+        pairs = [pairs[k] for k in sorted(rng.choice(len(pairs), size=cap, replace=False))]
+    return pairs
+
+
+class TestPairSampling:
+    @pytest.mark.parametrize("n", range(65))
+    def test_unranking_matches_enumeration(self, n):
+        total = n * (n + 1) // 2
+        for cap in sorted({0, 1, 7, max(total - 1, 0), total, total + 1}):
+            for seed in (0, 5):
+                i, j = _sample_pairs(n, cap, seed)
+                assert list(zip(i.tolist(), j.tolist())) == _materialised_pairs(n, cap, seed)
+
+    def test_check_peak_memory_bounded(self, tmp_path):
+        space = NormSpec.lp(8, 1)
+        spec = json.dumps(space.to_json())
+        plan_rows = len(plan_queries(space, "l1", 3).all_points())
+        samples = tmp_path / "big.jsonl"
+        assert run(["gen", "--space", spec, "--seed", "3", "--out", str(samples),
+                    "--extra", str(2000 - plan_rows)]) == 0
+        assert len(samples.read_text().splitlines()) == 2000
+        args = build_parser().parse_args(["check", "--space", spec, "--samples", str(samples),
+                                          "--seed", "3", "--out", str(tmp_path / "r.json")])
+        tracemalloc.start()
+        try:
+            assert cmd_check(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / "r.json").read_text())["sampled_pairs"] == 10_000
+        assert peak <= 20 * 2 ** 20
 
 
 class TestDecompose:
@@ -273,3 +321,43 @@ class TestTolerancePlumbing:
         assert code == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["tolerances"]["rel"] == 1e-6
+
+
+class TestInputValidation:
+    """Bad tolerances and space descriptions exit 64 with a message, no traceback."""
+
+    @pytest.fixture
+    def shifted(self, tmp_path):
+        samples = tmp_path / "shift.jsonl"
+        samples.write_text('{"x": [1.0, 0.0], "fx": [3.0, 0.0]}\n')
+        return str(samples)
+
+    def expect_rejected(self, argv, capsys, needle):
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_bad_tol_flag(self, shifted, capsys, tol):
+        self.expect_rejected(["check", "--space", L2_2, "--samples", shifted, f"--tol={tol}"],
+                             capsys, "finite and > 0")
+
+    def test_bad_phase_tol(self, shifted, capsys, monkeypatch):
+        monkeypatch.setenv("PHASE_TOL", "inf")
+        self.expect_rejected(["check", "--space", L2_2, "--samples", shifted],
+                             capsys, "finite and > 0")
+
+    @pytest.mark.parametrize("space,needle", [
+        ('{"kind": "lp", "dim": 2}', "exponent p"),
+        ('{"kind": "lp", "dim": 2, "p": NaN}', "p must"),
+        ('{"kind": "weighted_lp", "dim": 2, "p": 1, "weights": [1.0, Infinity]}', "finite"),
+        ('{"kind": "weighted_lp", "dim": 2, "p": 1, "weights": [1.0, NaN]}', "finite"),
+    ], ids=["missing-p", "nan-p", "inf-weight", "nan-weight"])
+    def test_bad_space(self, shifted, capsys, space, needle):
+        self.expect_rejected(["check", "--space", space, "--samples", shifted], capsys, needle)
+
+    def test_space_file_not_an_object(self, shifted, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text("[1, 2]")
+        self.expect_rejected(["check", "--space", str(path), "--samples", shifted],
+                             capsys, "JSON object")

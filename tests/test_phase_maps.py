@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import space_zoo, zoo_ids
 from phaseiso import (LinearMap, MissingSamples, NormSpec, PhaseMapOracle,
                       SampleFormatError, SignAssignment, canonical_ray,
-                      check_phase_equation, check_wigner_equation,
+                      check_phase_equation, check_phase_equation_batch,
+                      check_wigner_equation,
                       generate_isometry, generate_phase_isometry,
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
                       ray_key, read_samples, write_samples)
@@ -123,6 +125,50 @@ class TestPhaseEquation:
         r2 = check_phase_equation(f, [(y, x)])
         assert r1.passed == r2.passed
         assert r1.max_discrepancy == pytest.approx(r2.max_discrepancy, abs=1e-15)
+
+
+def _phase_fixtures():
+    """(oracle, pairs) cases for the checker's reference comparison."""
+    rng = np.random.default_rng(515)
+    plane = NormSpec.lp(2, 2)
+    shift = PhaseMapOracle.from_callable(plane, plane, lambda c: c + np.array([0.4, -0.1]))
+    shift_pairs = random_pairs(rng, 2, 60) + [(np.zeros(2), np.zeros(2))]
+    absmap = PhaseMapOracle.from_callable(plane, plane, np.abs)
+    curve = PhaseMapOracle.from_callable(LINE, LINF_2,
+                                         lambda c: np.array([c[0], math.sin(c[0])]))
+    fixtures = [pytest.param(shift, shift_pairs, id="shift"),
+                pytest.param(absmap, random_pairs(rng, 2, 60), id="abs"),
+                pytest.param(curve, random_pairs(rng, 1, 300, scale=6.0), id="sine-curve")]
+    for space, name in zip(space_zoo(), zoo_ids()):
+        f = generate_phase_isometry(generate_isometry(space, 8), 8)
+        pairs = random_pairs(rng, space.dim, 200)
+        pairs += [(x, x) for x, _ in pairs[:10]] + [(x, -x) for x, _ in pairs[10:20]]
+        fixtures.append(pytest.param(f, pairs, id=f"generated-{name}"))
+    return fixtures
+
+
+class TestBatchedPhaseCheck:
+    @pytest.mark.parametrize("f,pairs", _phase_fixtures())
+    def test_matches_scalar_reference(self, f, pairs):
+        passed, worst, failures = oracles.scalar_phase_check(f, pairs)
+        report = check_phase_equation(f, pairs)
+        assert report.passed == passed
+        assert report.max_discrepancy == worst
+        assert [(list(c.x), list(c.y), c.discrepancy) for c in report.failures] == failures
+        assert len(report.checks) == len(pairs)
+
+    def test_no_pairs(self):
+        report = check_phase_equation(identity_oracle(L2_2), [])
+        assert report.passed and report.checks == [] and report.max_discrepancy == 0.0
+
+    def test_nan_discrepancy_fails(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        FX = X.copy()
+        FX[1, 0] = np.nan
+        report = check_phase_equation_batch(L2_2, L2_2, X, X, FX, FX)
+        assert [c.passed for c in report.checks] == [True, False]
+        assert math.isnan(report.failures[0].discrepancy)
+        assert math.isnan(report.max_discrepancy)
 
 
 class TestWignerEquation:
@@ -309,5 +355,14 @@ class TestSampleFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"x": [1.0, 0.0], "fx": [1.0, 0.0]}\n{"x": [0.5,\n')
         with pytest.raises(SampleFormatError) as err:
+            read_samples(str(path))
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text('{"x": [1.0, 0.0], "fx": [1.0, 0.0]}\n'
+                        f'{{"x": [0.5, 0.0], "fx": [0.5, {value}]}}\n')
+        with pytest.raises(SampleFormatError, match="finite") as err:
             read_samples(str(path))
         assert err.value.line_no == 2

@@ -38,6 +38,30 @@ class TestNormEvaluation:
         assert norm(L1_2.vector([3, -4])) == 7.0
 
 
+class TestNormsOf:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_bit_identical_to_norm_of(self, dim):
+        rng = np.random.default_rng(dim)
+        w = rng.uniform(0.25, 4.0, dim)
+        functionals = np.vstack([np.eye(dim), rng.standard_normal((3, dim))])
+        spaces = [NormSpec.lp(dim, p) for p in (1, 1.5, 2, 3, math.inf)]
+        spaces += [NormSpec.weighted_lp(dim, p, w) for p in (1, 1.5, 2, 3, math.inf)]
+        spaces.append(NormSpec.polyhedral(dim, functionals))
+        for space in spaces:
+            for magnitude in (1e-3, 1.0, 1e3):
+                rows = magnitude * rng.standard_normal((300, dim))
+                want = np.array([space.norm_of(x) for x in rows])
+                got = space.norms_of(rows)
+                assert got.dtype == np.float64 and got.shape == (300,)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                    (space, magnitude)
+
+    def test_empty_and_mismatched_rows(self):
+        assert L1_2.norms_of(np.zeros((0, 2))).shape == (0,)
+        with pytest.raises(ValueError, match="dimension"):
+            L1_2.norms_of(np.zeros((4, 3)))
+
+
 class TestConstruction:
     def test_bad_p(self):
         with pytest.raises(ValueError):
@@ -50,6 +74,25 @@ class TestConstruction:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             NormSpec.weighted_lp(2, 1, [1.0, -1.0])
+
+    @pytest.mark.parametrize("weights", [[1.0, np.nan], [1.0, np.inf]])
+    def test_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            NormSpec.weighted_lp(2, 1, weights)
+
+    def test_nan_p(self):
+        with pytest.raises(ValueError, match="p must"):
+            NormSpec.lp(2, float("nan"))
+        with pytest.raises(ValueError, match="p must"):
+            NormSpec.weighted_lp(2, float("nan"), [1.0, 1.0])
+
+    def test_missing_p(self):
+        with pytest.raises(ValueError, match="exponent p"):
+            NormSpec.from_json({"kind": "lp", "dim": 2})
+
+    def test_non_finite_functionals(self):
+        with pytest.raises(ValueError, match="finite"):
+            NormSpec.polyhedral(2, [[1, 0], [0, np.inf]])
 
     def test_polyhedral_must_span(self):
         with pytest.raises(ValueError, match="span"):
