@@ -3,9 +3,9 @@ checks the phase-isometry equation and factors surjective phase-isometries
 into a sign function times a linear isometry."""
 
 from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
-from .spaces import (ExposedPoint, Functional, NormSpec, SupportDescription, Vector,
-                     directional_derivative, finite_difference_directional,
-                     is_w_star_exposed, norm, support_set)
+from .spaces import (DimensionMismatch, ExposedPoint, Functional, NormSpec,
+                     SupportDescription, Vector, directional_derivative,
+                     finite_difference_directional, is_w_star_exposed, norm, support_set)
 from .orthogonality import (Hyperplane, L1OrthogonalityTriple, OrthogonalityVerdict,
                             birkhoff_verdict, is_birkhoff_orthogonal,
                             l1_orthogonality_triple, orthogonal_hyperplane)
@@ -14,7 +14,7 @@ from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SampleFormat
                          check_phase_equation_batch, check_wigner_equation, generate_isometry,
                          generate_phase_isometry, check_phase_invariants,
                          make_sign_flip_oracle, multiset_match, ray_key,
-                         read_samples, write_samples)
+                         ray_keys, read_samples, write_samples)
 from .decomposition import (CollinearityViolation, DecompositionCertificate,
                             DecompositionError, FunctionalRecovery, NoStabilization,
                             NotDecomposable, NotExposed, QueryPlan, RangeDegenerate,

@@ -30,7 +30,7 @@ from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
                          generate_phase_isometry, key_string, read_samples,
                          write_samples)
 from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
-from .spaces import NormSpec
+from .spaces import DimensionMismatch, NormSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,12 +92,15 @@ def _table_oracle(space: NormSpec, pairs, declared: bool,
                                      declared_surjective=declared, name=name)
 
 
-class _DimensionError(ValueError):
-    pass
-
-
 def _dimension_error(expected, got):
-    return _DimensionError(f"dimension mismatch: space has dim {expected}, sample has shape {got}")
+    return DimensionMismatch(f"dimension mismatch: space has dim {expected}, "
+                             f"sample has shape {got}")
+
+
+def _non_negative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 def _sample_pairs(n: int, cap: int, seed: int):
@@ -140,7 +143,7 @@ def cmd_check(args) -> int:
     points = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), space.dim)
     # each row's image is looked up once; duplicate x rows resolve as the oracle does
     images = np.array([oracle(x) for x in points], dtype=float).reshape(len(rows), cod.dim)
-    i, j = _sample_pairs(len(rows), args.max_pairs, args.seed)
+    i, j = _sample_pairs(len(rows), _non_negative("--max-pairs", args.max_pairs), args.seed)
     report = check_phase_equation_batch(space, cod, points[i], points[j],
                                         images[i], images[j], tol)
     data = report.to_dict()
@@ -201,8 +204,8 @@ def cmd_lemma(args) -> int:
     if args.normalize:
         coords = coords / dn
     elif abs(dn - 1.0) > 1e-6:
-        raise _DimensionError(f"functional must be unit in the dual norm (got {dn}); "
-                              "pass --normalize to rescale")
+        raise DimensionMismatch(f"functional must be unit in the dual norm (got {dn}); "
+                                "pass --normalize to rescale")
     x_star = space.functional(coords)
     if args.samples:
         codomain = _load_space(args.codomain) if args.codomain else None
@@ -211,7 +214,8 @@ def cmd_lemma(args) -> int:
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x1E44]))
-    verify = [rng.standard_normal(space.dim) for _ in range(args.verify_points)]
+    verify = [rng.standard_normal(space.dim)
+              for _ in range(_non_negative("--verify-points", args.verify_points))]
     rec = recover_functional(f, x_star, verify_points=verify, tol=tol)
     data = rec.to_dict()
     data["tolerances"] = tol.to_dict()
@@ -227,7 +231,7 @@ def cmd_gen(args) -> int:
     plan = plan_queries(space, route, args.seed, tol)
     points = plan.all_points()
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE57A]))
-    extras = [rng.standard_normal(space.dim) for _ in range(args.extra)]
+    extras = [rng.standard_normal(space.dim) for _ in range(_non_negative("--extra", args.extra))]
     write_samples(args.out, oracle, points + extras)
     _log(f"wrote {len(points) + len(extras)} samples to {args.out}")
     if args.hidden:
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
     except SampleFormatError as exc:
         _log(f"input error: {exc}")
         return EXIT_BAD_INPUT
-    except _DimensionError as exc:
+    except DimensionMismatch as exc:
         _log(f"error: {exc}")
         return EXIT_DIMENSION
     except MissingSamples as exc:
@@ -377,9 +381,8 @@ def main(argv=None) -> int:
         _log(f"decomposition error: {exc}")
         return EXIT_ROUTE_ERROR
     except ValueError as exc:
-        msg = str(exc)
-        _log(f"error: {msg}")
-        return EXIT_DIMENSION if "dimension" in msg else EXIT_BAD_INPUT
+        _log(f"error: {exc}")
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 
 from .orthogonality import is_birkhoff_orthogonal
 from .phase_maps import (LinearMap, PhaseMapOracle, SignAssignment, canonical_ray,
-                         multiset_match, ray_key)
+                         check_phase_equation_batch, multiset_match, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import Functional, NormSpec, Vector, is_w_star_exposed, support_set
 
@@ -654,42 +654,44 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     matrix = _normalize_global_sign(matrix, tol)
     t_map = LinearMap(matrix, space, cod, isometric=True)
 
-    def best_sign(coords, fx):
-        tx = matrix @ coords
-        r_plus = cod.norm_of(fx - tx)
-        r_minus = cod.norm_of(fx + tx)
-        return (1, r_plus) if r_plus <= r_minus else (-1, r_minus)
+    def best_signs(points, images):
+        """Per row: the sign s in {+1, -1} with the smaller |f(x) - s T x|, and that residual."""
+        tx = np.matmul(matrix, points[:, :, None])[:, :, 0]  # bit for bit matrix @ row
+        r_plus, r_minus = cod.norms_of(images - tx), cod.norms_of(images + tx)
+        plus = r_plus <= r_minus
+        return np.where(plus, 1, -1), np.where(plus, r_plus, r_minus), tx
 
-    # re-verify the defining equation through the factorization on fresh pairs
-    worst_disc = 0.0
-    for x, y in plan.fresh_pairs:
-        sx, _ = best_sign(x, f(x))
-        sy, _ = best_sign(y, f(y))
-        rx = sx * (matrix @ x)
-        ry = sy * (matrix @ y)
-        got = (cod.norm_of(rx + ry), cod.norm_of(rx - ry))
-        want = (space.norm_of(x + y), space.norm_of(x - y))
-        ok, disc = multiset_match(got, want, tol)
-        worst_disc = max(worst_disc, disc)
-        if not ok:
-            raise NotDecomposable(
-                "reconstructed map violates the defining equation on a fresh pair",
-                witness=(list(x), list(y)))
+    def images(points):
+        return np.array([f(p) for p in points], dtype=float).reshape(-1, cod.dim)
+
+    # re-verify the defining equation through the factorization on fresh pairs;
+    # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
+    xy = np.array(plan.fresh_pairs, dtype=float).reshape(-1, space.dim)
+    signs, _, txy = best_signs(xy, images(xy))
+    rxy = signs[:, None] * txy
+    report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
+                                        rxy[0::2], rxy[1::2], tol)
+    if not report.passed:
+        bad = report.failures[0]
+        raise NotDecomposable(
+            "reconstructed map violates the defining equation on a fresh pair",
+            witness=(list(bad.x), list(bad.y)))
+    worst_disc = report.max_discrepancy
 
     # replay every logged query against eps * T
+    q = np.array(f.query_log, dtype=float).reshape(-1, space.dim)
+    q = q[np.any(q, axis=1)]
+    signs, residuals, _ = best_signs(q, images(q))
+    bounds = tol.rel * (1.0 + space.norms_of(q))
+    failed = ~(residuals <= bounds)  # a NaN residual fails too
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotDecomposable(
+            f"logged query is not reproduced by the factorization "
+            f"(residual {residuals[k]:.3e})", witness=list(q[k]))
+    residual_max = float(np.max(residuals, initial=0.0))
     sign_table = SignAssignment(space)
-    residual_max = 0.0
-    for coords in list(f.query_log):
-        if not np.any(coords):
-            continue
-        fx = f(coords)
-        s, residual = best_sign(coords, fx)
-        residual_max = max(residual_max, residual)
-        if residual > tol.scaled(space.norm_of(coords)):
-            raise NotDecomposable(
-                f"logged query is not reproduced by the factorization "
-                f"(residual {residual:.3e})", witness=list(coords))
-        sign_table.table[ray_key(coords, space)] = s
+    sign_table.table.update(zip(ray_keys(q, space), signs.tolist()))
 
     return DecompositionCertificate(
         T=t_map,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decomposition import (DecompositionCertificate, DecompositionError,
                             NotDecomposable, decompose)
-from .phase_maps import PhaseMapOracle, generate_isometry, generate_phase_isometry
+from .phase_maps import PhaseMapOracle, generate_isometry, generate_phase_isometry, ray_keys
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import NormSpec
 
@@ -135,17 +135,13 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     err_plus = float(np.max(np.abs(t_hat - t_true)))
     err_minus = float(np.max(np.abs(t_hat + t_true)))
     s = 1 if err_plus <= err_minus else -1
-    sign_of = truth["sign_of"]
-    eps_ok = True
-    for x in oracle.query_log:
-        if not np.any(x):
-            continue
-        recovered = cert.sign_table.table.get(cert.sign_table.key_of(x))
-        if recovered is None:
-            continue  # point outside the certificate's transcript
-        if recovered * s != sign_of(x):
-            eps_ok = False
-            break
+    logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
+    logged = logged[np.any(logged, axis=1)]
+    recovered = [cert.sign_table.table.get(key)
+                 for key in ray_keys(logged, cert.sign_table.space)]
+    # a point outside the certificate's transcript (None) is not scored
+    eps_ok = all(r is None or r * s == want
+                 for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
     return {"t_error": min(err_plus, err_minus), "global_sign": s,
             "eps_consistent": eps_ok}
 

@@ -22,13 +22,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import NormSpec, Vector, _as_coords
+from .spaces import DimensionMismatch, NormSpec, Vector, _as_coords
 
 __all__ = [
     "MissingSamples",
     "SampleFormatError",
     "canonical_ray",
     "ray_key",
+    "ray_keys",
     "key_string",
     "SignAssignment",
     "PhaseMapOracle",
@@ -100,6 +101,18 @@ def ray_key(coords: np.ndarray, space: NormSpec, oriented: bool = False) -> Tupl
     r = canonical_ray(coords, space, oriented)
     rounded = np.round(r, _KEY_DECIMALS) + 0.0  # +0.0 folds -0.0 into +0.0
     return tuple(rounded.tolist())
+
+
+def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[Tuple[float, ...]]:
+    """:func:`ray_key` of each row of an (m, dim) array, equal to it bit for bit."""
+    a = np.asarray(rows, dtype=float).reshape(-1, space.dim)
+    n = space.norms_of(a)
+    r = a / np.where(n == 0.0, 1.0, n)[:, None]
+    r[n == 0.0] = 0.0
+    if not oriented:
+        lead = r[np.arange(len(r)), np.argmax(r != 0.0, axis=1)]
+        r[lead < 0.0] *= -1.0
+    return [tuple(row) for row in (np.round(r, _KEY_DECIMALS) + 0.0).tolist()]
 
 
 def key_string(key: Tuple[float, ...]) -> str:
@@ -206,7 +219,9 @@ class PhaseMapOracle:
         else:
             val = np.asarray(self.fn(np.array(coords)), dtype=float)
         if val.shape != (self.codomain.dim,):
-            raise ValueError("oracle returned a vector of the wrong dimension")
+            raise DimensionMismatch("oracle returned a vector of the wrong dimension")
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"oracle returned a non-finite vector at {list(coords)}")
         val = val.copy()
         val.setflags(write=False)
         with self._lock:
@@ -247,13 +262,10 @@ class LinearMap:
     def verify_isometric(self, seed: int = 0, samples: int = 100,
                          tol: Tolerances = DEFAULT_TOL) -> float:
         """Max deviation of |Tx| from |x| over a random sample."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            x = rng.standard_normal(self.domain.dim)
-            worst = max(worst, abs(self.codomain.norm_of(self.matrix @ x)
-                                   - self.domain.norm_of(x)))
-        return worst
+        x = np.random.default_rng(seed).standard_normal((samples, self.domain.dim))
+        tx = np.matmul(self.matrix, x[:, :, None])[:, :, 0]  # bit for bit matrix @ row
+        dev = np.abs(self.codomain.norms_of(tx) - self.domain.norms_of(x))
+        return float(np.max(dev, initial=0.0))
 
     def to_json(self) -> dict:
         return {"matrix": [list(row) for row in self.matrix],
@@ -516,22 +528,30 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
     space = t.domain
     hidden = SignAssignment(space)
 
+    def signs_of(rows: np.ndarray) -> np.ndarray:
+        """Hidden signs of the rows of an (m, dim) array; zero rows carry +1."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, space.dim)
+        keys = ray_keys(rows, space, oriented=not even)
+        nonzero = np.any(rows, axis=1).tolist()
+        return np.array([_hash_sign(seed, k) if nz else 1 for k, nz in zip(keys, nonzero)],
+                        dtype=int)
+
     def sign_of(coords: np.ndarray) -> int:
-        if not np.any(coords):
-            return 1
-        key = ray_key(coords, space, oriented=not even)
-        return _hash_sign(seed, key)
+        return int(signs_of(coords)[0])
 
     def fn(coords: np.ndarray) -> np.ndarray:
-        s = sign_of(coords)
-        if even and np.any(coords):
-            hidden.table[ray_key(coords, space)] = s
+        s = 1
+        if np.any(coords):
+            key = ray_key(coords, space, oriented=not even)
+            s = _hash_sign(seed, key)
+            if even:  # the unoriented key is the recorded one
+                hidden.table[key] = s
         return s * (t.matrix @ coords)
 
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,
                                           declared_surjective=even, name="generated")
     oracle.hidden_truth = {"T": t, "seed": seed, "even": even, "sign_of": sign_of,
-                           "signs": hidden}
+                           "signs_of": signs_of, "signs": hidden}
     return oracle
 
 
@@ -568,7 +588,11 @@ def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Parse a samples file; malformed or non-finite rows raise SampleFormatError."""
     pairs = []
     line_nos = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise SampleFormatError(path, 0, f"cannot read samples: {exc}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 from .settings import DEFAULT_TOL, Tolerances
 
 __all__ = [
+    "DimensionMismatch",
     "NormSpec",
     "Vector",
     "Functional",
@@ -38,10 +39,15 @@ __all__ = [
 _KINDS = ("lp", "weighted_lp", "polyhedral")
 
 
+class DimensionMismatch(ValueError):
+    """Coordinates whose shape does not match the space's dimension."""
+
+
 def _as_coords(x, dim: int) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != (dim,):
-        raise ValueError(f"dimension mismatch: expected {dim} coordinates, got shape {a.shape}")
+        raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
+                                f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("coordinates must be finite")
     return a
@@ -51,7 +57,8 @@ def _coerce(x, dim: int) -> np.ndarray:
     """Cheap coordinate coercion for hot evaluation paths (no finiteness scan)."""
     a = np.asarray(x, dtype=float)
     if a.shape != (dim,):
-        raise ValueError(f"dimension mismatch: expected {dim} coordinates, got shape {a.shape}")
+        raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
+                                f"got shape {a.shape}")
     return a
 
 
@@ -158,8 +165,8 @@ class NormSpec:
         """
         a = np.ascontiguousarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.dim:
-            raise ValueError(f"dimension mismatch: expected rows of {self.dim} coordinates, "
-                             f"got shape {a.shape}")
+            raise DimensionMismatch(f"dimension mismatch: expected rows of {self.dim} "
+                                    f"coordinates, got shape {a.shape}")
         if self.kind == "polyhedral":
             return np.max(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]), axis=1)
         mag = np.abs(a)

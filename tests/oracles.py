@@ -118,3 +118,14 @@ def scalar_phase_check(f, pairs, rel=1e-9):
         if not ok:
             failures.append((list(x), list(y), disc))
     return passed, worst, failures
+
+
+def scalar_verify_isometric(t, seed=0, samples=100):
+    """Max | |Tx| - |x| | over ``samples`` standard normal points, drawn one at
+    a time and measured with scalar norms, from the running maximum 0.0."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(t.domain.dim)
+        worst = max(worst, abs(t.codomain.norm_of(t.matrix @ x) - t.domain.norm_of(x)))
+    return worst

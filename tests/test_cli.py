@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phaseiso import NormSpec, plan_queries
+from phaseiso import DimensionMismatch, NormSpec, plan_queries
+from phaseiso import cli
 from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
 
 L1_3 = '{"kind": "lp", "dim": 3, "p": 1}'
@@ -361,3 +362,41 @@ class TestInputValidation:
         path.write_text("[1, 2]")
         self.expect_rejected(["check", "--space", str(path), "--samples", shifted],
                              capsys, "JSON object")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--space", L2_2],
+        ["decompose", "--space", L2_2, "--declare-surjective"],
+        ["lemma", "--space", L2_2, "--functional", "[1, 0]"],
+    ], ids=["check", "decompose", "lemma"])
+    def test_missing_samples_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "absent.jsonl")
+        self.expect_rejected(argv + ["--samples", missing], capsys, "cannot read samples")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["check", "--space", L2_2, "--samples", "{samples}", "--max-pairs", "-1"],
+         "--max-pairs"),
+        (["lemma", "--space", L1_3, "--functional", "[1, 1, 1]", "--oracle-seed", "5",
+          "--verify-points", "-2"], "--verify-points"),
+    ], ids=["max-pairs", "verify-points"])
+    def test_negative_counts(self, shifted, capsys, argv, flag):
+        argv = [a.replace("{samples}", shifted) for a in argv]
+        self.expect_rejected(argv, capsys, f"{flag} must be >= 0")
+
+    def test_negative_extra_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "samples.jsonl"
+        self.expect_rejected(["gen", "--space", L2_2, "--extra", "-3", "--out", str(out)],
+                             capsys, "--extra must be >= 0")
+        assert not out.exists()
+
+    def test_exit_code_follows_the_error_type(self, monkeypatch, shifted):
+        """Only DimensionMismatch exits 65; message text does not pick the code."""
+        def raising(exc):
+            def cmd(args):
+                raise exc
+            return cmd
+
+        argv = ["check", "--space", L2_2, "--samples", shifted]
+        monkeypatch.setattr(cli, "cmd_check", raising(ValueError("negative dimensions")))
+        assert run(argv) == 64
+        monkeypatch.setattr(cli, "cmd_check", raising(DimensionMismatch("shape (3,)")))
+        assert run(argv) == 65

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from phaseiso import (CollinearityViolation, LinearMap, MissingSamples, NormSpec,
+from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertificate,
+                      LinearMap, MissingSamples, NormSpec, SignAssignment,
                       NotDecomposable, NotExposed, PhaseMapOracle, RangeDegenerate,
                       RouteUnsupported, SmoothnessFailure, SurjectivityNotDeclared,
                       canonical_ray, decompose, generate_isometry,
                       generate_phase_isometry, normalize_two_dim, pin_signs,
                       plan_queries, recover_functional, recover_projective_linear,
                       score_certificate)
-from phaseiso.decomposition import route_for
+from phaseiso.decomposition import _assemble_certificate, route_for
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -332,6 +333,85 @@ class TestDecompose:
         f = PhaseMapOracle.from_callable(space, space, fn, declared_surjective=True)
         with pytest.raises(NotDecomposable):
             decompose(f, seed=9)
+
+
+POLY_3 = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+
+
+def tampered(space, seed, at, image):
+    """The generated eps * T oracle with the answers at the points ``at`` replaced."""
+    base = generate_phase_isometry(generate_isometry(space, seed), seed)
+
+    def fn(c):
+        for p in at:
+            if np.array_equal(c, p):
+                return image(base(c))
+        return base(c)
+
+    return PhaseMapOracle.from_callable(space, space, fn, declared_surjective=True)
+
+
+class TestCertificateReplay:
+    def test_first_failing_logged_query_is_the_witness(self):
+        # scaling an image keeps it on its line, so only the replay sees it
+        space = NormSpec.lp(3, 2)
+        probes = plan_queries(space, "smooth", 5).verify_points
+        f = tampered(space, 5, [probes[7], probes[3]], lambda fx: (1.0 + 1e-3) * fx)
+        with pytest.raises(NotDecomposable,
+                           match=r"^logged query is not reproduced by the factorization "
+                                 r"\(residual \d\.\d{3}e[+-]\d\d\)$") as err:
+            decompose(f, seed=5)
+        assert err.value.witness == list(probes[3])
+
+    @pytest.mark.parametrize("space", [NormSpec.lp(3, 2), NormSpec.lp(4, 1.5), POLY_3],
+                             ids=["l2", "l1.5", "poly"])
+    def test_non_finite_image_is_never_certified(self, space):
+        route = route_for(space)
+        probe = plan_queries(space, route, 0).verify_points[3]
+        f = tampered(space, 0, [probe], lambda fx: np.full_like(fx, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(f, seed=0)
+
+    def test_nan_residual_fails_the_replay(self):
+        space = NormSpec.lp(3, 2)
+        f = generate_phase_isometry(generate_isometry(space, 2), 2)
+        cert = decompose(f, seed=2)
+        logged = f.query_log[10]
+        f._cache[tuple(map(float, logged))] = np.full(3, np.nan)
+        plan = plan_queries(space, "smooth", 2)
+        with pytest.raises(NotDecomposable, match="residual nan") as err:
+            _assemble_certificate(f, cert.T.matrix, "smooth", plan, DEFAULT_TOL, {})
+        assert err.value.witness == list(logged)
+
+
+class TestScoring:
+    @pytest.mark.parametrize("even", [True, False])
+    def test_flipped_sign_is_inconsistent(self, even):
+        space = L2_4
+        t = generate_isometry(space, 8)
+        f = generate_phase_isometry(t, 8, even=even)
+        points = np.random.default_rng(8).standard_normal((6, space.dim))
+        for x in points:
+            f(x)
+        sign_of = f.hidden_truth["sign_of"]
+
+        def score(matrix, signs):
+            table = SignAssignment(space)
+            for x, s in zip(points, signs):
+                table.set(x, s)
+            cert = DecompositionCertificate(
+                LinearMap(matrix, space, space, isometric=True), table, "smooth", 0.0, 0,
+                0.0, "forced", len(points), DEFAULT_TOL)
+            return score_certificate(f, cert)
+
+        truth = [sign_of(x) for x in points]
+        assert score(t.matrix, truth)["eps_consistent"]
+        # the global sign of T is unidentifiable: -T with every sign flipped agrees
+        assert score(-t.matrix, [-s for s in truth]) == {
+            "t_error": 0.0, "global_sign": -1, "eps_consistent": True}
+        flipped = list(truth)
+        flipped[2] = -flipped[2]
+        assert score(t.matrix, flipped)["eps_consistent"] is False
 
 
 class TestSignMapLaws:

@@ -1,17 +1,18 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import space_zoo, zoo_ids
-from phaseiso import (LinearMap, MissingSamples, NormSpec, PhaseMapOracle,
+from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, PhaseMapOracle,
                       SampleFormatError, SignAssignment, canonical_ray,
                       check_phase_equation, check_phase_equation_batch,
                       check_wigner_equation,
                       generate_isometry, generate_phase_isometry,
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
-                      ray_key, read_samples, write_samples)
+                      ray_key, ray_keys, read_samples, write_samples)
 
 L2_2 = NormSpec.lp(2, 2)
 LINE = NormSpec.lp(1, 2)
@@ -67,6 +68,40 @@ class TestCanonicalRay:
             signs.set(np.array([1.0, 0.0]), 2)
 
 
+def _key_families(dim, rng):
+    """lp (p = 1, 1.5, 2, 3, inf), weighted lp and polyhedral spaces of one dimension."""
+    spaces = [NormSpec.lp(dim, p) for p in (1, 1.5, 2, 3, math.inf)]
+    spaces.append(NormSpec.weighted_lp(dim, 1.5, rng.uniform(0.5, 2.0, dim)))
+    spaces.append(NormSpec.weighted_lp(dim, math.inf, rng.uniform(0.5, 2.0, dim)))
+    spaces.append(NormSpec.polyhedral(dim, np.vstack([np.eye(dim),
+                                                      rng.standard_normal((3, dim))])))
+    return spaces
+
+
+class TestRayKeys:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("oriented", [False, True])
+    def test_bytes_match_ray_key(self, dim, oriented):
+        """The packed doubles that the sign hash reads are those of ray_key, row by row."""
+        rng = np.random.default_rng(dim)
+        for space in _key_families(dim, rng):
+            for magnitude in (1e-3, 1.0, 1e3):
+                rows = magnitude * rng.standard_normal((24, dim))
+                rows[0] = 0.0
+                rows[1, :-1] = 0.0  # leading zeros
+                rows[2] = -np.abs(rows[2])  # negative lead
+                rows[3, 0] = -0.0
+                rows[4] = -0.0
+                keys = ray_keys(rows, space, oriented)
+                assert len(keys) == len(rows)
+                for row, key in zip(rows, keys):
+                    want = ray_key(row, space, oriented)
+                    assert struct.pack(f"<{dim}d", *key) == struct.pack(f"<{dim}d", *want)
+
+    def test_no_rows(self):
+        assert ray_keys(np.zeros((0, 3)), NormSpec.lp(3, 2)) == []
+
+
 class TestOracle:
     def test_repeat_queries_identical(self, rng):
         calls = []
@@ -87,6 +122,18 @@ class TestOracle:
         assert np.allclose(f(np.array([1.0, 0.0])), [0.0, 1.0])
         with pytest.raises(MissingSamples):
             f(np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_image_rejected(self, bad):
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array([c[0], bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            f(np.array([1.0, 2.0]))
+        assert f.query_log == []
+
+    def test_wrong_image_dimension(self):
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.append(c, 0.0))
+        with pytest.raises(DimensionMismatch):
+            f(np.array([1.0, 2.0]))
 
     def test_missing_points_listing(self):
         f = PhaseMapOracle.from_table(L2_2, L2_2, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
@@ -272,6 +319,16 @@ class TestGenerators:
         t = generate_isometry(space, 7)
         assert t.isometric
         assert t.verify_isometric(seed=123) <= 1e-9
+
+    @pytest.mark.parametrize("space", space_zoo(), ids=zoo_ids())
+    def test_verify_isometric_matches_scalar_reference(self, space):
+        rng = np.random.default_rng(11)
+        maps = [generate_isometry(space, 3),
+                LinearMap(rng.standard_normal((space.dim, space.dim)), space, space)]
+        for t in maps:
+            for seed, samples in ((0, 100), (5, 1), (9, 0), (123, 37)):
+                got = t.verify_isometric(seed=seed, samples=samples)
+                assert got == oracles.scalar_verify_isometric(t, seed, samples)
 
     def test_l1_signed_permutation(self):
         t = generate_isometry(NormSpec.lp(3, 1), 7)
