@@ -6,8 +6,9 @@ environment variable overrides the default comparison tolerance; an explicit
 --tol flag wins over both.
 
 Exit codes: 0 success; 1 failed checks; 2 not decomposable; 3 route or
-input-plan errors; 4 functional not exposed; 64 malformed input files;
-65 dimension mismatches.
+input-plan errors; 4 functional not exposed; 64 malformed input (and a
+polyhedral space whose dual-norm LP the solver rejects); 65 dimension
+mismatches.
 """
 
 from __future__ import annotations
@@ -141,8 +142,7 @@ def cmd_check(args) -> int:
     oracle = _table_oracle(space, rows, declared=False, name="check", codomain=codomain)
     cod = oracle.codomain
     points = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), space.dim)
-    # each row's image is looked up once; duplicate x rows resolve as the oracle does
-    images = np.array([oracle(x) for x in points], dtype=float).reshape(len(rows), cod.dim)
+    images = oracle.images(points)
     i, j = _sample_pairs(len(rows), _non_negative("--max-pairs", args.max_pairs), args.seed)
     report = check_phase_equation_batch(space, cod, points[i], points[j],
                                         images[i], images[j], tol)
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in ("seed", "oracle_seed"):
+            if getattr(args, dest, None) is not None:
+                _non_negative("--" + dest.replace("_", "-"), getattr(args, dest))
         return args.func(args)
     except SampleFormatError as exc:
         _log(f"input error: {exc}")
@@ -382,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_ROUTE_ERROR
     except ValueError as exc:
         _log(f"error: {exc}")
+        return EXIT_BAD_INPUT
+    except ArithmeticError as exc:  # a polyhedral dual-norm LP the solver rejects
+        _log(f"numerical error: {exc}")
         return EXIT_BAD_INPUT
 
 

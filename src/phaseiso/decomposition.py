@@ -136,6 +136,12 @@ class SignPinning:
         return self.alpha * self.beta
 
 
+def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row of A with b (a vector, or the matching row of an array), bit for bit."""
+    b = b[:, :, None] if b.ndim == 2 else b[:, None]
+    return np.matmul(A[:, None, :], b)[:, 0, 0]
+
+
 def _independent(x: np.ndarray, y: np.ndarray) -> bool:
     s = np.linalg.svd(np.vstack([x, y]), compute_uv=False)
     return s[-1] > 1e-12 * max(s[0], 1.0)
@@ -431,21 +437,19 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
     phi = Functional(phi_coords, cod)
 
     samples = list(verify_points) if verify_points is not None else []
-    signs = []
-    max_dev = 0.0
-    for v in samples:
-        lhs = x_star(v)
-        rhs = phi(f(v))
-        dev = abs(abs(lhs) - abs(rhs))
-        max_dev = max(max_dev, dev)
-        if dev > tol.functional * (1.0 + f.domain.norm_of(v)):
-            raise NotDecomposable(
-                f"|x*(x)| and |phi(f(x))| disagree by {dev:.3e}", witness=list(v))
-        if abs(lhs) > tol.scaled(1.0) and abs(rhs) > tol.scaled(1.0):
-            signs.append(1 if lhs * rhs > 0 else -1)
-        else:
-            signs.append(1)
-    return FunctionalRecovery(x_star, phi, u, stabilized_at, trace, samples, signs, max_dev)
+    V = np.array(samples, dtype=float).reshape(len(samples), f.domain.dim)
+    lhs = _row_dots(V, x_star.coords)
+    rhs = _row_dots(f.images(V), phi.coords)
+    dev = np.abs(np.abs(lhs) - np.abs(rhs))
+    failed = dev > tol.functional * (1.0 + f.domain.norms_of(V))
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotDecomposable(
+            f"|x*(x)| and |phi(f(x))| disagree by {dev[k]:.3e}", witness=list(samples[k]))
+    small = tol.scaled(1.0)
+    signs = np.where((np.abs(lhs) > small) & (np.abs(rhs) > small) & ~(lhs * rhs > 0), -1, 1)
+    return FunctionalRecovery(x_star, phi, u, stabilized_at, trace, samples, signs.tolist(),
+                              float(np.max(dev, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +586,21 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
     a = v * c
     lin = LinearMap(a, space, f.codomain)
 
-    for probe in plan.verify_points:
-        ax = a @ probe
-        fx = f(probe)
-        na, nf = np.linalg.norm(ax), np.linalg.norm(fx)
-        if na < 1e-12 or nf < 1e-12:
-            continue
-        unit = fx / nf
-        sine = np.linalg.norm(ax - np.dot(ax, unit) * unit) / na
-        if sine > tol.collinearity:
-            raise CollinearityViolation(
-                f"probe image left the predicted line (sine residual {sine:.3e})",
-                witness=list(probe))
+    P = np.array(plan.verify_points, dtype=float).reshape(-1, n)
+    FX = f.images(P)
+    AX = np.matmul(a, P[:, :, None])[:, :, 0]  # bit for bit a @ probe
+    na, nf = np.sqrt(_row_dots(AX, AX)), np.sqrt(_row_dots(FX, FX))
+    skip = (na < 1e-12) | (nf < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = FX / nf[:, None]
+        resid = AX - _row_dots(AX, unit)[:, None] * unit
+        sine = np.sqrt(_row_dots(resid, resid)) / na
+    failed = ~skip & ~(sine <= tol.collinearity)  # a NaN sine fails too
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise CollinearityViolation(
+            f"probe image left the predicted line (sine residual {sine[k]:.3e})",
+            witness=list(plan.verify_points[k]))
     return lin
 
 
@@ -661,13 +668,10 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
         plus = r_plus <= r_minus
         return np.where(plus, 1, -1), np.where(plus, r_plus, r_minus), tx
 
-    def images(points):
-        return np.array([f(p) for p in points], dtype=float).reshape(-1, cod.dim)
-
     # re-verify the defining equation through the factorization on fresh pairs;
     # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
     xy = np.array(plan.fresh_pairs, dtype=float).reshape(-1, space.dim)
-    signs, _, txy = best_signs(xy, images(xy))
+    signs, _, txy = best_signs(xy, f.images(xy))
     rxy = signs[:, None] * txy
     report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
                                         rxy[0::2], rxy[1::2], tol)
@@ -681,7 +685,7 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     # replay every logged query against eps * T
     q = np.array(f.query_log, dtype=float).reshape(-1, space.dim)
     q = q[np.any(q, axis=1)]
-    signs, residuals, _ = best_signs(q, images(q))
+    signs, residuals, _ = best_signs(q, f.images(q))
     bounds = tol.rel * (1.0 + space.norms_of(q))
     failed = ~(residuals <= bounds)  # a NaN residual fails too
     if failed.any():

@@ -15,14 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import DimensionMismatch, NormSpec, Vector, _as_coords
+from .spaces import DimensionMismatch, NormSpec, Vector, _as_coords, _coerce
 
 __all__ = [
     "MissingSamples",
@@ -163,7 +162,9 @@ class PhaseMapOracle:
     Backed either by a callable or by a finite sample table with exact
     coordinate keys.  Queries are cached, so repeated evaluation at the same
     point returns the identical vector, and every distinct evaluated point
-    is recorded in ``query_log``.
+    is recorded in ``query_log``.  ``fn_batch``, when set, maps an (m, dim)
+    array of points to their (m, codomain dim) images at once; it must agree
+    with ``fn`` row by row, and :meth:`images` computes its misses with it.
     """
 
     domain: NormSpec
@@ -174,8 +175,8 @@ class PhaseMapOracle:
     name: str = "oracle"
     query_log: List[np.ndarray] = field(default_factory=list)
     hidden_truth: Optional[dict] = None
+    fn_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _cache: Dict[Tuple[float, ...], np.ndarray] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
     def from_callable(cls, domain: NormSpec, codomain: NormSpec,
@@ -188,7 +189,15 @@ class PhaseMapOracle:
     def from_table(cls, domain: NormSpec, codomain: NormSpec,
                    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
                    declared_surjective: bool = False, name: str = "table"):
-        table = {tuple(map(float, x)): np.asarray(fx, float) for x, fx in pairs}
+        """Oracle over a sample table; rows that repeat an x must repeat its fx."""
+        table: Dict[Tuple[float, ...], np.ndarray] = {}
+        for x, fx in pairs:
+            key = tuple(map(float, x))
+            val = np.asarray(fx, float)
+            prev = table.get(key)
+            if prev is not None and not np.array_equal(prev, val):
+                raise ValueError(f"sample table maps x = {list(key)} to two different fx")
+            table[key] = val
         return cls(domain=domain, codomain=codomain, table=table,
                    declared_surjective=declared_surjective, name=name)
 
@@ -206,12 +215,17 @@ class PhaseMapOracle:
                 if tuple(map(float, p)) not in self.table]
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
-        coords = x.coords if isinstance(x, Vector) else _as_coords(x, self.domain.dim)
-        key = tuple(map(float, coords))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
+        coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
+        key = tuple(coords.tolist())
+        hit = self._cache.get(key)
+        if hit is not None:  # only finite points are ever stored
             return hit
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coordinates must be finite")
+        return self._miss(key, coords)
+
+    def _miss(self, key: Tuple[float, ...], coords: np.ndarray) -> np.ndarray:
+        """Compute, check and commit the image of one uncached point."""
         if self.table is not None:
             if key not in self.table:
                 raise MissingSamples([key])
@@ -222,12 +236,53 @@ class PhaseMapOracle:
             raise DimensionMismatch("oracle returned a vector of the wrong dimension")
         if not np.all(np.isfinite(val)):
             raise ValueError(f"oracle returned a non-finite vector at {list(coords)}")
+        return self._commit(key, coords, val)
+
+    def _commit(self, key: Tuple[float, ...], coords: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """Cache a frozen copy of a checked image and log its point."""
         val = val.copy()
         val.setflags(write=False)
-        with self._lock:
-            self._cache[key] = val
-            self.query_log.append(np.array(coords))
+        self._cache[key] = val
+        self.query_log.append(np.array(coords))
         return val
+
+    def images(self, points) -> np.ndarray:
+        """The images of the rows of an (m, dim) array, as an (m, codomain dim) array.
+
+        Equal to calling the oracle on each row in order, in the values, the
+        cache and ``query_log``: a row seen before, in the cache or earlier in
+        the batch, is a hit, and the first occurrence of each new point is
+        computed and committed in row order, by ``fn_batch`` in one call when
+        the oracle has one.
+        """
+        dim, cod_dim = self.domain.dim, self.codomain.dim
+        X = np.asarray(points, dtype=float)
+        if X.ndim != 2 or X.shape[1] != dim:
+            raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
+                                    f"got shape {X.shape[1:]}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("coordinates must be finite")
+        keys = [tuple(row) for row in X.tolist()]
+        cache = self._cache
+        first: Dict[Tuple[float, ...], int] = {}  # uncached key -> its first row
+        for i, key in enumerate(keys):
+            if key not in cache and key not in first:
+                first[key] = i
+        if first and self.fn_batch is not None:
+            U = X[list(first.values())]
+            V = np.asarray(self.fn_batch(U), dtype=float)
+            if V.shape != (len(U), cod_dim):
+                raise DimensionMismatch("oracle returned a vector of the wrong dimension")
+            finite = np.isfinite(V).all(axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise ValueError(f"oracle returned a non-finite vector at {list(U[bad])}")
+            for key, u, v in zip(first, U, V):
+                self._commit(key, u, v)
+        else:
+            for key, i in first.items():
+                self._miss(key, X[i])
+        return np.array([cache[key] for key in keys], dtype=float).reshape(len(keys), cod_dim)
 
     def image_vector(self, x) -> Vector:
         return Vector(self(x), self.codomain)
@@ -353,7 +408,7 @@ def check_phase_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL
     dom, cod = f.domain, f.codomain
     coords = np.array([_pair_coords(pair, dom) for pair in pairs], dtype=float)
     coords = coords.reshape(-1, 2, dom.dim)
-    images = np.array([(f(x), f(y)) for x, y in coords], dtype=float).reshape(-1, 2, cod.dim)
+    images = f.images(coords.reshape(-1, dom.dim)).reshape(-1, 2, cod.dim)
     return check_phase_equation_batch(dom, cod, coords[:, 0], coords[:, 1],
                                       images[:, 0], images[:, 1], tol)
 
@@ -528,13 +583,16 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
     space = t.domain
     hidden = SignAssignment(space)
 
-    def signs_of(rows: np.ndarray) -> np.ndarray:
-        """Hidden signs of the rows of an (m, dim) array; zero rows carry +1."""
-        rows = np.asarray(rows, dtype=float).reshape(-1, space.dim)
+    def keyed_signs(rows: np.ndarray):
+        """Ray keys, nonzero mask and hidden signs of the rows; zero rows carry +1."""
         keys = ray_keys(rows, space, oriented=not even)
         nonzero = np.any(rows, axis=1).tolist()
-        return np.array([_hash_sign(seed, k) if nz else 1 for k, nz in zip(keys, nonzero)],
-                        dtype=int)
+        signs = [_hash_sign(seed, k) if nz else 1 for k, nz in zip(keys, nonzero)]
+        return keys, nonzero, np.array(signs, dtype=int)
+
+    def signs_of(rows: np.ndarray) -> np.ndarray:
+        """Hidden signs of the rows of an (m, dim) array; zero rows carry +1."""
+        return keyed_signs(np.asarray(rows, dtype=float).reshape(-1, space.dim))[2]
 
     def sign_of(coords: np.ndarray) -> int:
         return int(signs_of(coords)[0])
@@ -548,8 +606,15 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
                 hidden.table[key] = s
         return s * (t.matrix @ coords)
 
+    def fn_batch(rows: np.ndarray) -> np.ndarray:
+        keys, nonzero, s = keyed_signs(rows)
+        if even:
+            hidden.table.update((k, v) for k, nz, v in zip(keys, nonzero, s.tolist()) if nz)
+        return s[:, None] * np.matmul(t.matrix, rows[:, :, None])[:, :, 0]  # bit for bit T @ x
+
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,
                                           declared_surjective=even, name="generated")
+    oracle.fn_batch = fn_batch
     oracle.hidden_truth = {"T": t, "seed": seed, "even": even, "sign_of": sign_of,
                            "signs_of": signs_of, "signs": hidden}
     return oracle
@@ -578,10 +643,12 @@ def make_sign_flip_oracle(space: NormSpec, x0, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def write_samples(path: str, oracle: PhaseMapOracle, points: Sequence[np.ndarray]):
+    """Write one {"x", "fx"} line per point; every image is fetched before the file opens."""
+    X = np.array(points, dtype=float).reshape(len(points), oracle.domain.dim)
+    FX = oracle.images(X)
     with open(path, "w") as fh:
-        for x in points:
-            fx = oracle(x)
-            fh.write(json.dumps({"x": list(map(float, x)), "fx": list(map(float, fx))}) + "\n")
+        for x, fx in zip(X.tolist(), FX.tolist()):
+            fh.write(json.dumps({"x": x, "fx": fx}) + "\n")
 
 
 def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:

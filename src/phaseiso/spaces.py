@@ -246,7 +246,10 @@ class NormSpec:
         if not isinstance(data, dict):
             raise ValueError("a space description must be a JSON object")
         kind = data.get("kind")
-        dim = int(data.get("dim", 0))
+        try:
+            dim = int(data.get("dim", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"dim must be an integer: {exc}") from exc
         if kind in ("lp", "weighted_lp"):
             p = data.get("p")
             if p is None:

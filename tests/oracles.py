@@ -129,3 +129,32 @@ def scalar_verify_isometric(t, seed=0, samples=100):
         x = rng.standard_normal(t.domain.dim)
         worst = max(worst, abs(t.codomain.norm_of(t.matrix @ x) - t.domain.norm_of(x)))
     return worst
+
+
+def scalar_images(f, X):
+    """The images of the rows of X fetched one oracle call at a time, in row order."""
+    X = np.asarray(X, float)
+    return np.array([f(x) for x in X], dtype=float).reshape(len(X), f.codomain.dim)
+
+
+def scalar_functional_check(f, x_star, phi, samples, tol):
+    """|x*(x)| against |phi(f(x))| one sample at a time, as recover_functional
+    checked its verify points before it took them as a batch.
+
+    Returns (sign_pattern, max_deviation, failure), where failure is None or
+    (index, deviation) of the first sample beyond tol.functional * (1 + |x|).
+    """
+    signs = []
+    worst = 0.0
+    for k, v in enumerate(samples):
+        lhs = x_star(v)
+        rhs = phi(f(v))
+        dev = abs(abs(lhs) - abs(rhs))
+        worst = max(worst, dev)
+        if dev > tol.functional * (1.0 + f.domain.norm_of(v)):
+            return signs, worst, (k, dev)
+        if abs(lhs) > tol.scaled(1.0) and abs(rhs) > tol.scaled(1.0):
+            signs.append(1 if lhs * rhs > 0 else -1)
+        else:
+            signs.append(1)
+    return signs, worst, None

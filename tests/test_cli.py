@@ -241,6 +241,42 @@ class TestOrtho:
         assert verdict["orthogonal"] is False
 
 
+class TestConflictingRows:
+    """A table row that repeats an x with another fx is not a function: exit 64."""
+
+    L2_3 = '{"kind": "lp", "dim": 3, "p": 2}'
+
+    @pytest.fixture
+    def conflicted(self, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        assert run(["gen", "--space", self.L2_3, "--seed", "1", "--out", str(samples)]) == 0
+        lines = samples.read_text().strip().splitlines()
+        rec = json.loads(lines[5])
+        forged = json.dumps({"x": rec["x"], "fx": [3.0 * v for v in rec["fx"]]})
+        bad = tmp_path / "conflict.jsonl"
+        bad.write_text("\n".join(lines[:5] + [forged] + lines[5:]) + "\n")
+        return str(bad), rec["x"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["decompose", "--seed", "1", "--declare-surjective"],
+        ["lemma", "--functional", "[1, 0, 0]"],
+    ], ids=["check", "decompose", "lemma"])
+    def test_exit_64(self, conflicted, capsys, argv):
+        path, x = conflicted
+        assert run(argv + ["--space", self.L2_3, "--samples", path]) == 64
+        err = capsys.readouterr().err
+        assert f"x = {x} to two different fx" in err and "Traceback" not in err
+
+    def test_identical_repeat_allowed(self, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        assert run(["gen", "--space", self.L2_3, "--seed", "1", "--out", str(samples)]) == 0
+        lines = samples.read_text().strip().splitlines()
+        samples.write_text("\n".join(lines[:5] + [lines[5]] + lines[5:]) + "\n")
+        assert run(["decompose", "--space", self.L2_3, "--samples", str(samples),
+                    "--seed", "1", "--declare-surjective"]) == 0
+
+
 class TestLemma:
     def test_recovery_round_trip(self, tmp_path):
         out = tmp_path / "lemma.json"
@@ -251,6 +287,14 @@ class TestLemma:
         assert rec["stabilized_at"] <= 32.0
         assert rec["max_deviation"] <= 1e-8
         assert all(s in (-1, 1) for s in rec["sign_pattern"])
+
+    def test_no_verify_points(self, tmp_path):
+        out = tmp_path / "lemma.json"
+        code = run(["lemma", "--space", L1_3, "--functional", "[1, 1, 1]", "--normalize",
+                    "--oracle-seed", "5", "--verify-points", "0", "--out", str(out)])
+        assert code == 0
+        rec = json.loads(out.read_text())
+        assert rec["sign_pattern"] == [] and rec["max_deviation"] == 0.0
 
     def test_not_exposed_exit_4(self):
         code = run(["lemma", "--space", L1_3, "--functional", "[1, 1, 0]",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertificate,
                       LinearMap, MissingSamples, NormSpec, SignAssignment,
                       NotDecomposable, NotExposed, PhaseMapOracle, RangeDegenerate,
@@ -382,6 +383,61 @@ class TestCertificateReplay:
         with pytest.raises(NotDecomposable, match="residual nan") as err:
             _assemble_certificate(f, cert.T.matrix, "smooth", plan, DEFAULT_TOL, {})
         assert err.value.witness == list(logged)
+
+
+class TestBatchedWitnesses:
+    def test_earlier_collinearity_failure_is_the_witness(self):
+        plan = plan_queries(L2_4, "smooth", 0)
+        probes = plan.verify_points
+        push = np.array([0.5, -0.5, 0.0, 0.0])
+        f = tampered(L2_4, 0, [probes[7], probes[3]], lambda fx: fx + push)
+        with pytest.raises(CollinearityViolation) as err:
+            recover_projective_linear(f, plan)
+        assert err.value.witness == list(probes[3])
+        # the message carries the sine of the old per-probe formula
+        a = recover_projective_linear(generate_phase_isometry(generate_isometry(L2_4, 0), 0),
+                                      plan).matrix
+        ax, fx = a @ probes[3], f(probes[3])
+        unit = fx / np.linalg.norm(fx)
+        sine = np.linalg.norm(ax - np.dot(ax, unit) * unit) / np.linalg.norm(ax)
+        assert str(err.value) == f"probe image left the predicted line (sine residual {sine:.3e})"
+
+    def test_earlier_functional_deviation_is_the_witness(self, rng):
+        space = NormSpec.lp(3, 3)
+        x_star = space.functional([1.0, 0.0, 0.0])
+        verify = [v for v in 2.0 * rng.standard_normal((40, 3)) if abs(v[0]) > 0.5][:10]
+        f = tampered(space, 8, [verify[7], verify[3]], lambda fx: 1.01 * fx)
+        with pytest.raises(NotDecomposable,
+                           match=r"^\|x\*\(x\)\| and \|phi\(f\(x\)\)\| disagree by "
+                                 r"\d\.\d{3}e[+-]\d\d$") as err:
+            recover_functional(f, x_star, verify_points=verify)
+        assert err.value.witness == list(verify[3])
+        g = tampered(space, 8, [verify[7], verify[3]], lambda fx: 1.01 * fx)
+        phi = recover_functional(g, x_star).phi
+        _, _, (k, dev) = oracles.scalar_functional_check(g, x_star, phi, verify, DEFAULT_TOL)
+        assert k == 3 and str(err.value) == f"|x*(x)| and |phi(f(x))| disagree by {dev:.3e}"
+
+    @pytest.mark.parametrize("space,coords,even", [
+        (NormSpec.lp(3, 3), [1.0, 0.0, 0.0], True),
+        (NormSpec.lp(4, 1), [1.0, -1.0, 1.0, 1.0], False),
+        (NormSpec.lp(3, float("inf")), [0.0, 1.0, 0.0], True),
+        (NormSpec.weighted_lp(3, 2.5, [1.0, 2.0, 0.5]), [0.3, -0.8, 0.5], False),
+        (POLY_3, [1.0, 1.0, 1.0], True),
+    ], ids=["l3", "l1-uneven", "linf", "w-l2.5-uneven", "poly"])
+    def test_recovery_matches_scalar_reference(self, space, coords, even, rng):
+        c = np.asarray(coords) / space.dual_norm_of(np.asarray(coords))
+        x_star = space.functional(c)
+        verify = [rng.standard_normal(space.dim) for _ in range(60)]
+        t = generate_isometry(space, 6)
+        f, g = (generate_phase_isometry(t, 6, even=even) for _ in range(2))
+        rec = recover_functional(f, x_star, verify_points=verify)
+        base = recover_functional(g, x_star)
+        signs, worst, failure = oracles.scalar_functional_check(g, x_star, base.phi, verify,
+                                                                DEFAULT_TOL)
+        assert failure is None
+        assert rec.to_dict() == {**base.to_dict(), "sign_pattern": signs,
+                                 "max_deviation": worst}
+        assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
 
 
 class TestScoring:

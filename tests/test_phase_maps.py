@@ -17,6 +17,7 @@ from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, Ph
 L2_2 = NormSpec.lp(2, 2)
 LINE = NormSpec.lp(1, 2)
 LINF_2 = NormSpec.lp(2, float("inf"))
+POLY_SPACE = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 
 
 def identity_oracle(space, surjective=True):
@@ -135,10 +136,162 @@ class TestOracle:
         with pytest.raises(DimensionMismatch):
             f(np.array([1.0, 2.0]))
 
+    def test_conflicting_duplicate_rows_rejected(self):
+        x = np.array([1.0, 0.5])
+        with pytest.raises(ValueError, match=r"x = \[1\.0, 0\.5\] to two different fx"):
+            PhaseMapOracle.from_table(L2_2, L2_2, [(x, 3.0 * x), (np.zeros(2), np.zeros(2)),
+                                                   (x.copy(), x)])
+
+    def test_identical_duplicate_rows_allowed(self):
+        x = np.array([1.0, 0.5])
+        f = PhaseMapOracle.from_table(L2_2, L2_2, [(x, -x), (x.copy(), -x.copy())])
+        assert np.array_equal(f(x), -x)
+
     def test_missing_points_listing(self):
         f = PhaseMapOracle.from_table(L2_2, L2_2, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
         missing = f.missing_points([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
         assert missing == [(2.0, 0.0)]
+
+
+IMAGE_SPACES = {  # the fuzz_mix families plus weighted lp
+    "l1_n3": NormSpec.lp(3, 1), "l1_n8": NormSpec.lp(8, 1),
+    "linf_n3": NormSpec.lp(3, math.inf), "linf_n8": NormSpec.lp(8, math.inf),
+    "l2_n2": NormSpec.lp(2, 2), "l2_n6": NormSpec.lp(6, 2),
+    "l1p5_n5": NormSpec.lp(5, 1.5), "l3_n5": NormSpec.lp(5, 3),
+    "poly_n3": POLY_SPACE,
+    "wl1p5_n3": NormSpec.weighted_lp(3, 1.5, [1.0, 2.0, 0.5]),
+    "wlinf_n3": NormSpec.weighted_lp(3, math.inf, [1.0, 2.0, 0.5]),
+}
+
+
+def image_batch(dim, rng):
+    """Rows with a repeat, zero rows, a -0.0 twin and two rows cached beforehand.
+
+    Returns (batch, points to query one at a time before the batch)."""
+    X = 2.0 * rng.standard_normal((12, dim))
+    X[2, 0] = 0.0
+    X[3] = X[1]  # a repeat within the batch
+    X[5] = 0.0
+    X[6] = -0.0  # the zero row's key again
+    X[8] = X[2]
+    X[8, 0] = -0.0  # equal to row 2 as a key, not in its bits
+    warm = [X[0].copy(), X[9].copy(), rng.standard_normal(dim)]
+    return X, warm
+
+
+def assert_same_oracle_state(f, g):
+    """f and g hold the same log (order and bits), cache and hidden signs."""
+    assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
+    assert list(f._cache) == list(g._cache)
+    assert all(f._cache[k].tobytes() == g._cache[k].tobytes() for k in f._cache)
+    if f.hidden_truth is not None:
+        assert f.hidden_truth["signs"].to_dict() == g.hidden_truth["signs"].to_dict()
+
+
+def raised(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def images_parity(make, X, warm=()):
+    """images on one fresh oracle against the row-by-row loop on another."""
+    f, g = make(), make()
+    for w in warm:
+        f(w)
+        g(w)
+    got = f.images(X)
+    want = oracles.scalar_images(g, X)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_same_oracle_state(f, g)
+    return f
+
+
+class TestOracleImages:
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    @pytest.mark.parametrize("name", list(IMAGE_SPACES))
+    def test_generated_matches_row_by_row(self, name, even):
+        space = IMAGE_SPACES[name]
+        rng = np.random.default_rng(len(name))
+        X, warm = image_batch(space.dim, rng)
+        t = generate_isometry(space, 4)
+        f = images_parity(lambda: generate_phase_isometry(t, 4, even=even), X, warm)
+        assert f.fn_batch is not None
+        # a second batch is all hits and leaves the state alone
+        log = len(f.query_log)
+        assert f.images(X[::-1]).tobytes() == oracles.scalar_images(f, X[::-1]).tobytes()
+        assert len(f.query_log) == log
+
+    def test_plain_callable(self, rng):
+        space = NormSpec.lp(3, 1.5)
+        X, warm = image_batch(3, rng)
+        images_parity(lambda: PhaseMapOracle.from_callable(space, space,
+                                                           lambda c: 2.0 * c[::-1]), X, warm)
+
+    def test_table(self, rng):
+        X, warm = image_batch(3, rng)
+        pairs = [(x, np.sin(x)) for x in list(X) + warm]
+        images_parity(lambda: PhaseMapOracle.from_table(POLY_SPACE, POLY_SPACE, pairs), X, warm)
+
+    @pytest.mark.parametrize("make", [
+        lambda: identity_oracle(L2_2),
+        lambda: generate_phase_isometry(generate_isometry(L2_2, 1), 1),
+        lambda: PhaseMapOracle.from_table(L2_2, L2_2, []),
+    ], ids=["callable", "generated", "table"])
+    def test_empty_batch(self, make):
+        f = images_parity(make, np.zeros((0, 2)))
+        assert f.images(np.zeros((0, 2))).shape == (0, 2)
+        assert f.query_log == []
+
+    def test_non_finite_input(self, rng):
+        X = rng.standard_normal((6, 2))
+        X[2, 1], X[4, 0] = np.nan, np.inf
+        f, g = identity_oracle(L2_2), identity_oracle(L2_2)
+        assert raised(lambda: f.images(X)) == raised(lambda: oracles.scalar_images(g, X))
+
+    def test_wrong_input_width(self, rng):
+        X = rng.standard_normal((3, 3))
+        f, g = identity_oracle(L2_2), identity_oracle(L2_2)
+        assert raised(lambda: f.images(X)) == raised(lambda: oracles.scalar_images(g, X))
+
+    @staticmethod
+    def with_batch(fn, batched):
+        """The callable oracle of fn, with an fn_batch built from it when batched."""
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, fn)
+        if batched:
+            f.fn_batch = lambda rows: np.array([fn(r) for r in rows])
+        return f
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["fn", "fn_batch"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_image(self, rng, batched, bad):
+        X = rng.standard_normal((6, 2))
+        poisoned = {tuple(X[2]), tuple(X[4])}
+
+        def fn(c):
+            return np.array([c[0], bad]) if tuple(c) in poisoned else c.copy()
+
+        f, g = self.with_batch(fn, batched), self.with_batch(fn, False)
+        got, want = raised(lambda: f.images(X)), raised(lambda: oracles.scalar_images(g, X))
+        assert got == want and "non-finite" in got[1]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["fn", "fn_batch"])
+    def test_wrong_image_dimension(self, rng, batched):
+        X = rng.standard_normal((4, 2))
+        f = self.with_batch(lambda c: np.append(c, 0.0), batched)
+        g = self.with_batch(lambda c: np.append(c, 0.0), False)
+        got, want = raised(lambda: f.images(X)), raised(lambda: oracles.scalar_images(g, X))
+        assert got == want and got[0] is DimensionMismatch
+
+    def test_missing_table_row(self, rng):
+        X = rng.standard_normal((6, 2))
+        pairs = [(x, x) for k, x in enumerate(X) if k not in (2, 4)]
+        f = PhaseMapOracle.from_table(L2_2, L2_2, pairs)
+        g = PhaseMapOracle.from_table(L2_2, L2_2, pairs)
+        with pytest.raises(MissingSamples) as err:
+            f.images(X)
+        assert err.value.points == [tuple(X[2])]
+        assert (MissingSamples, str(err.value)) == raised(lambda: oracles.scalar_images(g, X))
 
 
 class TestPhaseEquation:
