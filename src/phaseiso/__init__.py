@@ -20,8 +20,9 @@ from .decomposition import (CollinearityViolation, DecompositionCertificate,
                             NotDecomposable, NotExposed, QueryPlan, RangeDegenerate,
                             RouteUnsupported, SignPinning, SmoothnessFailure,
                             SurjectivityNotDeclared, TwoDimNormalization, decompose,
-                            normalize_two_dim, pin_signs, plan_queries,
-                            recover_functional, recover_projective_linear, route_for)
+                            normalize_two_dim, pin_signs, pin_signs_batch,
+                            plan_queries, recover_functional, recover_projective_linear,
+                            route_for)
 from .harness import (CampaignConfig, CampaignReport, TrialOutcome, run_campaign,
                       run_trial, score_certificate, trial_seed)
 

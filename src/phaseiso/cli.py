@@ -6,9 +6,9 @@ environment variable overrides the default comparison tolerance; an explicit
 --tol flag wins over both.
 
 Exit codes: 0 success; 1 failed checks; 2 not decomposable; 3 route or
-input-plan errors; 4 functional not exposed; 64 malformed input (and a
-polyhedral space whose dual-norm LP the solver rejects); 65 dimension
-mismatches.
+input-plan errors; 4 functional not exposed; 64 malformed input, usage
+errors included (and a polyhedral space whose dual-norm LP the solver
+rejects); 65 dimension mismatches.
 """
 
 from __future__ import annotations
@@ -73,11 +73,18 @@ def _tolerances(args) -> Tolerances:
     return tol
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, dim: int) -> np.ndarray:
+    """A JSON list of coordinates; a bare number is a vector only when dim is 1."""
     try:
-        return np.asarray(json.loads(text), dtype=float)
+        v = np.asarray(json.loads(text), dtype=float)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise SampleFormatError("<arg>", 0, f"cannot parse vector {text!r}: {exc}")
+    if v.ndim == 0:
+        if dim != 1:
+            raise SampleFormatError("<arg>", 0, f"a bare number ({text!r}) is a vector only "
+                                                f"in dimension 1; give a list of {dim}")
+        v = v.reshape(1)
+    return v
 
 
 def _table_oracle(space: NormSpec, pairs, declared: bool,
@@ -156,8 +163,8 @@ def cmd_check(args) -> int:
 def cmd_ortho(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    x = space.vector(_parse_vector(args.x))
-    y = space.vector(_parse_vector(args.y))
+    x = space.vector(_parse_vector(args.x, space.dim))
+    y = space.vector(_parse_vector(args.y, space.dim))
     verdict = birkhoff_verdict(x, y, tol)
     data = verdict.to_dict()
     data["x"] = list(x.coords)
@@ -199,7 +206,7 @@ def cmd_decompose(args) -> int:
 def cmd_lemma(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    coords = _parse_vector(args.functional)
+    coords = _parse_vector(args.functional, space.dim)
     dn = space.dual_norm_of(coords)
     if args.normalize:
         coords = coords / dn
@@ -266,8 +273,17 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 64, as malformed input does; its
+    own 2 would read as "not decomposable".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phaseiso",
         description="phase-isometry checking and sign-times-isometry decomposition")
     sub = parser.add_subparsers(dest="command", required=True)

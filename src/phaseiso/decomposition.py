@@ -28,7 +28,8 @@ import numpy as np
 
 from .orthogonality import is_birkhoff_orthogonal
 from .phase_maps import (LinearMap, PhaseMapOracle, SignAssignment, canonical_ray,
-                         check_phase_equation_batch, multiset_match, ray_keys)
+                         canonical_rays, check_phase_equation_batch, multiset_match,
+                         ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import Functional, NormSpec, Vector, is_w_star_exposed, support_set
 
@@ -50,6 +51,7 @@ __all__ = [
     "plan_queries",
     "route_for",
     "pin_signs",
+    "pin_signs_batch",
     "normalize_two_dim",
     "recover_projective_linear",
     "recover_functional",
@@ -142,9 +144,73 @@ def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], b)[:, 0, 0]
 
 
-def _independent(x: np.ndarray, y: np.ndarray) -> bool:
-    s = np.linalg.svd(np.vstack([x, y]), compute_uv=False)
-    return s[-1] > 1e-12 * max(s[0], 1.0)
+def _rows(points, *shape: int) -> np.ndarray:
+    """A list of m points (or of m tuples of points) as an (m, *shape) array,
+    also when the list is empty."""
+    return np.array(points, dtype=float).reshape(len(points), *shape)
+
+
+def _interleaved(*groups: np.ndarray) -> np.ndarray:
+    """Rows a0, b0, ..., a1, b1, ... of equally long (m, dim) arrays a, b, ..."""
+    return np.stack(groups, axis=1).reshape(-1, groups[0].shape[1])
+
+
+_SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
+              scale: np.ndarray, tol: Tolerances):
+    """The pinning rule on rows of images: fit FXY[k] by alpha FX[k] + beta FY[k].
+
+    Per row, the residuals of the four sign pairs are taken in the order of
+    ``_SIGN_PAIRS`` and the first smallest wins; when another pair comes
+    within ``tol.tie`` of it the row is tied, and a tie that (+1, +1) is part
+    of resolves to (+1, +1).  Returns (index into ``_SIGN_PAIRS``, residual,
+    tied, failed), where a row fails when its residual exceeds
+    ``tol.scaled(scale)``.
+    """
+    R = np.column_stack([cod.norms_of(FXY - (a * FX + b * FY)) for a, b in _SIGN_PAIRS])
+    best = np.zeros(len(R), dtype=int)
+    r_best = R[:, 0]
+    for c in range(1, len(_SIGN_PAIRS)):
+        lower = R[:, c] < r_best  # as min() compares, so a NaN first residual stays
+        best = np.where(lower, c, best)
+        r_best = np.where(lower, R[:, c], r_best)
+    near = R <= (r_best + tol.tie)[:, None]
+    tied = near.sum(axis=1) > 1
+    plus = tied & near[:, 0]
+    best = np.where(plus, 0, best)
+    r_best = np.where(plus, R[:, 0], r_best)
+    return best, r_best, tied, r_best > tol.scaled(scale)
+
+
+def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> List[SignPinning]:
+    """:func:`pin_signs` on the pairs (X[k], Y[k]) of two (m, dim) arrays.
+
+    Every pair is checked for independence before the oracle is asked
+    anything.  The images are then fetched in one call, in the order x0, y0,
+    x0+y0, x1, ... that pinning the pairs one by one queries, and the first
+    pair in row order that no sign combination fits is the witness.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if len(X) == 0:
+        return []
+    s = np.linalg.svd(np.stack([X, Y], axis=1), compute_uv=False)
+    # a pair of vectors in dimension 1 has one singular value and is always dependent
+    if s.shape[1] < 2 or not np.all(s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)):
+        raise ValueError("pin_signs requires linearly independent inputs; "
+                         "route dependent pairs through the one-dimensional path")
+    S = X + Y
+    F = f.images(_interleaved(X, Y, S)).reshape(len(X), 3, f.codomain.dim)
+    best, r_best, tied, failed = _pin_rows(f.codomain, F[:, 0], F[:, 1], F[:, 2],
+                                           f.domain.norms_of(S), tol)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotDecomposable(
+            f"no sign combination reproduces f(x+y); best residual {r_best[k]:.3e}",
+            witness=(list(X[k]), list(Y[k])))
+    return [SignPinning(*_SIGN_PAIRS[i], r, t)
+            for i, r, t in zip(best.tolist(), r_best.tolist(), tied.tolist())]
 
 
 def pin_signs(f: PhaseMapOracle, x, y, tol: Tolerances = DEFAULT_TOL) -> SignPinning:
@@ -156,27 +222,7 @@ def pin_signs(f: PhaseMapOracle, x, y, tol: Tolerances = DEFAULT_TOL) -> SignPin
     """
     xc = x.coords if isinstance(x, Vector) else np.asarray(x, float)
     yc = y.coords if isinstance(y, Vector) else np.asarray(y, float)
-    if not _independent(xc, yc):
-        raise ValueError("pin_signs requires linearly independent inputs; "
-                         "route dependent pairs through the one-dimensional path")
-    cod = f.codomain
-    fx, fy, fxy = f(xc), f(yc), f(xc + yc)
-    residuals = {}
-    for a in (1, -1):
-        for b in (1, -1):
-            residuals[(a, b)] = cod.norm_of(fxy - (a * fx + b * fy))
-    best = min(residuals, key=residuals.get)
-    r_best = residuals[best]
-    tied = sum(1 for r in residuals.values() if r <= r_best + tol.tie) > 1
-    if tied and residuals[(1, 1)] <= r_best + tol.tie:
-        best = (1, 1)
-        r_best = residuals[best]
-    scale = f.domain.norm_of(xc + yc)
-    if r_best > tol.scaled(scale):
-        raise NotDecomposable(
-            f"no sign combination reproduces f(x+y); best residual {r_best:.3e}",
-            witness=(list(xc), list(yc)))
-    return SignPinning(best[0], best[1], r_best, tied)
+    return pin_signs_batch(f, xc[None, :], yc[None, :], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +529,16 @@ class TwoDimNormalization:
             declared_surjective=True, name="normalized")
 
 
-def _homogenized(f: PhaseMapOracle, tol: Tolerances):
-    """View of f that queries only canonical representatives.
+def _homogenized_images(f: PhaseMapOracle, Z: np.ndarray) -> np.ndarray:
+    """s * f(rep(z)) for each nonzero row z of Z, where rep(z) is the canonical
+    representative of the line through z and s is |z| signed like <rep(z), z>.
 
-    Returns a callable z -> s * f(rep(z)) agreeing with +-f(z) pointwise
-    whenever f maps rays into rays.
+    Agrees with +-f(z) row by row whenever f maps rays into rays; the oracle
+    is queried only at the representatives, in row order.
     """
-    space = f.domain
-
-    def f0(z: np.ndarray) -> np.ndarray:
-        nz = space.norm_of(z)
-        if nz == 0.0:
-            return np.zeros(f.codomain.dim)
-        rep = canonical_ray(z, space)
-        s = nz if np.dot(rep, z) > 0.0 else -nz
-        return s * f(rep)
-
-    return f0
+    nz = f.domain.norms_of(Z)
+    reps = canonical_rays(Z, f.domain)
+    return np.where(_row_dots(reps, Z) > 0.0, nz, -nz)[:, None] * f.images(reps)
 
 
 def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL,
@@ -515,30 +554,24 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL,
     if space.dim != 2:
         raise RouteUnsupported("normalize_two_dim requires a two-dimensional domain")
     cod = f.codomain
-    f0 = _homogenized(f, tol)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    g1 = f0(e1)
-    g2 = f0(e2)
-
+    A = np.array(grid, dtype=float).reshape(-1, 1)
+    Z = A * e1 + e2
+    G = _homogenized_images(f, np.vstack([e1, e2, Z]))
+    g1, g2 = G[0], G[1]
+    best, r_best, tied, failed = _pin_rows(cod, A * g1, np.broadcast_to(g2, (len(A), cod.dim)),
+                                           G[2:], space.norms_of(Z), tol)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotDecomposable(
+            f"sign pinning failed on the normalization grid at a={grid[k]}",
+            witness=("grid", grid[k], r_best[k]))
     pins: Dict[float, SignPinning] = {}
     products: Dict[float, int] = {}
-    for a in grid:
-        target = f0(a * e1 + e2)
-        residuals = {}
-        for al in (1, -1):
-            for be in (1, -1):
-                residuals[(al, be)] = cod.norm_of(target - (al * a * g1 + be * g2))
-        best = min(residuals, key=residuals.get)
-        r_best = residuals[best]
-        tied = sum(1 for r in residuals.values() if r <= r_best + tol.tie) > 1
-        scale = space.norm_of(a * e1 + e2)
-        if r_best > tol.scaled(scale):
-            raise NotDecomposable(
-                f"sign pinning failed on the normalization grid at a={a}",
-                witness=("grid", a, r_best))
-        pins[a] = SignPinning(best[0], best[1], r_best, tied)
-        products[a] = best[0] * best[1]
+    for a, i, r, t in zip(grid, best.tolist(), r_best.tolist(), tied.tolist()):
+        pins[a] = SignPinning(*_SIGN_PAIRS[i], r, t)
+        products[a] = pins[a].product
 
     pi = products.get(1.0, pins[grid[0]].product)
     offenders = [a for a, v in products.items() if v != pi]
@@ -570,7 +603,7 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
     if n < 2:
         raise RouteUnsupported("projective recovery requires dimension >= 2; "
                                "use the one-dimensional path")
-    v = np.column_stack([f(e) for e in plan.basis])
+    v = np.column_stack(f.images(_rows(plan.basis, n)))
     sing = np.linalg.svd(v, compute_uv=False)
     if sing[-1] <= 1e-9 * max(sing[0], 1.0):
         raise RangeDegenerate(
@@ -716,24 +749,39 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
 # ---------------------------------------------------------------------------
 
 
+def _scale_residuals(f: PhaseMapOracle, B: np.ndarray, P: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """min(|f(p) - t f(b)|, |f(p) + t f(b)|) for the rows b, p, t of B, P and t.
+
+    The images are fetched in one call, in the order b0, p0, b1, p1, ...
+    Of two equal residuals (or a NaN) the first is kept, as min() does.
+    """
+    F = f.images(_interleaved(B, P)).reshape(len(P), 2, f.codomain.dim)
+    tfb = t[:, None] * F[:, 0]
+    minus, plus = f.codomain.norms_of(F[:, 1] - tfb), f.codomain.norms_of(F[:, 1] + tfb)
+    return np.where(plus < minus, plus, minus)
+
+
 def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
     """f(t x) must be +- t f(x) at every grid point."""
-    cod = f.codomain
-    for base, t, point in plan.hom_checks:
-        fb = f(base)
-        fp = f(point)
-        r = min(cod.norm_of(fp - t * fb), cod.norm_of(fp + t * fb))
-        if r > tol.scaled(f.domain.norm_of(point)):
-            raise NotDecomposable(
-                f"homogeneity fails at t={t} (residual {r:.3e})",
-                witness=(t, list(base)))
+    n = f.domain.dim
+    B = _rows([base for base, _, _ in plan.hom_checks], n)
+    P = _rows([point for _, _, point in plan.hom_checks], n)
+    t = np.array([t for _, t, _ in plan.hom_checks], dtype=float)
+    r = _scale_residuals(f, B, P, t)
+    failed = r > tol.scaled(f.domain.norms_of(P))
+    if failed.any():
+        k = int(np.argmax(failed))
+        base, t, _ = plan.hom_checks[k]
+        raise NotDecomposable(f"homogeneity fails at t={t} (residual {r[k]:.3e})",
+                              witness=(t, list(base)))
 
 
 def _basis_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Dict[Tuple[int, int], SignPinning]:
     """Pin every planned basis pair and check the products are sign-coherent."""
-    pins = {}
-    for (i, j), _ in plan.pair_sums.items():
-        pins[(i, j)] = pin_signs(f, plan.basis[i], plan.basis[j], tol)
+    basis = _rows(plan.basis, f.domain.dim)
+    ij = np.array(list(plan.pair_sums), dtype=int).reshape(-1, 2)
+    pins = dict(zip(plan.pair_sums, pin_signs_batch(f, basis[ij[:, 0]], basis[ij[:, 1]], tol)))
     # triangle coherence: product(i,j) must equal product(0,i)*product(0,j)
     for (i, j), pin in pins.items():
         if i == 0:
@@ -754,20 +802,21 @@ def _column_signs(pins: Dict[Tuple[int, int], SignPinning], n: int) -> np.ndarra
 
 
 def _pin_random_pairs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
-    for x, y, _ in plan.random_pair_sums:
-        pin_signs(f, x, y, tol)
+    xy = _rows(plan.random_pair_sums, 3, f.domain.dim)  # rows (x, y, x + y)
+    pin_signs_batch(f, xy[:, 0], xy[:, 1], tol)
 
 
 def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
-    cod = f.codomain
     x0 = np.array([1.0])
     fx0 = f(x0)
-    for t in plan.one_dim_ts:
-        ft = f(np.array([t]))
-        r = min(cod.norm_of(ft - t * fx0), cod.norm_of(ft + t * fx0))
-        if r > tol.scaled(abs(t)):
-            raise NotDecomposable(
-                f"f(t) is not +- t f(1) at t={t} (residual {r:.3e})", witness=t)
+    t = np.array(plan.one_dim_ts, dtype=float)
+    r = _scale_residuals(f, np.broadcast_to(x0, (len(t), 1)), t[:, None], t)
+    failed = r > tol.scaled(t)
+    if failed.any():
+        k = int(np.argmax(failed))
+        t_k = plan.one_dim_ts[k]
+        raise NotDecomposable(f"f(t) is not +- t f(1) at t={t_k} (residual {r[k]:.3e})",
+                              witness=t_k)
     return fx0[:, None]
 
 
@@ -811,37 +860,37 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
         rec = recover_functional(f, x_star, schedule, plan.randoms, u, tol)
         phis.append(rec.phi.coords)
     w_matrix = np.vstack(phis)
-    for i in range(n):
-        for j in range(n):
-            val = float(np.dot(phis[i], f(plan.basis[j])))
-            want = 1.0 if i == j else 0.0
-            if abs(val - want) > math.sqrt(tol.rel):
-                raise NotDecomposable(
-                    "aligned coordinate functionals do not separate the basis "
-                    f"images (phi_{i}(f(e_{j})) = {val:.3e})", witness=(i, j))
+    basis_images = f.images(_rows(plan.basis, n))
+    # vals[i, j] = phi_i(f(e_j)), each a row dot equal to np.dot bit for bit
+    vals = _row_dots(np.repeat(w_matrix, n, axis=0), np.tile(basis_images, (n, 1))).reshape(n, n)
+    failed = np.abs(vals - np.eye(n)) > math.sqrt(tol.rel)
+    if failed.any():
+        i, j = divmod(int(np.argmax(failed)), n)
+        raise NotDecomposable(
+            "aligned coordinate functionals do not separate the basis "
+            f"images (phi_{i}(f(e_{j})) = {vals[i, j]:.3e})", witness=(i, j))
 
     # Step 2: the coordinate sign map must commute with f up to phase
-    for x, theta, scaled in plan.theta_points:
-        nx = space.norm_of(x)
+    X, thetas, scaled = np.moveaxis(_rows(plan.theta_points, 3, n), 1, 0)
+    F = f.images(_interleaved(thetas, scaled, X)).reshape(len(X), 3, cod.dim)
+    f_theta, f_scaled, f_x = F[:, 0], F[:, 1], F[:, 2]
+    nxs = space.norms_of(X).tolist()
+    got_a = zip(cod.norms_of(f_theta + f_scaled).tolist(),
+                cod.norms_of(f_theta - f_scaled).tolist())
+    got_b = zip(cod.norms_of(f_scaled + f_x).tolist(), cod.norms_of(f_scaled - f_x).tolist())
+    for k, (x, nx, ga, gb) in enumerate(zip(X, nxs, got_a, got_b)):
         support = np.abs(x) > 0.0
-        f_theta = f(theta)
-        f_scaled = f(scaled)
-        f_x = f(x)
-        got_a = (cod.norm_of(f_theta + f_scaled), cod.norm_of(f_theta - f_scaled))
-        want_a = (1.0 + nx, abs(1.0 - nx))
-        ok, _ = multiset_match(got_a, want_a, tol)
+        ok, _ = multiset_match(ga, (1.0 + nx, abs(1.0 - nx)), tol)
         if not ok:
             raise NotDecomposable("sign-map identity (unit vs scaled) fails",
                                   witness=list(x))
         inf_supp = np.min(np.abs(x[support]))
-        got_b = (cod.norm_of(f_scaled + f_x), cod.norm_of(f_scaled - f_x))
-        want_b = (2.0 * nx, nx - inf_supp)
-        ok, _ = multiset_match(got_b, want_b, tol)
+        ok, _ = multiset_match(gb, (2.0 * nx, nx - inf_supp), tol)
         if not ok:
             raise NotDecomposable("sign-map identity (scaled vs original) fails",
                                   witness=list(x))
-        b = w_matrix @ f_theta
-        c = w_matrix @ f_x
+        b = w_matrix @ f_theta[k]
+        c = w_matrix @ f_x[k]
         if np.max(np.abs(np.abs(b[support]) - 1.0)) > math.sqrt(tol.rel):
             raise NotDecomposable("image of a sign vector lost unit coordinates",
                                   witness=list(x))
@@ -856,8 +905,7 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     _check_hyperplane_pins(f, plan, tol)
     pins = _basis_pins(f, plan, tol)
     sigma = _column_signs(pins, n)
-    matrix = np.column_stack([sigma[j] * f(plan.basis[j]) for j in range(n)])
-    return matrix
+    return np.column_stack(sigma[:, None] * f.images(_rows(plan.basis, n)))
 
 
 def _check_hyperplane_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
@@ -871,63 +919,44 @@ def _check_hyperplane_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
             raise NotDecomposable(
                 "coordinate hyperplane is not mutually orthogonal to the marked "
                 "direction", witness=list(z))
-        pin_signs(f, z, plan.basis[0], tol)
+    ze = _rows(plan.hyper_pins, 3, space.dim)  # rows (z, e0, z + e0)
+    pin_signs_batch(f, ze[:, 0], ze[:, 1], tol)
 
 
 def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
     space, cod = f.domain, f.codomain
     n = space.dim
+    basis = _rows(plan.basis, n)
 
     # Step 1: basis rays scale correctly and stay disjoint in the image
-    for i, t, point in plan.basis_ray_grid:
-        fe = f(plan.basis[i])
-        ft = f(point)
-        r = min(cod.norm_of(ft - t * fe), cod.norm_of(ft + t * fe))
-        if r > tol.scaled(abs(t)):
-            raise NotDecomposable(
-                f"f(t e_{i}) is not +- t f(e_{i}) at t={t}", witness=(i, t))
-    for i in range(min(n, 4)):
-        j = (i + 1) % n
-        ft = f(2.0 * plan.basis[i])
-        fe = f(plan.basis[j])
-        for sgn in (1.0, -1.0):
-            got = cod.norm_of(ft + sgn * fe)
-            if abs(got - 3.0) > tol.scaled(3.0):
-                raise NotDecomposable(
-                    "disjointly supported basis probes lost the additive norm "
-                    f"identity ({got} != 3)", witness=(i, j))
+    grid = plan.basis_ray_grid
+    t = np.array([t for _, t, _ in grid], dtype=float)
+    r = _scale_residuals(f, basis[[i for i, _, _ in grid]], _rows([p for _, _, p in grid], n), t)
+    failed = r > tol.scaled(t)
+    if failed.any():
+        i, t, _ = grid[int(np.argmax(failed))]
+        raise NotDecomposable(f"f(t e_{i}) is not +- t f(e_{i}) at t={t}", witness=(i, t))
+    first = np.arange(min(n, 4))
+    second = (first + 1) % n
+    F = f.images(_interleaved(2.0 * basis[first], basis[second])).reshape(len(first), 2, cod.dim)
+    # got[k] = (|f(2 e_i) + f(e_j)|, |f(2 e_i) - f(e_j)|) for the k-th probe pair (i, j)
+    got = np.column_stack([cod.norms_of(F[:, 0] + F[:, 1]), cod.norms_of(F[:, 0] - F[:, 1])])
+    failed = np.abs(got - 3.0) > tol.scaled(3.0)
+    if failed.any():
+        k, sgn = divmod(int(np.argmax(failed)), 2)
+        raise NotDecomposable(
+            "disjointly supported basis probes lost the additive norm "
+            f"identity ({float(got[k, sgn])} != 3)", witness=(int(first[k]), int(second[k])))
 
     # Steps 2/3: finite-support expansion in the basis images with bookkeeping
     pins = _basis_pins(f, plan, tol)
     sigma = _column_signs(pins, n)
-    v = np.column_stack([f(e) for e in plan.basis])
+    v = np.column_stack(f.images(basis))
     sing = np.linalg.svd(v, compute_uv=False)
     if sing[-1] <= 1e-9 * max(sing[0], 1.0):
         raise RangeDegenerate("basis images are linearly dependent", witness=None)
-    expansion_probes = plan.randoms + [plan.ones] + list(plan.pair_sums.values())
-    for x in expansion_probes:
-        fx = f(x)
-        b = np.linalg.solve(v, fx) if v.shape[0] == v.shape[1] else np.linalg.lstsq(v, fx, rcond=None)[0]
-        if cod.norm_of(v @ b - fx) > tol.scaled(space.norm_of(x)):
-            raise NotDecomposable("f(x) is outside the span of the basis images",
-                                  witness=list(x))
-        if np.max(np.abs(np.abs(b) - np.abs(x))) > tol.scaled(space.norm_of(x)):
-            raise NotDecomposable(
-                "expansion coefficients break the coordinate magnitude bookkeeping",
-                witness=list(x))
-        support = np.abs(x) > tol.scaled(space.norm_of(x))
-        if np.any(support):
-            rel = np.sign(b[support]) * np.sign(x[support]) * sigma[support]
-            if np.any(rel != rel[0]):
-                raise NotDecomposable(
-                    "expansion signs are incoherent with the basis sign chain",
-                    witness=list(x))
-        for m in np.nonzero(support)[0][:4]:
-            ssum = cod.norm_of(fx + b[m] * v[:, m]) + cod.norm_of(fx - b[m] * v[:, m])
-            if abs(ssum - 2.0 * space.norm_of(x)) > tol.scaled(space.norm_of(x)):
-                raise NotDecomposable(
-                    "norm bookkeeping identity fails for a support coordinate",
-                    witness=(list(x), int(m)))
+    X = _rows(plan.randoms + [plan.ones] + list(plan.pair_sums.values()), n)
+    _check_expansion(f, v, sigma, X, tol)
 
     # Step 4: the exposed all-signs functional fixes the sign structure
     x_star, u, schedule = plan.schedules["exposed"]
@@ -940,6 +969,63 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
 
     matrix = v * sigma
     return matrix
+
+
+def _expansion_coefficients(v: np.ndarray, FX: np.ndarray) -> np.ndarray:
+    """The rows b with v b = fx, one for each row fx of FX.
+
+    A square v takes one stacked solve with a single right-hand side per row,
+    bit for bit ``np.linalg.solve(v, fx)`` row by row (the multi-column
+    ``solve(v, FX.T)`` is not); any other v takes least squares row by row.
+    """
+    if v.shape[0] == v.shape[1]:
+        return np.linalg.solve(np.broadcast_to(v, (len(FX),) + v.shape), FX[:, :, None])[:, :, 0]
+    return _rows([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX], v.shape[1])
+
+
+def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.ndarray,
+                     tol: Tolerances):
+    """Expand f(x) in the basis images v for every row x of X and check it.
+
+    The coefficients b solve v b = f(x).  For each probe in row order the
+    checks are: f(x) lies in the span of v; |b| matches |x| coordinatewise;
+    sign(b) sign(x) sigma is constant on the support of x; and on its first
+    four support coordinates m, |f(x) + b_m v_m| + |f(x) - b_m v_m| = 2|x|.
+    The first failing probe, at its first failing check, is the witness.
+    """
+    space, cod = f.domain, f.codomain
+    FX = f.images(X)
+    B = _expansion_coefficients(v, FX)
+    nx = space.norms_of(X)
+    bound = tol.scaled(nx)
+    outside = cod.norms_of(np.matmul(v, B[:, :, None])[:, :, 0] - FX) > bound
+    magnitude = np.max(np.abs(np.abs(B) - np.abs(X)), axis=1) > bound
+    support = np.abs(X) > bound[:, None]
+    rel = np.sign(B) * np.sign(X) * sigma
+    lead = rel[np.arange(len(X)), np.argmax(support, axis=1)]
+    incoherent = np.any(support & (rel != lead[:, None]), axis=1)
+    rows, cols = np.nonzero(support & (np.cumsum(support, axis=1) <= 4))
+    bv = B[rows, cols][:, None] * v.T[cols]
+    ssum = cod.norms_of(FX[rows] + bv) + cod.norms_of(FX[rows] - bv)
+    bad = np.abs(ssum - 2.0 * nx[rows]) > bound[rows]
+    bookkeeping = np.zeros(len(X), dtype=bool)
+    bookkeeping[rows[bad]] = True
+    failed = outside | magnitude | incoherent | bookkeeping
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    x = list(X[k])
+    if outside[k]:
+        raise NotDecomposable("f(x) is outside the span of the basis images", witness=x)
+    if magnitude[k]:
+        raise NotDecomposable(
+            "expansion coefficients break the coordinate magnitude bookkeeping", witness=x)
+    if incoherent[k]:
+        raise NotDecomposable("expansion signs are incoherent with the basis sign chain",
+                              witness=x)
+    m = int(cols[bad & (rows == k)][0])
+    raise NotDecomposable("norm bookkeeping identity fails for a support coordinate",
+                          witness=(x, m))
 
 
 _ROUTE_IMPL = {

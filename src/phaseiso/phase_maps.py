@@ -27,6 +27,7 @@ __all__ = [
     "MissingSamples",
     "SampleFormatError",
     "canonical_ray",
+    "canonical_rays",
     "ray_key",
     "ray_keys",
     "key_string",
@@ -102,8 +103,8 @@ def ray_key(coords: np.ndarray, space: NormSpec, oriented: bool = False) -> Tupl
     return tuple(rounded.tolist())
 
 
-def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[Tuple[float, ...]]:
-    """:func:`ray_key` of each row of an (m, dim) array, equal to it bit for bit."""
+def canonical_rays(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> np.ndarray:
+    """:func:`canonical_ray` of each row of an (m, dim) array, equal to it bit for bit."""
     a = np.asarray(rows, dtype=float).reshape(-1, space.dim)
     n = space.norms_of(a)
     r = a / np.where(n == 0.0, 1.0, n)[:, None]
@@ -111,6 +112,12 @@ def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[
     if not oriented:
         lead = r[np.arange(len(r)), np.argmax(r != 0.0, axis=1)]
         r[lead < 0.0] *= -1.0
+    return r
+
+
+def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[Tuple[float, ...]]:
+    """:func:`ray_key` of each row of an (m, dim) array, equal to it bit for bit."""
+    r = canonical_rays(rows, space, oriented)
     return [tuple(row) for row in (np.round(r, _KEY_DECIMALS) + 0.0).tolist()]
 
 
@@ -205,9 +212,6 @@ class PhaseMapOracle:
     def is_table(self) -> bool:
         return self.table is not None
 
-    def known_keys(self):
-        return set() if self.table is None else set(self.table.keys())
-
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
             return []
@@ -283,9 +287,6 @@ class PhaseMapOracle:
             for key, i in first.items():
                 self._miss(key, X[i])
         return np.array([cache[key] for key in keys], dtype=float).reshape(len(keys), cod_dim)
-
-    def image_vector(self, x) -> Vector:
-        return Vector(self(x), self.codomain)
 
 
 # ---------------------------------------------------------------------------

@@ -246,15 +246,24 @@ class NormSpec:
         if not isinstance(data, dict):
             raise ValueError("a space description must be a JSON object")
         kind = data.get("kind")
-        try:
-            dim = int(data.get("dim", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"dim must be an integer: {exc}") from exc
+        dim = data.get("dim", 0)
+        # bool is an int subclass, and a fractional or string dim would be truncated or cast
+        if isinstance(dim, bool) or not (isinstance(dim, int)
+                                         or isinstance(dim, float) and dim.is_integer()):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        dim = int(dim)
         if kind in ("lp", "weighted_lp"):
             p = data.get("p")
             if p is None:
                 raise ValueError(f"{kind} spaces need an exponent p")
-            p = math.inf if p == "inf" else float(p)
+            if p == "inf":
+                p = math.inf
+            elif isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(f'p must be a number or "inf", got {p!r}')
+            try:
+                p = float(p)
+            except OverflowError as exc:
+                raise ValueError(f"p must be finite or \"inf\": {exc}") from exc
             if kind == "lp":
                 return cls.lp(dim, p)
             return cls.weighted_lp(dim, p, data["weights"])

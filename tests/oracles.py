@@ -158,3 +158,34 @@ def scalar_functional_check(f, x_star, phi, samples, tol):
         else:
             signs.append(1)
     return signs, worst, None
+
+
+def scalar_pin(f, x, y, tol):
+    """Sign pinning of one pair from its definition, one oracle call and one
+    norm at a time.
+
+    The pair must be independent, or ValueError: [x; y] has two singular
+    values and the smaller is above 1e-12 * max(larger, 1).  The sign pairs are tried in the
+    order (1, 1), (1, -1), (-1, 1), (-1, -1) and the first smallest residual
+    |f(x+y) - (alpha f(x) + beta f(y))| wins.  The pin is tied when another
+    pair comes within tol.tie of it, and a tie that (1, 1) is part of
+    resolves to (1, 1).  Returns (alpha, beta, residual, tied, fits), where
+    fits means the residual is not above tol.scaled(|x+y|).
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    s = np.linalg.svd(np.vstack([x, y]), compute_uv=False)
+    if len(s) < 2 or not s[-1] > 1e-12 * max(s[0], 1.0):
+        raise ValueError("dependent pair")
+    fx, fy, fxy = f(x), f(y), f(x + y)
+    residuals = [((a, b), f.codomain.norm_of(fxy - (a * fx + b * fy)))
+                 for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    best, r_best = residuals[0]
+    for pair, r in residuals[1:]:
+        if r < r_best:
+            best, r_best = pair, r
+    near = [pair for pair, r in residuals if r <= r_best + tol.tie]
+    tied = len(near) > 1
+    if tied and (1, 1) in near:
+        best, r_best = residuals[0]
+    fits = not r_best > tol.scaled(f.domain.norm_of(x + y))
+    return best[0], best[1], r_best, tied, fits

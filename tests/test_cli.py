@@ -397,7 +397,11 @@ class TestInputValidation:
         ('{"kind": "lp", "dim": 2, "p": NaN}', "p must"),
         ('{"kind": "weighted_lp", "dim": 2, "p": 1, "weights": [1.0, Infinity]}', "finite"),
         ('{"kind": "weighted_lp", "dim": 2, "p": 1, "weights": [1.0, NaN]}', "finite"),
-    ], ids=["missing-p", "nan-p", "inf-weight", "nan-weight"])
+        ('{"kind": "lp", "dim": "2", "p": true}', "dim must be an integer"),
+        ('{"kind": "lp", "dim": 2.7, "p": 2}', "dim must be an integer"),
+        ('{"kind": "lp", "dim": 2, "p": true}', "p must be a number"),
+    ], ids=["missing-p", "nan-p", "inf-weight", "nan-weight", "string-dim", "fractional-dim",
+            "bool-p"])
     def test_bad_space(self, shifted, capsys, space, needle):
         self.expect_rejected(["check", "--space", space, "--samples", shifted], capsys, needle)
 
@@ -431,6 +435,37 @@ class TestInputValidation:
         self.expect_rejected(["gen", "--space", L2_2, "--extra", "-3", "--out", str(out)],
                              capsys, "--extra must be >= 0")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y"],
+        ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]", "--bogus"],
+        ["decompose", "--space", L2_2, "--seed", "one"],
+        ["no-such-command"],
+    ], ids=["missing-value", "unknown-flag", "non-integer-seed", "unknown-command"])
+    def test_usage_errors_exit_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ortho", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_bare_scalar_is_a_vector_in_dimension_1(self, capsys):
+        line = '{"kind": "lp", "dim": 1, "p": 2}'
+        assert run(["ortho", "--space", line, "--x=-1e-3", "--y=1"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["x"] == [-1e-3] and verdict["y"] == [1.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["ortho", "--space", L2_2, "--x=-1e-3", "--y", "[0, 1]"],
+        ["lemma", "--space", L2_2, "--functional", "1", "--normalize", "--oracle-seed", "1"],
+    ], ids=["ortho", "lemma"])
+    def test_bare_scalar_rejected_above_dimension_1(self, capsys, argv):
+        self.expect_rejected(argv, capsys, "only in dimension 1")
 
     def test_exit_code_follows_the_error_type(self, monkeypatch, shifted):
         """Only DimensionMismatch exits 65; message text does not pick the code."""

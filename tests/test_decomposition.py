@@ -10,9 +10,9 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       RouteUnsupported, SmoothnessFailure, SurjectivityNotDeclared,
                       canonical_ray, decompose, generate_isometry,
                       generate_phase_isometry, normalize_two_dim, pin_signs,
-                      plan_queries, recover_functional, recover_projective_linear,
-                      score_certificate)
-from phaseiso.decomposition import _assemble_certificate, route_for
+                      pin_signs_batch, plan_queries, recover_functional,
+                      recover_projective_linear, score_certificate, Tolerances)
+from phaseiso.decomposition import _assemble_certificate, _expansion_coefficients, route_for
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -78,6 +78,162 @@ class TestPinSigns:
         pin = pin_signs(f, x, y)
         assert pin.tied
         assert pin.residual == 0.0
+
+
+def distorted(space, seed):
+    """A smooth nonlinear map, so that every sign pair has its own residual."""
+    m = np.random.default_rng(seed).standard_normal((space.dim, space.dim))
+    return PhaseMapOracle.from_callable(space, space, lambda c: m @ c + 0.05 * np.sin(3.0 * c))
+
+
+def counting(space, fn):
+    """An oracle over fn that records every call it makes."""
+    calls = []
+
+    def wrapped(c):
+        calls.append(np.array(c))
+        return fn(c)
+
+    return PhaseMapOracle.from_callable(space, space, wrapped), calls
+
+
+PIN_SPACES = [NormSpec.lp(4, 1), NormSpec.lp(4, 1.5), NormSpec.lp(3, 2),
+              NormSpec.lp(4, float("inf")), NormSpec.weighted_lp(3, 1, [1.0, 2.0, 0.5]),
+              NormSpec.weighted_lp(3, 2.5, [1.0, 2.0, 0.5]),
+              NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+PIN_IDS = ["l1", "l1.5", "l2", "linf", "w-l1", "w-l2.5", "poly"]
+
+
+class TestPinSignsBatch:
+    """pin_signs_batch against the one-pair reference oracles.scalar_pin."""
+
+    @pytest.mark.parametrize("space", PIN_SPACES, ids=PIN_IDS)
+    @pytest.mark.parametrize("kind", ["even", "uneven", "distorted"])
+    def test_matches_scalar_reference(self, space, kind, rng):
+        X, Y = rng.standard_normal((2, 12, space.dim))
+        X[3], Y[3] = np.eye(space.dim)[0], np.eye(space.dim)[1]  # sparse rows too
+        if kind == "distorted":
+            f, g = distorted(space, 4), distorted(space, 4)
+            tol = Tolerances(rel=1e3)  # let every pair fit, whatever its residual
+        else:
+            t = generate_isometry(space, 4)
+            f, g = (generate_phase_isometry(t, 4, even=kind == "even") for _ in range(2))
+            tol = DEFAULT_TOL
+        pins = pin_signs_batch(f, X, Y, tol)
+        want = [oracles.scalar_pin(g, x, y, tol) for x, y in zip(X, Y)]
+        assert all(fits for *_, fits in want)
+        got = [(p.alpha, p.beta, p.residual, p.tied) for p in pins]
+        assert got == [w[:4] for w in want]
+        assert all(type(p.residual) is float for p in pins)
+        assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
+
+    def test_tie_with_plus_plus_falls_back_to_it(self):
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        images = {(1.0, 0.0): [1.0, 0.0], (0.0, 1.0): [0.0, 1e-10], (1.0, 1.0): [1.0, -1e-10]}
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array(images[tuple(c)]))
+        g = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array(images[tuple(c)]))
+        # (1, -1) fits exactly, (1, 1) comes within tol.tie of it
+        pin, = pin_signs_batch(f, [x], [y])
+        assert (pin.alpha, pin.beta, pin.tied) == (1, 1, True)
+        assert 0.0 < pin.residual <= DEFAULT_TOL.tie
+        assert (pin.alpha, pin.beta, pin.residual, pin.tied, True) == \
+            oracles.scalar_pin(g, x, y, DEFAULT_TOL)
+
+    def test_tie_without_plus_plus_keeps_the_first_minimum(self):
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        fn = lambda c: np.zeros(2) if c[0] == c[1] else np.array([1.0, 0.0])  # noqa: E731
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, fn)
+        pin, = pin_signs_batch(f, [x], [y])
+        assert (pin.alpha, pin.beta, pin.residual, pin.tied) == (1, -1, 0.0, True)
+
+    def test_earlier_failing_pair_is_the_witness(self, rng):
+        X, Y = rng.standard_normal((2, 5, 4))
+        f = tampered(L2_4, 3, [X[3] + Y[3], X[1] + Y[1]], lambda fx: 1.5 * fx)
+        g = tampered(L2_4, 3, [X[3] + Y[3], X[1] + Y[1]], lambda fx: 1.5 * fx)
+        with pytest.raises(NotDecomposable) as err:
+            pin_signs_batch(f, X, Y)
+        *_, r, _, fits = oracles.scalar_pin(g, X[1], Y[1], DEFAULT_TOL)
+        assert not fits
+        assert err.value.witness == [list(X[1]), list(Y[1])]
+        assert str(err.value) == f"no sign combination reproduces f(x+y); best residual {r:.3e}"
+
+    def test_dependent_pair_raises_before_any_oracle_call(self):
+        f, calls = counting(L2_2, lambda c: c.copy())
+        X = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 2.0]])
+        Y = np.array([[0.0, 1.0], [0.5, -0.5], [-2.0, -4.0]])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            pin_signs_batch(f, X, Y)
+        assert calls == [] and f.query_log == []
+
+    def test_pairs_in_dimension_1_are_dependent(self):
+        f, calls = counting(LINE, lambda c: c.copy())
+        with pytest.raises(ValueError, match="one-dimensional"):
+            pin_signs(f, np.array([1.0]), np.array([2.0]))
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1.1e-12, 1e-11])
+    def test_independence_verdict_matches_reference(self, scale):
+        x = np.array([1.0, 0.3, -0.2])
+        y = 2.0 * x + scale * np.array([0.0, 1.0, 0.0])
+        space = NormSpec.lp(3, 2)
+        f = PhaseMapOracle.from_callable(space, space, lambda c: c.copy())
+        try:
+            oracles.scalar_pin(f, x, y, DEFAULT_TOL)
+            independent = True
+        except ValueError:
+            independent = False
+        if independent:
+            assert len(pin_signs_batch(f, [x], [y])) == 1
+        else:
+            with pytest.raises(ValueError):
+                pin_signs_batch(f, [x], [y])
+
+    def test_empty_batch(self):
+        f, calls = counting(L2_2, lambda c: c.copy())
+        assert pin_signs_batch(f, np.zeros((0, 2)), np.zeros((0, 2))) == []
+        assert calls == [] and f.query_log == []
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", ["generic", "signed-permutation"])
+    def test_stacked_solve_equals_per_row_solve(self, n, kind, rng):
+        for _ in range(20):
+            if kind == "generic":
+                v = rng.standard_normal((n, n))
+            else:
+                v = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+            FX = rng.standard_normal((30, n))
+            want = np.array([np.linalg.solve(v, fx) for fx in FX])
+            assert _expansion_coefficients(v, FX).tobytes() == want.tobytes()
+
+    def test_non_square_basis_images_use_least_squares(self, rng):
+        v = rng.standard_normal((5, 3))
+        FX = rng.standard_normal((7, 5))
+        want = np.array([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX])
+        assert _expansion_coefficients(v, FX).tobytes() == want.tobytes()
+
+    def test_earlier_failing_probe_is_the_witness(self):
+        plan = plan_queries(L1_3, "l1", 2)
+        probes = plan.randoms
+        f = tampered(L1_3, 2, [probes[5], probes[2]], lambda fx: 1.01 * fx)
+        with pytest.raises(NotDecomposable, match="magnitude bookkeeping") as err:
+            decompose(f, seed=2)
+        assert err.value.witness == list(probes[2])
+
+
+class TestScaleChecks:
+    def test_earlier_homogeneity_failure_is_the_witness(self):
+        plan = plan_queries(L2_4, "smooth", 1)
+        hom = plan.hom_checks  # (base, t, t * base), e_0 first
+        f = tampered(L2_4, 1, [hom[5][2], hom[3][2]], lambda fx: 1.01 * fx)
+        g = tampered(L2_4, 1, [hom[5][2], hom[3][2]], lambda fx: 1.01 * fx)
+        with pytest.raises(NotDecomposable) as err:
+            decompose(f, seed=1)
+        base, t, point = hom[3]
+        r = min(L2_4.norm_of(g(point) - t * g(base)), L2_4.norm_of(g(point) + t * g(base)))
+        assert err.value.witness == [t, list(base)]
+        assert str(err.value) == f"homogeneity fails at t={t} (residual {r:.3e})"
 
 
 class TestNormalizeTwoDim:

@@ -3,9 +3,11 @@
 The SHA-256 of ``decompose(...).to_json()`` and of ``run_trial(...).to_dict()``
 is pinned for twelve spaces at seeds 0-3.  A change that moves any bit of a
 certificate (the matrix, the sign table, a residual, a discrepancy) or of a
-trial outcome fails here.  The digests were made with numpy 2.4.6 and its
-OpenBLAS on x86-64; a different BLAS build can change the last bits of
-least-squares results.
+trial outcome fails here.  So does a change to the order in which
+``decompose`` queries the oracle: the SHA-256 of the bytes of
+``np.array(oracle.query_log)`` is pinned for the same spaces and seeds.
+The digests were made with numpy 2.4.6 and its OpenBLAS on x86-64; a
+different BLAS build can change the last bits of least-squares results.
 
 Regenerate (only for an intended output change) with
 
@@ -15,6 +17,7 @@ Regenerate (only for an intended output change) with
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from phaseiso import NormSpec
@@ -51,6 +54,12 @@ def digests(name: str, seed: int):
     oracle = generate_phase_isometry(generate_isometry(space, seed), seed)
     cert = decompose(oracle, seed=seed)
     return _sha(cert.to_json()), _sha(run_trial(space, seed).to_dict())
+
+
+def query_log_digest(name: str, seed: int) -> str:
+    oracle = generate_phase_isometry(generate_isometry(SPACES[name], seed), seed)
+    decompose(oracle, seed=seed)
+    return hashlib.sha256(np.array(oracle.query_log).tobytes()).hexdigest()
 
 
 PINNED = {
@@ -177,13 +186,98 @@ PINNED = {
 }
 
 
+PINNED_QUERY_LOGS = {
+    "l1_n1": {
+        "0": "eee1cef9269c3d60b9139bd847c67bf7ea0f3c9f2f2d49221d7ad46d07024603",
+        "1": "c37161544bbe22d82e5fa92e322ffa723228db0aeb0f63307802edcb39da63bd",
+        "2": "3f9933f32fc11e187e1fc14c71fa6ffe0e7d24c174b6d6eb7c0db03f8ee0b12f",
+        "3": "10af7d3185ce1de0a80b5268c33b03d5d2e1d2539464b9bab69a1c909c67e3e2",
+    },
+    "l1_n3": {
+        "0": "715ab23c6391f15562eb8c7fab84ed9314992290ef674e36c62b939b415d073c",
+        "1": "c4958cfdf14291e587e0a5f9c2727ab8de2221192f439f0e6510ab79a1644c5e",
+        "2": "4e79c235479bd65a0a6e43bc906266f843b56a8ca63249d08dc31e1f86396d7b",
+        "3": "8c5b5caceac4fc20bb0403727a935decd578f092baf60494d7b312ca39856307",
+    },
+    "l1_n8": {
+        "0": "a204ab74f782a07e771726203b7af3dbbbbfc4f29a637c626296470b1a9e16f0",
+        "1": "6d6ad90de73e0d29b79fc5fc8825892389a37cd253fc40ec906509e9adc2e906",
+        "2": "8d061864bb9e20c0eaf86767beee937cc8a0e9c88131fc016a398b4c9609f3f1",
+        "3": "a832ccfcd1ddb518532a779c861c7896ba0836f11611a1e6db211a9762a1eda2",
+    },
+    "l1p5_n5": {
+        "0": "8810b5285b433752083497eede0db1b3cecd41c98c19e31331db303c1f8a87f6",
+        "1": "9225e04078a2ec246d50b38ce91793699968a08908b6e826687f08e46f41f78e",
+        "2": "729dd459a76ffad2a6da433d0b5612c724944e08a74507f6d09deada26e74df1",
+        "3": "fb3c4ec20800844e2be6adee9c61a40721159570a6da7fb3391d5cbb90dc6dcc",
+    },
+    "l2_n2": {
+        "0": "c2f92de4efd1dff4bf9d03cadce2c51688a6ac3b073dbc1c94efbcf5c855c4b3",
+        "1": "e256347ec8251d092ea76420429760d8f3c38d3f7a79a9eb02fdd9befd3add4b",
+        "2": "0656bda566516de8becccb39054e4d4877a46de57794502c20096669643a5bce",
+        "3": "de9cebb49c649bff65e611decabb71dc1254b27deb87341b0f504aa4124b7431",
+    },
+    "l2_n6": {
+        "0": "17675ffd29b14a7084a4295bf3444ea0a543ee10f5d08956ad1c4171f658ce21",
+        "1": "6ba4c62df30a509ae6b18fc1daeb05ae5792703cac6fd764ddbaf52959ba098b",
+        "2": "27a1c21f0727032b3bfc1a909c9185682fa9f7fcc0f44e9b4cefb0f9ef563c72",
+        "3": "85ceddb9128ac42defd583abc0ebaa072779488304e306fd28ab837a2d03ebbf",
+    },
+    "l3_n5": {
+        "0": "8810b5285b433752083497eede0db1b3cecd41c98c19e31331db303c1f8a87f6",
+        "1": "9225e04078a2ec246d50b38ce91793699968a08908b6e826687f08e46f41f78e",
+        "2": "729dd459a76ffad2a6da433d0b5612c724944e08a74507f6d09deada26e74df1",
+        "3": "fb3c4ec20800844e2be6adee9c61a40721159570a6da7fb3391d5cbb90dc6dcc",
+    },
+    "linf_n3": {
+        "0": "396b27ccc997b47c663541e34b90abd51e65c4c022f4319b67064207785e7511",
+        "1": "74e1a3e85780c8b753fda472d74e07a6a3c3b6b2986ce030a44d79ff6e294918",
+        "2": "55674864ef38f94cfb0a1cc8abab59dc3d3b4b0c4bba04acaa7869d90d36be40",
+        "3": "61e0ba15703551a011c4c180c1e33d7280a1dd0e54a3f979a9ff682f9edf7f8e",
+    },
+    "linf_n8": {
+        "0": "8642ef245043866398a3ff1cf8e16bf17e82b3454940d3cc906f64284a81fe62",
+        "1": "16654d953863a6fd116155097fb2afdac3d603542faff8804e81ee3bb0eb3c74",
+        "2": "2ceb8352b5d038ac738b9d5852b351d778b760e3c7c68d3560de9a275a3326aa",
+        "3": "0d6af86da799190418985286d7319ba87fc9e29bf37233c280aa34794c4fb593",
+    },
+    "poly_n2": {
+        "0": "8834aece8d928cadde8d1cc5b447c3868629a170c8d06707901b88c54d45b793",
+        "1": "e4ec194033fef1111f108bc501e2c7dac5477e56df14d4c85e8ff300c3750e30",
+        "2": "7866192e15770388636ce74e798155491b9b22a775bf849e3bac5becdd38e2fd",
+        "3": "7dae0a9d1f1a3bb4b42ed9e50ad66aae7c6269429fa2f6826a8f6247cc1a0804",
+    },
+    "poly_n3": {
+        "0": "411f94f4f17e6796b66698bb8fb44ef07ae8fea1457fecacd27f37ce4941e0f6",
+        "1": "e283393e35e95f672f9da8d758e4a6ef28da16c12a51b43ea6254779a91e1754",
+        "2": "e634e6c4bcab95276af5a9b94209de0a77379edf133a4d5071157450f78b3c0a",
+        "3": "991785d21d439fe5aa7ad000dfa2ebc32d1b84798e6773d483d908f96e2afcfb",
+    },
+    "wl1p5_n3": {
+        "0": "69b230bdc5da935cc347e736326c2da585046edb93a18527bd655a523ab210df",
+        "1": "cbedf347fb1ae5d6ec096c46a39357c1cdc6822691669ec36c13cb514603cfc3",
+        "2": "0b0cd4c63c909f7ee5b676bae1c50e0529155cf3556f6dfac3feb9ec57e6f30d",
+        "3": "9a67f5c95380798a139f71860dc425a202f78fa5cf1709956a2af96b37317523",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_certificates_and_outcomes_are_pinned(name):
     got = {str(seed): list(digests(name, seed)) for seed in SEEDS}
     assert got == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_query_order_is_pinned(name):
+    got = {str(seed): query_log_digest(name, seed) for seed in SEEDS}
+    assert got == PINNED_QUERY_LOGS[name]
+
+
 if __name__ == "__main__":
     pinned = {name: {str(seed): list(digests(name, seed)) for seed in SEEDS}
               for name in sorted(SPACES)}
-    print(json.dumps(pinned, indent=4, sort_keys=True))
+    print("PINNED =", json.dumps(pinned, indent=4, sort_keys=True))
+    logs = {name: {str(seed): query_log_digest(name, seed) for seed in SEEDS}
+            for name in sorted(SPACES)}
+    print("PINNED_QUERY_LOGS =", json.dumps(logs, indent=4, sort_keys=True))

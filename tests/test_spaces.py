@@ -90,6 +90,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exponent p"):
             NormSpec.from_json({"kind": "lp", "dim": 2})
 
+    @pytest.mark.parametrize("data,needle", [
+        ({"kind": "lp", "dim": "2", "p": 2}, "dim must be an integer"),
+        ({"kind": "lp", "dim": 2.7, "p": 2}, "dim must be an integer"),
+        ({"kind": "lp", "dim": True, "p": 2}, "dim must be an integer"),
+        ({"kind": "lp", "dim": 2, "p": True}, "p must be a number"),
+        ({"kind": "lp", "dim": 2, "p": "2"}, "p must be a number"),
+        ({"kind": "weighted_lp", "dim": 2, "p": [2], "weights": [1, 1]}, "p must be a number"),
+    ], ids=["string-dim", "fractional-dim", "bool-dim", "bool-p", "string-p", "list-p"])
+    def test_loosely_typed_json_rejected(self, data, needle):
+        with pytest.raises(ValueError, match=needle):
+            NormSpec.from_json(data)
+
+    def test_integral_json_numbers_accepted(self):
+        assert NormSpec.from_json({"kind": "lp", "dim": 3.0, "p": 2}) == NormSpec.lp(3, 2)
+        assert NormSpec.from_json('{"kind": "lp", "dim": 2, "p": Infinity}') == \
+            NormSpec.lp(2, float("inf"))
+
     def test_non_finite_functionals(self):
         with pytest.raises(ValueError, match="finite"):
             NormSpec.polyhedral(2, [[1, 0], [0, np.inf]])
