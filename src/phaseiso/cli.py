@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import (DecompositionError, NoStabilization, NotDecomposable,
+from .decomposition import (ROUTES, DecompositionError, NoStabilization, NotDecomposable,
                             NotExposed, RouteUnsupported, SmoothnessFailure,
                             SurjectivityNotDeclared, decompose, plan_queries,
                             recover_functional, route_for)
@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regenerate a seeded oracle instead of reading samples")
     p.add_argument("--uneven", action="store_true",
                    help="seeded oracle draws per-ray signs (not odd)")
-    p.add_argument("--route", choices=["auto", "one_dim", "smooth", "linf", "l1", "generic"],
-                   default="auto")
+    p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--declare-surjective", action="store_true")
     p.add_argument("--force", action="store_true",
                    help="attempt decomposition without the surjectivity declaration")
@@ -339,12 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a hidden factorization and its samples")
     common(p, seed_default=42)
-    p.add_argument("--even", action="store_true",
-                   help="line-constant signs (odd, onto oracle); the default")
     p.add_argument("--uneven", action="store_true",
                    help="independent per-ray signs (oddness generically fails)")
-    p.add_argument("--route", choices=["auto", "one_dim", "smooth", "linf", "l1", "generic"],
-                   default="auto")
+    p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--extra", type=int, default=100,
                    help="extra random sample points beyond the probe plan")
     p.add_argument("--hidden", default=None, help="write the hidden truth JSON here")
@@ -358,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded generate/decompose/score campaign")
     common(p, seed_default=42)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--route", choices=["auto", "one_dim", "smooth", "linf", "l1", "generic"],
-                   default="auto")
+    p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--uneven", action="store_true")
     p.set_defaults(func=cmd_fuzz)
 

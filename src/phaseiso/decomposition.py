@@ -12,10 +12,12 @@ witness.  Four constructive routes are provided:
 * ``l1``       -- basis-ray homogeneity, finite-support expansion with norm
                   bookkeeping, exposed-functional sign fixing
 
-plus a best-effort ``generic`` route (pinning + projective recovery) for
-space kinds none of the specialized arguments cover.  Every run finishes by
-re-verifying the defining equation on fresh pairs through the recovered
-factorization and by replaying the full query log against it.
+plus a best-effort ``generic`` route for space kinds none of the specialized
+arguments cover: the ``smooth`` route without its corroboration, open to
+every domain of dimension >= 2.  ``route_for`` alone maps a space to its
+route.  Every run finishes by re-verifying the defining equation on fresh
+pairs through the recovered factorization and by replaying the full query
+log against it.
 """
 
 from __future__ import annotations
@@ -231,15 +233,16 @@ def pin_signs(f: PhaseMapOracle, x, y, tol: Tolerances = DEFAULT_TOL) -> SignPin
 
 
 def route_for(space: NormSpec) -> str:
-    """Resolve the automatic route for a space."""
+    """The route of a space: the one its theorem covers, else ``generic``.
+
+    A run may ask for this route or, from dimension 2 on, for ``generic``.
+    """
     if space.dim == 1:
         return "one_dim"
-    if space.kind in ("lp", "weighted_lp"):
-        if space.p == 1.0:
-            return "l1" if space.kind == "lp" else "generic"
-        if math.isinf(space.p):
-            return "linf" if space.kind == "lp" else "generic"
+    if space.is_smooth_space:
         return "smooth"
+    if space.kind == "lp":  # p = 1 or p = inf
+        return "l1" if space.p == 1.0 else "linf"
     return "generic"
 
 
@@ -262,7 +265,6 @@ class QueryPlan:
     hom_checks: List[Tuple[np.ndarray, float, np.ndarray]] = field(default_factory=list)
     basis_ray_grid: List[Tuple[int, float, np.ndarray]] = field(default_factory=list)
     schedules: Dict[str, Tuple[Functional, Vector, List[np.ndarray]]] = field(default_factory=dict)
-    theta_bases: List[np.ndarray] = field(default_factory=list)
     theta_points: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
     hyper_pins: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
     two_dim_reps: List[np.ndarray] = field(default_factory=list)
@@ -366,7 +368,6 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
         for x in plan.randoms[:6]:
             theta = np.sign(x)
             nx = space.norm_of(x)
-            plan.theta_bases.append(x)
             plan.theta_points.append((x, theta, nx * theta))
     if route == "smooth" and n >= 3:
         plan.schedules["coord0"] = _schedule_for(space, _unit_functional(space, eye[0]), tol)
@@ -806,7 +807,7 @@ def _pin_random_pairs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
     pin_signs_batch(f, xy[:, 0], xy[:, 1], tol)
 
 
-def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
+def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
     x0 = np.array([1.0])
     fx0 = f(x0)
     t = np.array(plan.one_dim_ts, dtype=float)
@@ -820,7 +821,11 @@ def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
     return fx0[:, None]
 
 
-def _route_smooth(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
+def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
+    """The ``smooth`` and ``generic`` routes: homogeneity, then the certified
+    normalization in dimension 2, or sign pinning and projective recovery
+    from dimension 3 on, corroborated by functional recovery where the plan
+    holds a ``coord0`` schedule (the smooth route)."""
     _check_homogeneity(f, plan, tol)
     if f.domain.dim == 2:
         norm2 = normalize_two_dim(f, tol)
@@ -833,19 +838,8 @@ def _route_smooth(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnosti
         rec = recover_functional(f, x_star, schedule, plan.randoms, u, tol)
         diagnostics["functional_max_deviation"] = rec.max_deviation
     lin = recover_projective_linear(f, plan, tol)
-    diagnostics["pin_ties"] = sum(1 for p in pins.values() if p.tied)
-    return lin.matrix
-
-
-def _route_generic(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
-    _check_homogeneity(f, plan, tol)
-    if f.domain.dim == 2:
-        norm2 = normalize_two_dim(f, tol)
-        diagnostics["two_dim_products"] = {str(a): v for a, v in norm2.products.items()}
-        return norm2.linear.matrix
-    _basis_pins(f, plan, tol)
-    _pin_random_pairs(f, plan, tol)
-    lin = recover_projective_linear(f, plan, tol)
+    if plan.route == "smooth":
+        diagnostics["pin_ties"] = sum(1 for p in pins.values() if p.tied)
     return lin.matrix
 
 
@@ -1029,33 +1023,26 @@ def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.
 
 
 _ROUTE_IMPL = {
-    "one_dim": None,  # handled inline
-    "smooth": _route_smooth,
+    "one_dim": _route_one_dim,
+    "smooth": _route_projective,
     "linf": _route_linf,
     "l1": _route_l1,
-    "generic": _route_generic,
+    "generic": _route_projective,
 }
 
 
 def _validate_route(space: NormSpec, route: str) -> str:
-    resolved = route_for(space) if route == "auto" else route
-    if resolved not in ROUTES or resolved == "auto":
+    """The route a run on ``space`` takes when ``route`` is asked for."""
+    if route not in ROUTES:
         raise RouteUnsupported(f"unknown route {route!r}")
-    n = space.dim
-    if resolved == "one_dim" and n != 1:
-        raise RouteUnsupported("one_dim route requires a one-dimensional domain")
-    if resolved == "smooth":
-        if not (space.kind in ("lp", "weighted_lp") and 1.0 < space.p < math.inf):
-            raise RouteUnsupported("smooth route requires an lp space with 1 < p < inf")
-    if resolved == "linf":
-        if not (space.kind == "lp" and math.isinf(space.p)):
-            raise RouteUnsupported("linf route requires the sup-norm space")
-    if resolved == "l1":
-        if not (space.kind == "lp" and space.p == 1.0):
-            raise RouteUnsupported("l1 route requires the sum-norm space")
-    if n == 1 and resolved != "one_dim":
-        raise RouteUnsupported("one-dimensional domains use the one_dim route")
-    return resolved
+    own = route_for(space)
+    if route == "auto":
+        return own
+    allowed = (own, "generic") if space.dim >= 2 else (own,)
+    if route not in allowed:
+        raise RouteUnsupported(f"route {route!r} does not apply to {space!r}, "
+                               f"which takes {' or '.join(allowed)}")
+    return route
 
 
 def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
@@ -1064,7 +1051,7 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
     """Factor a declared-surjective phase-isometry oracle into sign * isometry.
 
     Routes: ``one_dim``, ``smooth``, ``linf``, ``l1``, ``generic``; ``auto``
-    dispatches on the domain kind.  Raises :class:`NotDecomposable` with a
+    resolves through :func:`route_for`.  Raises :class:`NotDecomposable` with a
     witness when the oracle violates a required identity, and
     :class:`SurjectivityNotDeclared` when the oracle lacks the surjectivity
     declaration and ``force`` is not set.
@@ -1081,8 +1068,5 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
         raise RouteUnsupported("supplied plan does not match the space and route")
 
     diagnostics: dict = {}
-    if resolved == "one_dim":
-        matrix = _route_one_dim(f, plan, tol)
-    else:
-        matrix = _ROUTE_IMPL[resolved](f, plan, tol, diagnostics)
+    matrix = _ROUTE_IMPL[resolved](f, plan, tol, diagnostics)
     return _assemble_certificate(f, matrix, resolved, plan, tol, diagnostics)

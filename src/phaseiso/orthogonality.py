@@ -8,14 +8,14 @@ exactly when both one-sided slopes point outward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import Functional, NormSpec, Vector, directional_derivative, support_set
+from .spaces import (Functional, NormSpec, Vector, _extreme_support_values,
+                     directional_derivative, support_set)
 
 __all__ = [
     "Hyperplane",
@@ -113,46 +113,6 @@ def is_birkhoff_orthogonal(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) 
     return birkhoff_verdict(x, y, tol).orthogonal
 
 
-def _extreme_support_values(xu: Vector, y: Vector, tol: Tolerances):
-    """Supporting functionals at xu maximizing / minimizing the value on y."""
-    space = xu.space
-    u, yc = xu.coords, y.coords
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    p = space.p
-
-    if space.kind in ("lp", "weighted_lp") and 1.0 < p < math.inf:
-        g = support_set(xu, tol).witness.coords
-        return (g, float(np.dot(g, yc))), (g, float(np.dot(g, yc)))
-    if space.kind in ("lp", "weighted_lp") and p == 1.0:
-        on = u != 0.0
-        base = np.where(on, w * np.sign(u), 0.0)
-        hi = np.where(on, base, w * np.sign(yc))
-        lo = np.where(on, base, -w * np.sign(yc))
-        return (hi, float(np.dot(hi, yc))), (lo, float(np.dot(lo, yc)))
-    if space.kind in ("lp", "weighted_lp"):  # p = inf
-        vals = w * np.abs(u)
-        m = np.max(vals)
-        active = np.nonzero(vals >= m - tol.scaled(m))[0]
-        cand = []
-        for i in active:
-            g = np.zeros(space.dim)
-            g[i] = w[i] * np.sign(u[i])
-            cand.append((g, float(np.dot(g, yc))))
-        hi = max(cand, key=lambda t: t[1])
-        lo = min(cand, key=lambda t: t[1])
-        return hi, lo
-    vals = space.functionals @ u
-    m = np.max(np.abs(vals))
-    active = np.nonzero(np.abs(vals) >= m - tol.scaled(m))[0]
-    cand = []
-    for i in active:
-        g = np.sign(vals[i]) * space.functionals[i]
-        cand.append((g, float(np.dot(g, yc))))
-    hi = max(cand, key=lambda t: t[1])
-    lo = min(cand, key=lambda t: t[1])
-    return hi, lo
-
-
 def _annihilating_witness(xu: Vector, y: Vector, tol: Tolerances) -> Optional[Functional]:
     """A supporting functional at xu vanishing on y, built as the convex
     combination of the extreme supporting functionals that brackets zero."""
@@ -194,7 +154,7 @@ def l1_orthogonality_triple(x: Vector, y: Vector,
     """
     space = x.space
     x._check_space(y)
-    if not (space.kind in ("lp", "weighted_lp") and space.p == 1.0):
+    if space.p != 1.0:
         raise ValueError("l1_orthogonality_triple requires an l1-type space")
     disjoint = bool(np.all((x.coords == 0.0) | (y.coords == 0.0)))
     nx, ny = x.norm, y.norm

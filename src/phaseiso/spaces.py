@@ -5,8 +5,10 @@ dual-norm evaluation, one-sided directional derivatives of the norm,
 supporting-functional extraction with a smoothness verdict, and the
 exposed-point test on the dual ball.  Three families are covered:
 
-* ``lp``           -- (sum |x_i|^p)^(1/p), with p = inf meaning max |x_i|
-* ``weighted_lp``  -- same with positive per-coordinate weights
+* ``weighted_lp``  -- (sum w_i |x_i|^p)^(1/p) with positive weights w_i, p = inf
+                     meaning max w_i |x_i|
+* ``lp``           -- the case w = 1 of the weighted formulas, bit for bit the
+                     unweighted values since a factor of 1 is exact; ``weights`` is None
 * ``polyhedral``   -- max_i |<a_i, x>| over a spanning list of functionals
 """
 
@@ -77,20 +79,14 @@ class NormSpec:
     p: Optional[float] = None
     weights: Optional[np.ndarray] = None
     functionals: Optional[np.ndarray] = None
+    _w: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind in ("lp", "weighted_lp"):
-            if self.p is None or math.isnan(self.p) or (self.p < 1.0 and not math.isinf(self.p)):
-                raise ValueError("p must satisfy p >= 1 or p = inf")
-        if self.kind == "weighted_lp":
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.dim,) or not np.all((w > 0) & np.isfinite(w)):
-                raise ValueError("weights must be dim positive finite reals")
-            object.__setattr__(self, "weights", _frozen(w))
+        # fields of the other kinds are cleared: the norm paths tell kinds apart by them
         if self.kind == "polyhedral":
             a = np.asarray(self.functionals, dtype=float)
             if a.ndim != 2 or a.shape[1] != self.dim:
@@ -100,6 +96,17 @@ class NormSpec:
             if np.linalg.matrix_rank(a) < self.dim:
                 raise ValueError("polyhedral functionals must span the dual space")
             object.__setattr__(self, "functionals", _frozen(a))
+            object.__setattr__(self, "p", None)
+            return
+        if self.p is None or math.isnan(self.p) or (self.p < 1.0 and not math.isinf(self.p)):
+            raise ValueError("p must satisfy p >= 1 or p = inf")
+        plain = self.kind == "lp"
+        w = _frozen(np.ones(self.dim) if plain else self.weights)
+        if w.shape != (self.dim,) or not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be dim positive finite reals")
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "weights", None if plain else w)
+        object.__setattr__(self, "functionals", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -118,11 +125,10 @@ class NormSpec:
     # -- identity ----------------------------------------------------------
 
     def spec_key(self) -> tuple:
-        if self.kind == "lp":
-            return ("lp", self.dim, self.p)
-        if self.kind == "weighted_lp":
-            return ("weighted_lp", self.dim, self.p, tuple(self.weights))
-        return ("polyhedral", self.dim, tuple(map(tuple, self.functionals)))
+        if self.functionals is not None:
+            return ("polyhedral", self.dim, tuple(map(tuple, self.functionals)))
+        key = (self.kind, self.dim, self.p)
+        return key if self.weights is None else key + (tuple(self.weights),)
 
     def __eq__(self, other):
         return isinstance(other, NormSpec) and self.spec_key() == other.spec_key()
@@ -131,28 +137,23 @@ class NormSpec:
         return hash(self.spec_key())
 
     def __repr__(self):
-        if self.kind == "lp":
-            return f"NormSpec.lp({self.dim}, p={self.p})"
-        if self.kind == "weighted_lp":
-            return f"NormSpec.weighted_lp({self.dim}, p={self.p}, weights={list(self.weights)})"
-        return f"NormSpec.polyhedral({self.dim}, {len(self.functionals)} functionals)"
+        if self.functionals is not None:
+            return f"NormSpec.polyhedral({self.dim}, {len(self.functionals)} functionals)"
+        weights = "" if self.weights is None else f", weights={list(self.weights)}"
+        return f"NormSpec.{self.kind}({self.dim}, p={self.p}{weights})"
 
     # -- evaluation --------------------------------------------------------
 
     def norm_of(self, coords) -> float:
         """Norm of raw coordinates."""
         a = _coerce(coords, self.dim)
-        if self.kind == "lp":
-            if math.isinf(self.p):
-                return float(np.max(np.abs(a)))
-            if self.p == 1.0:
-                return float(np.sum(np.abs(a)))
-            return float(np.sum(np.abs(a) ** self.p) ** (1.0 / self.p))
-        if self.kind == "weighted_lp":
-            if math.isinf(self.p):
-                return float(np.max(self.weights * np.abs(a)))
-            return float(np.sum(self.weights * np.abs(a) ** self.p) ** (1.0 / self.p))
-        return float(np.max(np.abs(self.functionals @ a)))
+        if self.functionals is not None:
+            return float(np.max(np.abs(self.functionals @ a)))
+        if math.isinf(self.p):
+            return float(np.max(self._w * np.abs(a)))
+        if self.p == 1.0:
+            return float(np.sum(self._w * np.abs(a)))
+        return float(np.sum(self._w * np.abs(a) ** self.p) ** (1.0 / self.p))
 
     def norms_of(self, rows) -> np.ndarray:
         """Norms of the rows of an (m, dim) array.
@@ -167,19 +168,14 @@ class NormSpec:
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise DimensionMismatch(f"dimension mismatch: expected rows of {self.dim} "
                                     f"coordinates, got shape {a.shape}")
-        if self.kind == "polyhedral":
+        if self.functionals is not None:
             return np.max(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]), axis=1)
         mag = np.abs(a)
-        if self.kind == "weighted_lp":
-            if math.isinf(self.p):
-                return np.max(self.weights * mag, axis=1)
-            sums = np.sum(self.weights * mag ** self.p, axis=1)
-        elif math.isinf(self.p):
-            return np.max(mag, axis=1)
-        elif self.p == 1.0:
-            return np.sum(mag, axis=1)
-        else:
-            sums = np.sum(mag ** self.p, axis=1)
+        if math.isinf(self.p):
+            return np.max(self._w * mag, axis=1)
+        if self.p == 1.0:
+            return np.sum(self._w * mag, axis=1)
+        sums = np.sum(self._w * mag ** self.p, axis=1)
         inv = 1.0 / self.p
         return np.array([s ** inv for s in sums.tolist()], dtype=float)
 
@@ -190,15 +186,8 @@ class NormSpec:
         the unit ball for polyhedral norms.
         """
         c = _coerce(coords, self.dim)
-        if self.kind == "lp":
-            if math.isinf(self.p):
-                return float(np.sum(np.abs(c)))
-            if self.p == 1.0:
-                return float(np.max(np.abs(c)))
-            q = self.p / (self.p - 1.0)
-            return float(np.sum(np.abs(c) ** q) ** (1.0 / q))
-        if self.kind == "weighted_lp":
-            w = self.weights
+        if self.functionals is None:
+            w = self._w
             if math.isinf(self.p):
                 return float(np.sum(np.abs(c) / w))
             if self.p == 1.0:
@@ -230,14 +219,13 @@ class NormSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "lp":
-            return {"kind": "lp", "dim": self.dim, "p": "inf" if math.isinf(self.p) else self.p}
-        if self.kind == "weighted_lp":
-            return {"kind": "weighted_lp", "dim": self.dim,
-                    "p": "inf" if math.isinf(self.p) else self.p,
-                    "weights": list(self.weights)}
-        return {"kind": "polyhedral", "dim": self.dim,
-                "functionals": [list(row) for row in self.functionals]}
+        if self.functionals is not None:
+            return {"kind": "polyhedral", "dim": self.dim,
+                    "functionals": [list(row) for row in self.functionals]}
+        data = {"kind": self.kind, "dim": self.dim, "p": "inf" if math.isinf(self.p) else self.p}
+        if self.weights is not None:
+            data["weights"] = list(self.weights)
+        return data
 
     @classmethod
     def from_json(cls, data: Union[dict, str]) -> "NormSpec":
@@ -280,7 +268,7 @@ class NormSpec:
     @property
     def is_smooth_space(self) -> bool:
         """True when every nonzero point has a unique supporting functional."""
-        return self.kind in ("lp", "weighted_lp") and 1.0 < self.p < math.inf
+        return self.functionals is None and 1.0 < self.p < math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,13 +378,12 @@ def norm(x: Vector) -> float:
 
 def _active_sets(space: NormSpec, u: np.ndarray, tol: Tolerances):
     """Indices where the max defining the norm is attained (linf/polyhedral)."""
-    if space.kind == "polyhedral":
+    if space.functionals is not None:
         vals = space.functionals @ u
         m = np.max(np.abs(vals))
         active = np.nonzero(np.abs(vals) >= m - tol.scaled(m))[0]
         return vals, active
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    vals = w * np.abs(u)
+    vals = space._w * np.abs(u)
     m = np.max(vals)
     active = np.nonzero(vals >= m - tol.scaled(m))[0]
     return vals, active
@@ -415,22 +402,18 @@ def directional_derivative(u: Vector, x: Vector, tol: Tolerances = DEFAULT_TOL) 
     if abs(un - 1.0) > 1e-6:
         raise ValueError(f"u must be a unit vector (norm {un})")
     uc, xc = u.coords, x.coords
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    p = space.p
+    w, p = space._w, space.p
 
-    if space.kind in ("lp", "weighted_lp") and 1.0 < p < math.inf:
+    if space.is_smooth_space:
         g = w * np.sign(uc) * np.abs(uc) ** (p - 1.0) / un ** (p - 1.0)
         return float(np.dot(g, xc))
-    if space.kind in ("lp", "weighted_lp") and p == 1.0:
+    if p == 1.0:
         on = uc != 0.0
         return float(np.dot(w[on] * np.sign(uc[on]), xc[on]) + np.sum(w[~on] * np.abs(xc[~on])))
-    if space.kind in ("lp", "weighted_lp"):  # p = inf
-        _, active = _active_sets(space, uc, tol)
+    vals, active = _active_sets(space, uc, tol)
+    if space.functionals is None:  # p = inf
         return float(np.max(w[active] * np.sign(uc[active]) * xc[active]))
-    if space.kind == "polyhedral":
-        vals, active = _active_sets(space, uc, tol)
-        return float(np.max(np.sign(vals[active]) * (space.functionals[active] @ xc)))
-    return finite_difference_directional(u, x, tol)
+    return float(np.max(np.sign(vals[active]) * (space.functionals[active] @ xc)))
 
 
 def finite_difference_directional(u: Vector, x: Vector, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -464,22 +447,21 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
     space = x.space
     xc = x.coords
     xn = x.norm
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    p = space.p
+    w, p = space._w, space.p
 
-    if space.kind in ("lp", "weighted_lp") and 1.0 < p < math.inf:
+    if space.is_smooth_space:
         g = w * np.sign(xc) * np.abs(xc) ** (p - 1.0) / xn ** (p - 1.0)
         return SupportDescription(x, "singleton", Functional(g, space), True)
 
-    if space.kind in ("lp", "weighted_lp") and p == 1.0:
+    if p == 1.0:
         on = xc != 0.0
         g = np.where(on, w * np.sign(xc), 0.0)
         smooth = bool(np.all(on))
         return SupportDescription(x, "singleton" if smooth else "face",
                                   Functional(g, space), smooth)
 
-    if space.kind in ("lp", "weighted_lp"):  # p = inf
-        _, active = _active_sets(space, xc, tol)
+    vals, active = _active_sets(space, xc, tol)
+    if space.functionals is None:  # p = inf
         i = int(active[0])
         g = np.zeros(space.dim)
         g[i] = w[i] * np.sign(xc[i])
@@ -488,7 +470,6 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
                                   Functional(g, space), smooth)
 
     # polyhedral: active signed functionals, deduplicated up to coincidence
-    vals, active = _active_sets(space, xc, tol)
     signed = np.sign(vals[active])[:, None] * space.functionals[active]
     distinct = [signed[0]]
     for row in signed[1:]:
@@ -499,17 +480,30 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
                               Functional(distinct[0], space), smooth)
 
 
-def _lp_norming_point(space: NormSpec, c: np.ndarray) -> np.ndarray:
-    """Point of the unit sphere where the unit functional c attains its norm."""
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    p = space.p
-    if 1.0 < p < math.inf:
-        q = p / (p - 1.0)
-        mag = (np.abs(c) / w) ** (q - 1.0)
-        x = np.sign(c) * mag
-        n = space.norm_of(x)
-        return x / n
-    raise ValueError("norming point formula requires 1 < p < inf")
+def _extreme_support_values(xu: Vector, y: Vector, tol: Tolerances):
+    """Supporting functionals at xu maximizing / minimizing the value on y."""
+    space = xu.space
+    u, yc = xu.coords, y.coords
+    w = space._w
+
+    if space.is_smooth_space:
+        g = support_set(xu, tol).witness.coords
+        return (g, float(np.dot(g, yc))), (g, float(np.dot(g, yc)))
+    if space.p == 1.0:
+        on = u != 0.0
+        base = np.where(on, w * np.sign(u), 0.0)
+        hi = np.where(on, base, w * np.sign(yc))
+        lo = np.where(on, base, -w * np.sign(yc))
+        return (hi, float(np.dot(hi, yc))), (lo, float(np.dot(lo, yc)))
+    # the face is spanned by the active signed coordinate (linf) or defining functionals
+    vals, active = _active_sets(space, u, tol)
+    if space.functionals is None:  # p = inf
+        rows = np.zeros((len(active), space.dim))
+        rows[np.arange(len(active)), active] = w[active] * np.sign(u[active])
+    else:
+        rows = np.sign(vals[active])[:, None] * space.functionals[active]
+    cand = [(g, float(np.dot(g, yc))) for g in rows]
+    return max(cand, key=lambda t: t[1]), min(cand, key=lambda t: t[1])
 
 
 def is_w_star_exposed(f: Functional, tol: Tolerances = DEFAULT_TOL) -> ExposedPoint:
@@ -526,14 +520,15 @@ def is_w_star_exposed(f: Functional, tol: Tolerances = DEFAULT_TOL) -> ExposedPo
     dn = space.dual_norm_of(c)
     if abs(dn - 1.0) > 1e-6:
         raise ValueError(f"functional must have dual norm 1 (got {dn})")
-    w = space.weights if space.kind == "weighted_lp" else np.ones(space.dim)
-    p = space.p
+    w, p = space._w, space.p
 
-    if space.kind in ("lp", "weighted_lp") and 1.0 < p < math.inf:
-        x = _lp_norming_point(space, c)
-        return ExposedPoint(True, Vector(x, space))
+    if space.is_smooth_space:
+        # the point of the unit sphere where c attains its norm
+        q = p / (p - 1.0)
+        x = np.sign(c) * (np.abs(c) / w) ** (q - 1.0)
+        return ExposedPoint(True, Vector(x / space.norm_of(x), space))
 
-    if space.kind in ("lp", "weighted_lp") and p == 1.0:
+    if p == 1.0:
         # dual is sup-type; exposed iff every coordinate attains |c_i| = w_i
         if np.all(np.abs(np.abs(c) / w - 1.0) <= tol.scaled(1.0)):
             x = np.sign(c) / (w * space.dim)
@@ -541,23 +536,17 @@ def is_w_star_exposed(f: Functional, tol: Tolerances = DEFAULT_TOL) -> ExposedPo
             return ExposedPoint(True, Vector(x, space))
         return ExposedPoint(False, None)
 
-    if space.kind in ("lp", "weighted_lp"):  # p = inf, dual is sum-type
+    if space.functionals is None:  # p = inf, dual is sum-type
         scaled = np.abs(c) / w
         i = int(np.argmax(scaled))
         e = np.zeros(space.dim)
         e[i] = np.sign(c[i]) / w[i]
-        if space.dual_norm_of(c - w[i] * np.sign(c[i]) * _unit_coord(space.dim, i)) <= tol.scaled(1.0):
+        if space.dual_norm_of(c - w[i] * np.sign(c[i]) * np.eye(space.dim)[i]) <= tol.scaled(1.0):
             x = e / space.norm_of(e)
             return ExposedPoint(True, Vector(x, space))
         return ExposedPoint(False, None)
 
     return _polyhedral_exposed(space, c, tol)
-
-
-def _unit_coord(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
 
 
 def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> ExposedPoint:

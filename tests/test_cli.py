@@ -7,6 +7,7 @@ import pytest
 from phaseiso import DimensionMismatch, NormSpec, plan_queries
 from phaseiso import cli
 from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
+from phaseiso.decomposition import ROUTES
 
 L1_3 = '{"kind": "lp", "dim": 3, "p": 1}'
 L2_2 = '{"kind": "lp", "dim": 2, "p": 2}'
@@ -447,6 +448,24 @@ class TestInputValidation:
             main(argv)
         assert exc.value.code == 64
         assert "usage:" in capsys.readouterr().err
+
+    def test_gen_even_flag_removed(self, tmp_path, capsys):
+        # line-constant signs are the default; --uneven is the only sign switch
+        out = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--space", L2_2, "--out", str(out), "--even"])
+        assert exc.value.code == 64
+        assert "--even" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_route_choices_are_the_engine_routes(self):
+        choices = {}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest == "route":
+                    choices[name] = tuple(action.choices)
+        assert choices == {name: ROUTES for name in ("decompose", "gen", "fuzz")}
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

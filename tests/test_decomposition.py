@@ -12,7 +12,9 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       generate_phase_isometry, normalize_two_dim, pin_signs,
                       pin_signs_batch, plan_queries, recover_functional,
                       recover_projective_linear, score_certificate, Tolerances)
-from phaseiso.decomposition import _assemble_certificate, _expansion_coefficients, route_for
+from conftest import zoo_ids
+from phaseiso.decomposition import (ROUTES, _assemble_certificate, _expansion_coefficients,
+                                    route_for)
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -493,6 +495,61 @@ class TestDecompose:
 
 
 POLY_3 = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+
+
+def family(name, n):
+    """The ``tests/conftest.py`` space family ``name`` in dimension n."""
+    w = [1.0, 2.0, 0.5][:n]
+    inf = float("inf")
+    return {
+        "l1": NormSpec.lp(n, 1),
+        "l1.5": NormSpec.lp(n, 1.5),
+        "l2": NormSpec.lp(n, 2),
+        "l3": NormSpec.lp(n, 3),
+        "linf": NormSpec.lp(n, inf),
+        "w-l1": NormSpec.weighted_lp(n, 1, w),
+        "w-l2.5": NormSpec.weighted_lp(n, 2.5, w),
+        "w-linf": NormSpec.weighted_lp(n, inf, w),
+        "poly": NormSpec.polyhedral(n, np.vstack([np.eye(n), np.ones(n)])),
+    }[name]
+
+
+# The routes each family accepts from dimension 2 on, the one ``auto``
+# resolves to first; every one-dimensional space takes ``one_dim`` alone.
+ACCEPTED_ROUTES = {
+    "l1": ("l1", "generic"),
+    "l1.5": ("smooth", "generic"),
+    "l2": ("smooth", "generic"),
+    "l3": ("smooth", "generic"),
+    "linf": ("linf", "generic"),
+    "w-l1": ("generic",),
+    "w-l2.5": ("smooth", "generic"),
+    "w-linf": ("generic",),
+    "poly": ("generic",),
+}
+
+
+class TestRouteApplicability:
+    def test_table_covers_every_family(self):
+        assert sorted(ACCEPTED_ROUTES) == sorted(zoo_ids())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", zoo_ids())
+    def test_matrix(self, name, n):
+        space = family(name, n)
+        accepted = ACCEPTED_ROUTES[name] if n >= 2 else ("one_dim",)
+        assert route_for(space) == accepted[0]
+        assert plan_queries(space, "auto").route == accepted[0]
+        for route in (r for r in ROUTES if r != "auto"):
+            if route in accepted:
+                assert plan_queries(space, route).route == route
+            else:
+                with pytest.raises(RouteUnsupported):
+                    plan_queries(space, route)
+
+    def test_unknown_route(self):
+        with pytest.raises(RouteUnsupported, match="unknown route"):
+            plan_queries(L2_2, "bogus")
 
 
 def tampered(space, seed, at, image):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import space_zoo, zoo_ids
-from phaseiso import (NormSpec, Vector, directional_derivative,
+from phaseiso import (NormSpec, Vector, birkhoff_verdict, directional_derivative,
                       finite_difference_directional, is_w_star_exposed, norm,
                       support_set)
 
@@ -74,6 +74,15 @@ class TestConstruction:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             NormSpec.weighted_lp(2, 1, [1.0, -1.0])
+
+    def test_fields_of_other_kinds_are_ignored(self):
+        # the norm paths tell kinds apart by p and functionals, so a stray one must not leak in
+        poly = NormSpec(kind="polyhedral", dim=2, p=1.0, functionals=[[1, 1], [1, -1]])
+        assert poly.p is None and poly == NormSpec.polyhedral(2, [[1, 1], [1, -1]])
+        assert poly.norm_of([1, 0]) == 1.0 and support_set(poly.vector([1, 0])).is_smooth is False
+        plain = NormSpec(kind="lp", dim=2, p=1.0, weights=[2.0, 2.0], functionals=[[3, 0], [0, 3]])
+        assert plain.weights is None and plain.functionals is None
+        assert plain == L1_2 and plain.norm_of([3, -4]) == 7.0
 
     @pytest.mark.parametrize("weights", [[1.0, np.nan], [1.0, np.inf]])
     def test_non_finite_weights(self, weights):
@@ -348,3 +357,76 @@ class TestVectorAlgebra:
         f = L2_2.functional([2, -1])
         assert f(L2_2.vector([1, 1])) == pytest.approx(1.0)
         assert f([3, 0]) == pytest.approx(6.0)
+
+
+def _bits(value) -> bytes:
+    """The IEEE bytes of a float or an array, so equal bits (not just equal values) are compared."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _face_points(n: int) -> np.ndarray:
+    """Points of R^n with zero coordinates and tied maxima, plus generic ones."""
+    rng = np.random.default_rng(1000 + n)
+    eye = np.eye(n)
+    points = [np.ones(n), -np.ones(n), eye[0], -2.0 * eye[-1], eye[0] - eye[-1],
+              np.where(np.arange(n) % 2 == 0, 1.0, -1.0),   # full sign pattern
+              np.where(np.arange(n) % 2 == 0, 3.0, 0.0)]    # tied max beside zeros
+    points += list(np.round(rng.standard_normal((6, n))))   # integer ties and zeros
+    points += list(rng.standard_normal((6, n)))
+    return np.array([x for x in points if np.any(x)])
+
+
+class TestPlainLpIsUnitWeighted:
+    """Plain lp runs through the weighted formulas with w = 1.  Every value
+    must equal that of the explicitly unit-weighted space bit for bit."""
+
+    @pytest.fixture(params=[(n, p) for p in (1.0, 1.5, 2.0, 3.0, math.inf) for n in range(1, 6)],
+                    ids=lambda np_: f"n{np_[0]}-p{np_[1]}")
+    def pair(self, request):
+        n, p = request.param
+        return NormSpec.lp(n, p), NormSpec.weighted_lp(n, p, np.ones(n)), _face_points(n)
+
+    def test_norms_and_dual_norms(self, pair):
+        plain, unit, points = pair
+        assert plain.weights is None and np.array_equal(unit.weights, np.ones(plain.dim))
+        assert _bits(plain.norms_of(points)) == _bits(unit.norms_of(points))
+        for x in points:
+            assert _bits(plain.norm_of(x)) == _bits(unit.norm_of(x))
+            assert _bits(plain.dual_norm_of(x)) == _bits(unit.dual_norm_of(x))
+
+    def test_directional_derivative(self, pair):
+        plain, unit, points = pair
+        for x in points:
+            u, v = plain.vector(x).unit(), unit.vector(x).unit()
+            for y in points:
+                assert (_bits(directional_derivative(u, plain.vector(y)))
+                        == _bits(directional_derivative(v, unit.vector(y))))
+
+    def test_support_set(self, pair):
+        plain, unit, points = pair
+        for x in points:
+            a, b = support_set(plain.vector(x)), support_set(unit.vector(x))
+            assert (a.kind, a.is_smooth) == (b.kind, b.is_smooth)
+            assert _bits(a.witness.coords) == _bits(b.witness.coords)
+
+    def test_exposed_point(self, pair):
+        plain, unit, points = pair
+        for c in points:
+            a = is_w_star_exposed(plain.functional(c / plain.dual_norm_of(c)))
+            b = is_w_star_exposed(unit.functional(c / unit.dual_norm_of(c)))
+            assert a.exposed == b.exposed
+            if a.exposed:
+                assert _bits(a.point.coords) == _bits(b.point.coords)
+
+    def test_birkhoff_verdict(self, pair):
+        plain, unit, points = pair
+        for x in points:
+            for y in points:
+                a = birkhoff_verdict(plain.vector(x), plain.vector(y))
+                b = birkhoff_verdict(unit.vector(x), unit.vector(y))
+                assert (a.orthogonal, a.near_tie) == (b.orthogonal, b.near_tie)
+                assert (_bits([a.forward_slope, a.backward_slope, a.margin])
+                        == _bits([b.forward_slope, b.backward_slope, b.margin]))
+                assert (a.witness is None) == (b.witness is None)
+                if a.witness is not None:
+                    assert _bits(a.witness.coords) == _bits(b.witness.coords)
