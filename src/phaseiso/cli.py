@@ -177,25 +177,16 @@ def cmd_ortho(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    route = args.route
     declared = bool(args.declare_surjective)
     if args.samples:
-        resolved = route_for(space) if route == "auto" else route
-        plan = plan_queries(space, resolved, args.seed, tol)
         codomain = _load_space(args.codomain) if args.codomain else None
-        oracle = _table_oracle(space, read_samples(args.samples), declared, name="table",
-                               codomain=codomain)
-        missing = oracle.missing_points(plan.all_points())
-        if missing:
-            raise MissingSamples(missing)
-        f = oracle
+        f = _table_oracle(space, read_samples(args.samples), declared, name="table",
+                          codomain=codomain)
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
         if declared:
             f.declared_surjective = True
-        plan = None
-    cert = decompose(f, route=route, seed=args.seed, tol=tol,
-                     force=args.force, plan=plan)
+    cert = decompose(f, route=args.route, seed=args.seed, tol=tol, force=args.force)
     data = cert.to_json()
     _log(f"route={cert.route} residual_max={cert.residual_max:.3e} "
          f"verified_pairs={cert.verified_pairs}")

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orthogonality import is_birkhoff_orthogonal
-from .phase_maps import (LinearMap, PhaseMapOracle, SignAssignment, canonical_ray,
+from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment,
                          canonical_rays, check_phase_equation_batch, multiset_match,
                          ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
@@ -146,12 +145,6 @@ def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], b)[:, 0, 0]
 
 
-def _rows(points, *shape: int) -> np.ndarray:
-    """A list of m points (or of m tuples of points) as an (m, *shape) array,
-    also when the list is empty."""
-    return np.array(points, dtype=float).reshape(len(points), *shape)
-
-
 def _interleaved(*groups: np.ndarray) -> np.ndarray:
     """Rows a0, b0, ..., a1, b1, ... of equally long (m, dim) arrays a, b, ..."""
     return np.stack(groups, axis=1).reshape(-1, groups[0].shape[1])
@@ -251,65 +244,38 @@ class QueryPlan:
     """Deterministic probe sets for one decomposition run.
 
     Built from (space, route, seed) alone, so a sample table generated from
-    the same triple contains every point the run will query.
+    the same triple contains every point the run will query.  ``probes``
+    holds the named probe groups in query-table order: an (m, dim) array of
+    points, or an (m, k, dim) array of k-tuples such as the (x, y, x + y)
+    rows of ``random_pairs``.  ``schedules`` maps each planned functional
+    recovery to its exposed functional and exposing point; their doubling
+    schedules are the rows of the ``schedules`` group.
     """
 
     space: NormSpec
     route: str
     seed: int
-    basis: List[np.ndarray] = field(default_factory=list)
-    ones: Optional[np.ndarray] = None
-    pair_sums: Dict[Tuple[int, int], np.ndarray] = field(default_factory=dict)
-    randoms: List[np.ndarray] = field(default_factory=list)
-    random_pair_sums: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
-    hom_checks: List[Tuple[np.ndarray, float, np.ndarray]] = field(default_factory=list)
-    basis_ray_grid: List[Tuple[int, float, np.ndarray]] = field(default_factory=list)
-    schedules: Dict[str, Tuple[Functional, Vector, List[np.ndarray]]] = field(default_factory=dict)
-    theta_points: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
-    hyper_pins: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
-    two_dim_reps: List[np.ndarray] = field(default_factory=list)
-    verify_points: List[np.ndarray] = field(default_factory=list)
-    fresh_pairs: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    one_dim_ts: List[float] = field(default_factory=list)
+    probes: Dict[str, np.ndarray] = field(default_factory=dict)
+    schedules: Dict[str, Tuple[Functional, Vector]] = field(default_factory=dict)
 
     def all_points(self) -> List[np.ndarray]:
         """Every point the run may query, deduplicated by exact coordinates."""
         seen = {}
-        def add(p):
-            seen.setdefault(tuple(map(float, p)), np.asarray(p, float))
-        for p in self.basis:
-            add(p)
-        if self.ones is not None:
-            add(self.ones)
-        for p in self.pair_sums.values():
-            add(p)
-        for p in self.randoms:
-            add(p)
-        for x, y, z in self.random_pair_sums:
-            add(x); add(y); add(z)
-        for base, t, p in self.hom_checks:
-            add(base); add(p)
-        for i, t, p in self.basis_ray_grid:
-            add(p)
-        for _, u, pts in self.schedules.values():
-            add(u.coords)
-            for p in pts:
-                add(p)
-        for x, tx, nx in self.theta_points:
-            add(x); add(tx); add(nx)
-        for z, e, ze in self.hyper_pins:
-            add(z); add(e); add(ze)
-        for p in self.two_dim_reps:
-            add(p)
-        for p in self.verify_points:
-            add(p)
-        for x, y in self.fresh_pairs:
-            add(x); add(y)
-        if self.space.dim == 1:
-            for t in self.one_dim_ts:
-                add(np.array([t]))
-            add(np.array([1.0]))
+        for group in self.probes.values():
+            for p in group.reshape(-1, self.space.dim):
+                seen.setdefault(tuple(p.tolist()), p)
         return list(seen.values())
+
+
+def _hom_ts(m: int) -> np.ndarray:
+    """The t of each of the m rows that :func:`_scaled_pairs` lays out."""
+    return np.tile(_HOM_GRID, m // len(_HOM_GRID))
+
+
+def _scaled_pairs(B: np.ndarray) -> np.ndarray:
+    """Rows (b, t b) for each row b of B and each t of ``_HOM_GRID``, t running fastest."""
+    B = np.repeat(B, len(_HOM_GRID), axis=0)
+    return np.stack([B, _hom_ts(len(B))[:, None] * B], axis=1)
 
 
 def _unit_functional(space: NormSpec, coords: np.ndarray) -> Functional:
@@ -322,8 +288,7 @@ def _schedule_for(space: NormSpec, x_star: Functional, tol: Tolerances):
     if not exposed.exposed:
         raise NotExposed("functional is not an exposed point of the dual ball; "
                          "no smooth norming point exists")
-    u = exposed.point
-    return x_star, u, [t * u.coords for t in _SCHEDULE]
+    return x_star, exposed.point
 
 
 def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
@@ -333,61 +298,55 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
     n = space.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E37]))
     plan = QueryPlan(space=space, route=route, seed=seed)
+    probes = plan.probes
 
     if route == "one_dim":
         grid = [0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
-        plan.one_dim_ts = grid + [float(t) for t in rng.uniform(-8.0, 8.0, size=20)]
-        plan.fresh_pairs = [(np.array([float(a)]), np.array([float(b)]))
-                            for a, b in rng.uniform(-5.0, 5.0, size=(25, 2))]
+        scales = np.concatenate([grid, rng.uniform(-8.0, 8.0, size=20)])
+        probes["fresh_pairs"] = rng.uniform(-5.0, 5.0, size=(25, 2, 1))
+        probes["scales"] = scales[:, None]
+        probes["unit"] = np.ones((1, 1))
         return plan
 
     eye = np.eye(n)
-    plan.basis = [eye[i].copy() for i in range(n)]
-    plan.ones = np.ones(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            plan.pair_sums[(i, j)] = eye[i] + eye[j]
-    plan.randoms = [rng.standard_normal(n) for _ in range(3 * n)]
-    for k in range(min(5, len(plan.randoms) // 2)):
-        x, y = plan.randoms[2 * k], plan.randoms[2 * k + 1]
-        plan.random_pair_sums.append((x, y, x + y))
-
-    hom_bases = [eye[0]] + plan.randoms[:2]
-    for base in hom_bases:
-        for t in _HOM_GRID:
-            plan.hom_checks.append((base, t, t * base))
+    i, j = np.triu_indices(n, 1)
+    probes["basis"] = eye
+    probes["ones"] = np.ones((1, n))
+    probes["basis_pairs"] = eye[i] + eye[j]
+    randoms = probes["randoms"] = rng.standard_normal((3 * n, n))
+    xy = randoms[:2 * min(5, 3 * n // 2)].reshape(-1, 2, n)
+    probes["random_pairs"] = np.stack([xy[:, 0], xy[:, 1], xy[:, 0] + xy[:, 1]], axis=1)
+    probes["homogeneity"] = _scaled_pairs(np.vstack([eye[:1], randoms[:2]]))
 
     if route == "l1":
-        for i in range(n):
-            for t in _HOM_GRID:
-                plan.basis_ray_grid.append((i, t, t * eye[i]))
-        plan.schedules["exposed"] = _schedule_for(space, _unit_functional(space, np.ones(n)), tol)
+        probes["basis_rays"] = _scaled_pairs(eye)
+        anchors = {"exposed": np.ones(n)}
+    elif route == "linf":
+        anchors = {f"coord{k}": eye[k] for k in range(n)}
+    elif route == "smooth" and n >= 3:
+        anchors = {"coord0": eye[0]}
+    else:
+        anchors = {}
+    for name, c in anchors.items():
+        plan.schedules[name] = _schedule_for(space, _unit_functional(space, c), tol)
+    if anchors:
+        U = np.array([u.coords for _, u in plan.schedules.values()])
+        probes["schedules"] = np.array(_SCHEDULE)[:, None] * U[:, None]
     if route == "linf":
-        for i in range(n):
-            plan.schedules[f"coord{i}"] = _schedule_for(space, _unit_functional(space, eye[i]), tol)
-        for x in plan.randoms[:6]:
-            theta = np.sign(x)
-            nx = space.norm_of(x)
-            plan.theta_points.append((x, theta, nx * theta))
-    if route == "smooth" and n >= 3:
-        plan.schedules["coord0"] = _schedule_for(space, _unit_functional(space, eye[0]), tol)
+        X = randoms[:6]
+        theta = np.sign(X)
+        probes["sign_vectors"] = np.stack([X, theta, space.norms_of(X)[:, None] * theta], axis=1)
     if route in ("linf", "l1"):
-        for x in plan.randoms[:6]:
-            z = x.copy()
-            z[0] = 0.0
-            if not np.any(z):
-                continue
-            plan.hyper_pins.append((z, eye[0].copy(), z + eye[0]))
-
+        Z = randoms[:6].copy()
+        Z[:, 0] = 0.0
+        Z = Z[np.any(Z, axis=1)]
+        probes["hyperplane"] = np.stack([Z, np.broadcast_to(eye[0], Z.shape), Z + eye[0]], axis=1)
     if n == 2 and route in ("smooth", "generic"):
-        for a in _TWO_DIM_GRID:
-            z = a * eye[0] + eye[1]
-            plan.two_dim_reps.append(canonical_ray(z, space))
-        plan.two_dim_reps.append(canonical_ray(eye[0], space))
-        plan.two_dim_reps.append(canonical_ray(eye[1], space))
+        lines = np.array(_TWO_DIM_GRID)[:, None] * eye[0] + eye[1]
+        probes["two_dim"] = canonical_rays(np.vstack([lines, eye]), space)
 
-    plan.verify_points = [rng.standard_normal(n) for _ in range(100)]
-    plan.fresh_pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(25)]
+    probes["verify"] = rng.standard_normal((100, n))
+    probes["fresh_pairs"] = rng.standard_normal((25, 2, n))
     return plan
 
 
@@ -429,7 +388,6 @@ def _canonical_functional(c: np.ndarray) -> np.ndarray:
 
 
 def recover_functional(f: PhaseMapOracle, x_star: Functional,
-                       schedule: Optional[Sequence[np.ndarray]] = None,
                        verify_points: Optional[Sequence[np.ndarray]] = None,
                        exposing_point: Optional[Vector] = None,
                        tol: Tolerances = DEFAULT_TOL) -> FunctionalRecovery:
@@ -449,16 +407,13 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
     else:
         u = exposing_point
     cod = f.codomain
-    if schedule is None:
-        schedule = [t * u.coords for t in _SCHEDULE]
 
     prev = None
     phi_coords = None
     stabilized_at = None
     trace: List[Tuple[float, float]] = []
-    for point in schedule:
-        t = float(np.linalg.norm(point) / max(np.linalg.norm(u.coords), 1e-300))
-        img = Vector(f(point), cod)
+    for t in _SCHEDULE:
+        img = Vector(f(t * u.coords), cod)
         if img.is_zero:
             raise SmoothnessFailure(f"f vanished on the schedule at t={t}", t)
         desc = support_set(img, tol)
@@ -542,8 +497,7 @@ def _homogenized_images(f: PhaseMapOracle, Z: np.ndarray) -> np.ndarray:
     return np.where(_row_dots(reps, Z) > 0.0, nz, -nz)[:, None] * f.images(reps)
 
 
-def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL,
-                      grid: Sequence[float] = _TWO_DIM_GRID) -> TwoDimNormalization:
+def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL) -> TwoDimNormalization:
     """Turn a two-dimensional phase-map oracle into a certified linear map.
 
     Works on the homogenized view of f over the basis {e1, e2}: pins the
@@ -557,7 +511,8 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL,
     cod = f.codomain
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    A = np.array(grid, dtype=float).reshape(-1, 1)
+    grid = _TWO_DIM_GRID
+    A = np.array(grid).reshape(-1, 1)
     Z = A * e1 + e2
     G = _homogenized_images(f, np.vstack([e1, e2, Z]))
     g1, g2 = G[0], G[1]
@@ -604,23 +559,24 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
     if n < 2:
         raise RouteUnsupported("projective recovery requires dimension >= 2; "
                                "use the one-dimensional path")
-    v = np.column_stack(f.images(_rows(plan.basis, n)))
+    v = np.column_stack(f.images(plan.probes["basis"]))
     sing = np.linalg.svd(v, compute_uv=False)
     if sing[-1] <= 1e-9 * max(sing[0], 1.0):
         raise RangeDegenerate(
             "basis images are linearly dependent; the range collapses into "
             "a lower-dimensional subspace", witness=None)
-    s_img = f(plan.ones)
+    ones = plan.probes["ones"][0]
+    s_img = f(ones)
     c = np.linalg.lstsq(v, s_img, rcond=None)[0]
     fit = v @ c - s_img
-    if np.linalg.norm(fit) > tol.scaled(space.norm_of(plan.ones)) * 10:
+    if np.linalg.norm(fit) > tol.scaled(space.norm_of(ones)) * 10:
         raise CollinearityViolation(
             "image of the all-ones probe is not in the span of the basis images",
-            witness=list(plan.ones))
+            witness=list(ones))
     a = v * c
     lin = LinearMap(a, space, f.codomain)
 
-    P = np.array(plan.verify_points, dtype=float).reshape(-1, n)
+    P = plan.probes["verify"]
     FX = f.images(P)
     AX = np.matmul(a, P[:, :, None])[:, :, 0]  # bit for bit a @ probe
     na, nf = np.sqrt(_row_dots(AX, AX)), np.sqrt(_row_dots(FX, FX))
@@ -634,7 +590,7 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
         k = int(np.argmax(failed))
         raise CollinearityViolation(
             f"probe image left the predicted line (sine residual {sine[k]:.3e})",
-            witness=list(plan.verify_points[k]))
+            witness=list(P[k]))
     return lin
 
 
@@ -704,7 +660,7 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
 
     # re-verify the defining equation through the factorization on fresh pairs;
     # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
-    xy = np.array(plan.fresh_pairs, dtype=float).reshape(-1, space.dim)
+    xy = plan.probes["fresh_pairs"].reshape(-1, space.dim)
     signs, _, txy = best_signs(xy, f.images(xy))
     rxy = signs[:, None] * txy
     report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
@@ -736,7 +692,7 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
         sign_table=sign_table,
         route=route,
         residual_max=residual_max,
-        verified_pairs=len(plan.fresh_pairs),
+        verified_pairs=len(plan.probes["fresh_pairs"]),
         max_equation_discrepancy=worst_disc,
         surjectivity="declared" if f.declared_surjective else "forced",
         queried_points=len(f.query_log),
@@ -765,24 +721,21 @@ def _scale_residuals(f: PhaseMapOracle, B: np.ndarray, P: np.ndarray,
 
 def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
     """f(t x) must be +- t f(x) at every grid point."""
-    n = f.domain.dim
-    B = _rows([base for base, _, _ in plan.hom_checks], n)
-    P = _rows([point for _, _, point in plan.hom_checks], n)
-    t = np.array([t for _, t, _ in plan.hom_checks], dtype=float)
-    r = _scale_residuals(f, B, P, t)
-    failed = r > tol.scaled(f.domain.norms_of(P))
+    H = plan.probes["homogeneity"]  # rows (x, t x)
+    r = _scale_residuals(f, H[:, 0], H[:, 1], _hom_ts(len(H)))
+    failed = r > tol.scaled(f.domain.norms_of(H[:, 1]))
     if failed.any():
         k = int(np.argmax(failed))
-        base, t, _ = plan.hom_checks[k]
+        t = _HOM_GRID[k % len(_HOM_GRID)]
         raise NotDecomposable(f"homogeneity fails at t={t} (residual {r[k]:.3e})",
-                              witness=(t, list(base)))
+                              witness=(t, list(H[k, 0])))
 
 
 def _basis_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Dict[Tuple[int, int], SignPinning]:
-    """Pin every planned basis pair and check the products are sign-coherent."""
-    basis = _rows(plan.basis, f.domain.dim)
-    ij = np.array(list(plan.pair_sums), dtype=int).reshape(-1, 2)
-    pins = dict(zip(plan.pair_sums, pin_signs_batch(f, basis[ij[:, 0]], basis[ij[:, 1]], tol)))
+    """Pin every basis pair i < j and check the products are sign-coherent."""
+    basis = plan.probes["basis"]
+    i, j = np.triu_indices(len(basis), 1)
+    pins = dict(zip(zip(i.tolist(), j.tolist()), pin_signs_batch(f, basis[i], basis[j], tol)))
     # triangle coherence: product(i,j) must equal product(0,i)*product(0,j)
     for (i, j), pin in pins.items():
         if i == 0:
@@ -802,20 +755,21 @@ def _column_signs(pins: Dict[Tuple[int, int], SignPinning], n: int) -> np.ndarra
     return sigma
 
 
-def _pin_random_pairs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
-    xy = _rows(plan.random_pair_sums, 3, f.domain.dim)  # rows (x, y, x + y)
+def _pin_group(f: PhaseMapOracle, plan: QueryPlan, name: str, tol: Tolerances):
+    """Pin the sign pairs of a planned group of (x, y, x + y) rows."""
+    xy = plan.probes[name]
     pin_signs_batch(f, xy[:, 0], xy[:, 1], tol)
 
 
 def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
-    x0 = np.array([1.0])
-    fx0 = f(x0)
-    t = np.array(plan.one_dim_ts, dtype=float)
+    x0 = plan.probes["unit"]
+    fx0 = f(x0[0])
+    t = plan.probes["scales"][:, 0]
     r = _scale_residuals(f, np.broadcast_to(x0, (len(t), 1)), t[:, None], t)
     failed = r > tol.scaled(t)
     if failed.any():
         k = int(np.argmax(failed))
-        t_k = plan.one_dim_ts[k]
+        t_k = float(t[k])
         raise NotDecomposable(f"f(t) is not +- t f(1) at t={t_k} (residual {r[k]:.3e})",
                               witness=t_k)
     return fx0[:, None]
@@ -832,10 +786,10 @@ def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagn
         diagnostics["two_dim_products"] = {str(a): v for a, v in norm2.products.items()}
         return norm2.linear.matrix
     pins = _basis_pins(f, plan, tol)
-    _pin_random_pairs(f, plan, tol)
+    _pin_group(f, plan, "random_pairs", tol)
     if "coord0" in plan.schedules:
-        x_star, u, schedule = plan.schedules["coord0"]
-        rec = recover_functional(f, x_star, schedule, plan.randoms, u, tol)
+        x_star, u = plan.schedules["coord0"]
+        rec = recover_functional(f, x_star, plan.probes["randoms"], u, tol)
         diagnostics["functional_max_deviation"] = rec.max_deviation
     lin = recover_projective_linear(f, plan, tol)
     if plan.route == "smooth":
@@ -848,13 +802,9 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     n = space.dim
 
     # Step 1: recover and align one codomain functional per coordinate
-    phis = []
-    for i in range(n):
-        x_star, u, schedule = plan.schedules[f"coord{i}"]
-        rec = recover_functional(f, x_star, schedule, plan.randoms, u, tol)
-        phis.append(rec.phi.coords)
-    w_matrix = np.vstack(phis)
-    basis_images = f.images(_rows(plan.basis, n))
+    w_matrix = np.vstack([recover_functional(f, x_star, plan.probes["randoms"], u, tol).phi.coords
+                          for x_star, u in plan.schedules.values()])
+    basis_images = f.images(plan.probes["basis"])
     # vals[i, j] = phi_i(f(e_j)), each a row dot equal to np.dot bit for bit
     vals = _row_dots(np.repeat(w_matrix, n, axis=0), np.tile(basis_images, (n, 1))).reshape(n, n)
     failed = np.abs(vals - np.eye(n)) > math.sqrt(tol.rel)
@@ -865,7 +815,7 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
             f"images (phi_{i}(f(e_{j})) = {vals[i, j]:.3e})", witness=(i, j))
 
     # Step 2: the coordinate sign map must commute with f up to phase
-    X, thetas, scaled = np.moveaxis(_rows(plan.theta_points, 3, n), 1, 0)
+    X, thetas, scaled = np.moveaxis(plan.probes["sign_vectors"], 1, 0)
     F = f.images(_interleaved(thetas, scaled, X)).reshape(len(X), 3, cod.dim)
     f_theta, f_scaled, f_x = F[:, 0], F[:, 1], F[:, 2]
     nxs = space.norms_of(X).tolist()
@@ -894,41 +844,29 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
                 "coordinate signs of f(x) disagree with the image of the sign "
                 "vector", witness=list(x))
 
-    # Step 3: homogeneity, the mutually orthogonal hyperplane pair, pinning
+    # Step 3: homogeneity, pinning across the coordinate hyperplane and the
+    # marked direction e_0 (mutually Birkhoff orthogonal in plain l1 and
+    # linf, whatever f is), basis pinning
     _check_homogeneity(f, plan, tol)
-    _check_hyperplane_pins(f, plan, tol)
+    _pin_group(f, plan, "hyperplane", tol)
     pins = _basis_pins(f, plan, tol)
     sigma = _column_signs(pins, n)
-    return np.column_stack(sigma[:, None] * f.images(_rows(plan.basis, n)))
-
-
-def _check_hyperplane_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
-    """Condition (b): the coordinate hyperplane is orthogonal to the marked
-    direction both ways, and f pins signs across the pair."""
-    space = f.domain
-    e0 = Vector(plan.basis[0], space)
-    for z, _, _ in plan.hyper_pins:
-        zv = Vector(z, space)
-        if not (is_birkhoff_orthogonal(e0, zv, tol) and is_birkhoff_orthogonal(zv, e0, tol)):
-            raise NotDecomposable(
-                "coordinate hyperplane is not mutually orthogonal to the marked "
-                "direction", witness=list(z))
-    ze = _rows(plan.hyper_pins, 3, space.dim)  # rows (z, e0, z + e0)
-    pin_signs_batch(f, ze[:, 0], ze[:, 1], tol)
+    return np.column_stack(sigma[:, None] * basis_images)
 
 
 def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
     space, cod = f.domain, f.codomain
     n = space.dim
-    basis = _rows(plan.basis, n)
+    basis = plan.probes["basis"]
 
     # Step 1: basis rays scale correctly and stay disjoint in the image
-    grid = plan.basis_ray_grid
-    t = np.array([t for _, t, _ in grid], dtype=float)
-    r = _scale_residuals(f, basis[[i for i, _, _ in grid]], _rows([p for _, _, p in grid], n), t)
+    rays = plan.probes["basis_rays"]  # rows (e_i, t e_i)
+    t = _hom_ts(len(rays))
+    r = _scale_residuals(f, rays[:, 0], rays[:, 1], t)
     failed = r > tol.scaled(t)
     if failed.any():
-        i, t, _ = grid[int(np.argmax(failed))]
+        i, k = divmod(int(np.argmax(failed)), len(_HOM_GRID))
+        t = _HOM_GRID[k]
         raise NotDecomposable(f"f(t e_{i}) is not +- t f(e_{i}) at t={t}", witness=(i, t))
     first = np.arange(min(n, 4))
     second = (first + 1) % n
@@ -949,17 +887,17 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
     sing = np.linalg.svd(v, compute_uv=False)
     if sing[-1] <= 1e-9 * max(sing[0], 1.0):
         raise RangeDegenerate("basis images are linearly dependent", witness=None)
-    X = _rows(plan.randoms + [plan.ones] + list(plan.pair_sums.values()), n)
+    X = np.vstack([plan.probes[name] for name in ("randoms", "ones", "basis_pairs")])
     _check_expansion(f, v, sigma, X, tol)
 
     # Step 4: the exposed all-signs functional fixes the sign structure
-    x_star, u, schedule = plan.schedules["exposed"]
-    rec = recover_functional(f, x_star, schedule, plan.randoms, u, tol)
+    x_star, u = plan.schedules["exposed"]
+    rec = recover_functional(f, x_star, plan.probes["randoms"], u, tol)
     diagnostics["functional_max_deviation"] = rec.max_deviation
 
     # Step 5: homogeneity and the hyperplane pinning conditions
     _check_homogeneity(f, plan, tol)
-    _check_hyperplane_pins(f, plan, tol)
+    _pin_group(f, plan, "hyperplane", tol)
 
     matrix = v * sigma
     return matrix
@@ -974,7 +912,7 @@ def _expansion_coefficients(v: np.ndarray, FX: np.ndarray) -> np.ndarray:
     """
     if v.shape[0] == v.shape[1]:
         return np.linalg.solve(np.broadcast_to(v, (len(FX),) + v.shape), FX[:, :, None])[:, :, 0]
-    return _rows([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX], v.shape[1])
+    return np.array([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX]).reshape(-1, v.shape[1])
 
 
 def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.ndarray,
@@ -1046,27 +984,28 @@ def _validate_route(space: NormSpec, route: str) -> str:
 
 
 def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
-              tol: Tolerances = DEFAULT_TOL, force: bool = False,
-              plan: Optional[QueryPlan] = None) -> DecompositionCertificate:
+              tol: Tolerances = DEFAULT_TOL, force: bool = False) -> DecompositionCertificate:
     """Factor a declared-surjective phase-isometry oracle into sign * isometry.
 
     Routes: ``one_dim``, ``smooth``, ``linf``, ``l1``, ``generic``; ``auto``
-    resolves through :func:`route_for`.  Raises :class:`NotDecomposable` with a
-    witness when the oracle violates a required identity, and
-    :class:`SurjectivityNotDeclared` when the oracle lacks the surjectivity
-    declaration and ``force`` is not set.
+    resolves through :func:`route_for`.  The probes come from
+    :func:`plan_queries` on (f.domain, route, seed, tol), so an oracle over a
+    sample table that lacks any of them raises :class:`MissingSamples`, listing
+    every missing point, before the oracle is asked anything.  Raises
+    :class:`NotDecomposable` with a witness when the oracle violates a
+    required identity, and :class:`SurjectivityNotDeclared` when the oracle
+    lacks the surjectivity declaration and ``force`` is not set.
     """
-    space = f.domain
-    resolved = _validate_route(space, route)
+    plan = plan_queries(f.domain, route, seed, tol)
+    if f.table is not None:
+        missing = f.missing_points(plan.all_points())
+        if missing:
+            raise MissingSamples(missing)
     if not f.declared_surjective and not force:
         raise SurjectivityNotDeclared(
             "decomposition requires a surjectivity declaration on the oracle "
             "(or force=True to attempt anyway)")
-    if plan is None:
-        plan = plan_queries(space, resolved, seed, tol)
-    elif plan.route != resolved or plan.space != space:
-        raise RouteUnsupported("supplied plan does not match the space and route")
 
     diagnostics: dict = {}
-    matrix = _ROUTE_IMPL[resolved](f, plan, tol, diagnostics)
-    return _assemble_certificate(f, matrix, resolved, plan, tol, diagnostics)
+    matrix = _ROUTE_IMPL[plan.route](f, plan, tol, diagnostics)
+    return _assemble_certificate(f, matrix, plan.route, plan, tol, diagnostics)

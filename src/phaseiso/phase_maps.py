@@ -208,10 +208,6 @@ class PhaseMapOracle:
         return cls(domain=domain, codomain=codomain, table=table,
                    declared_surjective=declared_surjective, name=name)
 
-    @property
-    def is_table(self) -> bool:
-        return self.table is not None
-
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
             return []

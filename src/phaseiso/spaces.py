@@ -211,11 +211,6 @@ class NormSpec:
     def functional(self, coords) -> "Functional":
         return Functional(_as_coords(coords, self.dim), self)
 
-    def basis_vector(self, i: int) -> "Vector":
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return Vector(e, self)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:

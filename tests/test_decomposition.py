@@ -10,8 +10,9 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       RouteUnsupported, SmoothnessFailure, SurjectivityNotDeclared,
                       canonical_ray, decompose, generate_isometry,
                       generate_phase_isometry, normalize_two_dim, pin_signs,
-                      pin_signs_batch, plan_queries, recover_functional,
-                      recover_projective_linear, score_certificate, Tolerances)
+                      is_birkhoff_orthogonal, pin_signs_batch, plan_queries,
+                      recover_functional, recover_projective_linear, score_certificate,
+                      Tolerances)
 from conftest import zoo_ids
 from phaseiso.decomposition import (ROUTES, _assemble_certificate, _expansion_coefficients,
                                     route_for)
@@ -216,8 +217,7 @@ class TestExpansion:
         assert _expansion_coefficients(v, FX).tobytes() == want.tobytes()
 
     def test_earlier_failing_probe_is_the_witness(self):
-        plan = plan_queries(L1_3, "l1", 2)
-        probes = plan.randoms
+        probes = plan_queries(L1_3, "l1", 2).probes["randoms"]
         f = tampered(L1_3, 2, [probes[5], probes[2]], lambda fx: 1.01 * fx)
         with pytest.raises(NotDecomposable, match="magnitude bookkeeping") as err:
             decompose(f, seed=2)
@@ -226,13 +226,14 @@ class TestExpansion:
 
 class TestScaleChecks:
     def test_earlier_homogeneity_failure_is_the_witness(self):
-        plan = plan_queries(L2_4, "smooth", 1)
-        hom = plan.hom_checks  # (base, t, t * base), e_0 first
-        f = tampered(L2_4, 1, [hom[5][2], hom[3][2]], lambda fx: 1.01 * fx)
-        g = tampered(L2_4, 1, [hom[5][2], hom[3][2]], lambda fx: 1.01 * fx)
+        hom = plan_queries(L2_4, "smooth", 1).probes["homogeneity"]  # (x, t x), e_0 first
+        f = tampered(L2_4, 1, [hom[5, 1], hom[3, 1]], lambda fx: 1.01 * fx)
+        g = tampered(L2_4, 1, [hom[5, 1], hom[3, 1]], lambda fx: 1.01 * fx)
         with pytest.raises(NotDecomposable) as err:
             decompose(f, seed=1)
-        base, t, point = hom[3]
+        base, point = hom[3]
+        t = 3.0  # the fourth t of the grid (0.5, 2.0, -1.0, 3.0)
+        assert np.array_equal(point, t * base)
         r = min(L2_4.norm_of(g(point) - t * g(base)), L2_4.norm_of(g(point) + t * g(base)))
         assert err.value.witness == [t, list(base)]
         assert str(err.value) == f"homogeneity fails at t={t} (residual {r:.3e})"
@@ -569,7 +570,7 @@ class TestCertificateReplay:
     def test_first_failing_logged_query_is_the_witness(self):
         # scaling an image keeps it on its line, so only the replay sees it
         space = NormSpec.lp(3, 2)
-        probes = plan_queries(space, "smooth", 5).verify_points
+        probes = plan_queries(space, "smooth", 5).probes["verify"]
         f = tampered(space, 5, [probes[7], probes[3]], lambda fx: (1.0 + 1e-3) * fx)
         with pytest.raises(NotDecomposable,
                            match=r"^logged query is not reproduced by the factorization "
@@ -581,7 +582,7 @@ class TestCertificateReplay:
                              ids=["l2", "l1.5", "poly"])
     def test_non_finite_image_is_never_certified(self, space):
         route = route_for(space)
-        probe = plan_queries(space, route, 0).verify_points[3]
+        probe = plan_queries(space, route, 0).probes["verify"][3]
         f = tampered(space, 0, [probe], lambda fx: np.full_like(fx, np.nan))
         with pytest.raises(ValueError, match="non-finite"):
             decompose(f, seed=0)
@@ -601,7 +602,7 @@ class TestCertificateReplay:
 class TestBatchedWitnesses:
     def test_earlier_collinearity_failure_is_the_witness(self):
         plan = plan_queries(L2_4, "smooth", 0)
-        probes = plan.verify_points
+        probes = plan.probes["verify"]
         push = np.array([0.5, -0.5, 0.0, 0.0])
         f = tampered(L2_4, 0, [probes[7], probes[3]], lambda fx: fx + push)
         with pytest.raises(CollinearityViolation) as err:
@@ -743,7 +744,7 @@ class TestTableMode:
     @pytest.mark.parametrize("space", [L1_3, LINF_3, L2_4, NormSpec.lp(2, 2)])
     def test_plan_covers_all_queries(self, space):
         oracle, plan, table = self.build_table(space, 12)
-        cert = decompose(table, seed=12, plan=plan)
+        cert = decompose(table, seed=12)
         assert cert.residual_max <= 1e-9
         # and the recovered map matches the callable-mode ground truth
         score = score_certificate(oracle, cert)
@@ -751,12 +752,23 @@ class TestTableMode:
 
     def test_missing_probe_reported(self):
         oracle, plan, table = self.build_table(L1_3, 12)
-        victim = tuple(map(float, plan.basis[1]))
+        victim = tuple(map(float, plan.probes["basis"][1]))
         del table.table[victim]
         missing = table.missing_points(plan.all_points())
         assert victim in missing
         with pytest.raises(MissingSamples):
-            decompose(table, seed=12, plan=plan)
+            decompose(table, seed=12)
+
+    def test_missing_probes_of_every_stage_are_listed_before_any_query(self):
+        oracle, plan, table = self.build_table(L1_3, 12)
+        # e_1 is fetched by the first stage, the fresh pairs only by the last
+        for victim in (plan.probes["basis"][1], plan.probes["fresh_pairs"][4, 1]):
+            del table.table[tuple(map(float, victim))]
+        with pytest.raises(MissingSamples) as err:
+            decompose(table, seed=12)
+        assert err.value.points == table.missing_points(plan.all_points())
+        assert len(err.value.points) == 2
+        assert table.query_log == []
 
     def test_plan_is_deterministic(self):
         p1 = plan_queries(L1_3, "l1", 77)
@@ -766,3 +778,19 @@ class TestTableMode:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+class TestPlanLayout:
+    @pytest.mark.parametrize("p", [1.0, float("inf")], ids=["l1", "linf"])
+    def test_hyperplane_probes_are_mutually_birkhoff_orthogonal(self, p):
+        # the l1 and linf routes pin signs across (z, e_0) without checking
+        # orthogonality at run time: it is a property of the domain alone
+        pairs = 0
+        for n in range(2, 9):
+            space = NormSpec.lp(n, p)
+            for seed in range(20):
+                for z, e0, _ in plan_queries(space, route_for(space), seed).probes["hyperplane"]:
+                    zv, ev = space.vector(z), space.vector(e0)
+                    assert is_birkhoff_orthogonal(ev, zv) and is_birkhoff_orthogonal(zv, ev)
+                    pairs += 1
+        assert pairs == 7 * 20 * 6

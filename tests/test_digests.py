@@ -5,7 +5,10 @@ is pinned for twelve spaces at seeds 0-3.  A change that moves any bit of a
 certificate (the matrix, the sign table, a residual, a discrepancy) or of a
 trial outcome fails here.  So does a change to the order in which
 ``decompose`` queries the oracle: the SHA-256 of the bytes of
-``np.array(oracle.query_log)`` is pinned for the same spaces and seeds.
+``np.array(oracle.query_log)`` is pinned for the same spaces and seeds, and
+so is the layout of every probe plan: the SHA-256 of the bytes of
+``np.array(plan.all_points())``, the row order of ``phaseiso gen`` tables, for
+each space's own route and, from dimension 2 on, the ``generic`` route.
 The digests were made with numpy 2.4.6 and its OpenBLAS on x86-64; a
 different BLAS build can change the last bits of least-squares results.
 
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from phaseiso import NormSpec
-from phaseiso.decomposition import decompose
+from phaseiso.decomposition import decompose, plan_queries, route_for
 from phaseiso.harness import run_trial
 from phaseiso.phase_maps import generate_isometry, generate_phase_isometry
 
@@ -60,6 +63,23 @@ def query_log_digest(name: str, seed: int) -> str:
     oracle = generate_phase_isometry(generate_isometry(SPACES[name], seed), seed)
     decompose(oracle, seed=seed)
     return hashlib.sha256(np.array(oracle.query_log).tobytes()).hexdigest()
+
+
+def plan_routes(name: str):
+    """The routes a run on the space may take: its own and, from dimension 2, generic."""
+    space = SPACES[name]
+    own = route_for(space)
+    return [own] if space.dim == 1 or own == "generic" else [own, "generic"]
+
+
+def plan_digest(name: str, route: str, seed: int) -> str:
+    points = plan_queries(SPACES[name], route, seed).all_points()
+    return hashlib.sha256(np.array(points).tobytes()).hexdigest()
+
+
+def plan_digests(name: str):
+    return {route: {str(seed): plan_digest(name, route, seed) for seed in SEEDS}
+            for route in plan_routes(name)}
 
 
 PINNED = {
@@ -262,6 +282,160 @@ PINNED_QUERY_LOGS = {
 }
 
 
+PINNED_PLANS = {
+    "l1_n1": {
+        "one_dim": {
+            "0": "4b93f92299bd75c7611c593fa50f8bc5c1cb76cf132b5fffc80c35e12f03da94",
+            "1": "1c2cb366c5f90bec098245ddf7d691f0634a03ca9e56d37ae1b5e07528e23b95",
+            "2": "d07cb86f2def40fd7a444fad66b792ef8e9dd46cb949e2b345fb9c6d9ed82687",
+            "3": "28db11d6740964bbea6527c470cc07302e9aa996cdcb97117dae3d9a4102949a"
+        }
+    },
+    "l1_n3": {
+        "generic": {
+            "0": "267e52d0a8ba16b36af385f397b7034a01af3e0cf02137c1452b394013b64a43",
+            "1": "7e21da8a6e03d276ad3ebacb561d1e22cfc0bd0bf345ab991ace4ddaf5f57c04",
+            "2": "1980ce9d52a00dcf17a040a1ce80358c2cf9d01738e00f63aee867d5b2d77d2e",
+            "3": "084e037c44ec3c95db6e3c5bb1bf190cdd72fe695ac5892a98b32b939ee96d2b"
+        },
+        "l1": {
+            "0": "51213551aa17b32ffe72b2fa8398bb441dfbc5c298f29deabc8f416efaff584d",
+            "1": "29f62278116580590dc3bc5f843ec63ef37665e4ab689c368025d474849b9bc9",
+            "2": "6ff0340ac783a0b5196922be307aa8d23fff60fff48ba1f5d9ebe74bb1a2fc15",
+            "3": "7e4c766fdaddc78fc909922e45ce1132ef2ff8ba5bba15bb887c138c282abe86"
+        }
+    },
+    "l1_n8": {
+        "generic": {
+            "0": "4d527f10cb4f7a59f3de8856d70b5f1e6a30a9ddb7b54183db5187bbee92ff9f",
+            "1": "e90c905a95699029e1590fe0d313b28f31c36c3922363a2c8e0db1ad93b930b2",
+            "2": "eb9a576579e4f828d61825c04a996d84ee3d87f4a224a5848e6009b4b175baea",
+            "3": "047618ed94dab9c7a5fc0f8a0a8ad7ffd564648295d74639322dc9d4ebcbbf7c"
+        },
+        "l1": {
+            "0": "79390dd111a6c63412560426b7c99717832353fb20e0bed408361eb9ea4d325d",
+            "1": "10539cb83a8b57e798b3520c912d2f704fcc72cc0435ae177cd76e261d765bcd",
+            "2": "8a60c9966c2c546feee83041ae6defbc8152ab8d984a8799111feedffea715cc",
+            "3": "dcf4f13e64c1519a34b139a388ad4732d979f4b5efdfff3cd393d571b679a029"
+        }
+    },
+    "l1p5_n5": {
+        "generic": {
+            "0": "f685c8bd4b570637032e826da54411bfa5ea66664f87633c2b120434ae13316b",
+            "1": "07a1a5c8b3a071be07f344111fb2babb9c7f01eaed1af97260839f83c1b3d046",
+            "2": "c25a359d654cb826d12913379c6569b2201642d09773c7945871f0870e07b78c",
+            "3": "ace89dfa308b3352708e748acc6ef9b831f5b8001b84e8d3e225289b150d8ae8"
+        },
+        "smooth": {
+            "0": "f45d51eaf2a166b4bd61819039ead45d8398f1afd6bed2f648899f6ff744a26e",
+            "1": "1be2060959fecf6a184c9c320a76e94972d3650400f0873931c674be5ca126c4",
+            "2": "a985706c66e1ab8ac3693feac2d1835ce8da68a3c70149004c5028ad6ca7be26",
+            "3": "cf8d41efe84ac5aa5a7a3f563b241d203cb5c23531b360b7512cfe21005175de"
+        }
+    },
+    "l2_n2": {
+        "generic": {
+            "0": "5b6e2028ff12508e45cc6854b6c80475dd21d22a9ab5f3d41a7f68cd6a44e70d",
+            "1": "b0b0626893878e730a93f3f69b7f4dc3cc51c8ba8fef4b14311528b8edaaa461",
+            "2": "6b97bfe1264bd9fb04e8288261d83c82655ea035b2c78d3c749b0fab408cc0a6",
+            "3": "fbfb4566cc76505c0e71907653e8be8cea6f2ded497308899946d5fd8fbcae84"
+        },
+        "smooth": {
+            "0": "5b6e2028ff12508e45cc6854b6c80475dd21d22a9ab5f3d41a7f68cd6a44e70d",
+            "1": "b0b0626893878e730a93f3f69b7f4dc3cc51c8ba8fef4b14311528b8edaaa461",
+            "2": "6b97bfe1264bd9fb04e8288261d83c82655ea035b2c78d3c749b0fab408cc0a6",
+            "3": "fbfb4566cc76505c0e71907653e8be8cea6f2ded497308899946d5fd8fbcae84"
+        }
+    },
+    "l2_n6": {
+        "generic": {
+            "0": "1ecd66f9b50dad10b71911d76c4f7c55264d576df8ea1548c27078ea0dbc20af",
+            "1": "862bd705abfa423805b0da2cf5db5a76a447c21e7ff7ad645b1572e10bb8df8b",
+            "2": "672533e194dc4c780ce44af291055a20ae17c2182e2a46f6402c8ac75f19d636",
+            "3": "88416d9d5ba163de10004a43e1e5c2e4317305be163a02f9e67c08cd094fbf1d"
+        },
+        "smooth": {
+            "0": "acffca5de7585e037af7e781262992d6548be486fe4ee996a7d0e13199a937db",
+            "1": "02ad0297a5be2c4397334953cd91eeeaeb942f241d448b1674edb50671c874b9",
+            "2": "470e7e3cc76305fa844c6bff97755cfcb314fba3e40ace053b24df0db36c401f",
+            "3": "d8b881386d77881317e964d77b492ccd84da5d735aec1ed543c2240e99b549a4"
+        }
+    },
+    "l3_n5": {
+        "generic": {
+            "0": "f685c8bd4b570637032e826da54411bfa5ea66664f87633c2b120434ae13316b",
+            "1": "07a1a5c8b3a071be07f344111fb2babb9c7f01eaed1af97260839f83c1b3d046",
+            "2": "c25a359d654cb826d12913379c6569b2201642d09773c7945871f0870e07b78c",
+            "3": "ace89dfa308b3352708e748acc6ef9b831f5b8001b84e8d3e225289b150d8ae8"
+        },
+        "smooth": {
+            "0": "f45d51eaf2a166b4bd61819039ead45d8398f1afd6bed2f648899f6ff744a26e",
+            "1": "1be2060959fecf6a184c9c320a76e94972d3650400f0873931c674be5ca126c4",
+            "2": "a985706c66e1ab8ac3693feac2d1835ce8da68a3c70149004c5028ad6ca7be26",
+            "3": "cf8d41efe84ac5aa5a7a3f563b241d203cb5c23531b360b7512cfe21005175de"
+        }
+    },
+    "linf_n3": {
+        "generic": {
+            "0": "267e52d0a8ba16b36af385f397b7034a01af3e0cf02137c1452b394013b64a43",
+            "1": "7e21da8a6e03d276ad3ebacb561d1e22cfc0bd0bf345ab991ace4ddaf5f57c04",
+            "2": "1980ce9d52a00dcf17a040a1ce80358c2cf9d01738e00f63aee867d5b2d77d2e",
+            "3": "084e037c44ec3c95db6e3c5bb1bf190cdd72fe695ac5892a98b32b939ee96d2b"
+        },
+        "linf": {
+            "0": "a5778cb59f2be0d60b63cbb672491c3d49c034ba49dd0d78985cdaaf3e648f79",
+            "1": "25d4c8a0d01dd4e169a61c8a438785947ae2ba0d0104fe0ffe98ed1c4df9fe7e",
+            "2": "14140ef2c2615d908a9a3084dbb550fc3a90f8c52fe30f191f91c00058f290e0",
+            "3": "897608c67b81d1ef542fd6c566b7b18eb6e1c97f933d1decc14203e4340c8593"
+        }
+    },
+    "linf_n8": {
+        "generic": {
+            "0": "4d527f10cb4f7a59f3de8856d70b5f1e6a30a9ddb7b54183db5187bbee92ff9f",
+            "1": "e90c905a95699029e1590fe0d313b28f31c36c3922363a2c8e0db1ad93b930b2",
+            "2": "eb9a576579e4f828d61825c04a996d84ee3d87f4a224a5848e6009b4b175baea",
+            "3": "047618ed94dab9c7a5fc0f8a0a8ad7ffd564648295d74639322dc9d4ebcbbf7c"
+        },
+        "linf": {
+            "0": "0399ce411b4daa2946d3e6c3d5ca784330b2a0efa57966b6ceeb9ed8622ea52d",
+            "1": "90811790764ce94099cfcd3e87eb3508714e6468977574329592e59b5e23906e",
+            "2": "bacd69e80f2045bbe8d584d678b1d809f8f70f76c537948aed10af9489eb5c97",
+            "3": "8e6645208d2fe0225a274ad4f6f50df05bc8c699ced78f76016a225bf691d9ee"
+        }
+    },
+    "poly_n2": {
+        "generic": {
+            "0": "1a6ac1c7d1fb0985ea40a56d75697ad3812ed93b66df96a0b4e2d1072f05ce97",
+            "1": "485ca9fb1a8d562f35253b30a38e000bba1b061cc42808af6f9a6253657dfd83",
+            "2": "07b289a3b964da71358bcfbf5270c9f2d9e629727d92b6fa648e72497105071b",
+            "3": "a97f8128fe98175f1ba8a20a1c5f01067125bd7d7fc7b880e9ec40694e10cf1d"
+        }
+    },
+    "poly_n3": {
+        "generic": {
+            "0": "267e52d0a8ba16b36af385f397b7034a01af3e0cf02137c1452b394013b64a43",
+            "1": "7e21da8a6e03d276ad3ebacb561d1e22cfc0bd0bf345ab991ace4ddaf5f57c04",
+            "2": "1980ce9d52a00dcf17a040a1ce80358c2cf9d01738e00f63aee867d5b2d77d2e",
+            "3": "084e037c44ec3c95db6e3c5bb1bf190cdd72fe695ac5892a98b32b939ee96d2b"
+        }
+    },
+    "wl1p5_n3": {
+        "generic": {
+            "0": "267e52d0a8ba16b36af385f397b7034a01af3e0cf02137c1452b394013b64a43",
+            "1": "7e21da8a6e03d276ad3ebacb561d1e22cfc0bd0bf345ab991ace4ddaf5f57c04",
+            "2": "1980ce9d52a00dcf17a040a1ce80358c2cf9d01738e00f63aee867d5b2d77d2e",
+            "3": "084e037c44ec3c95db6e3c5bb1bf190cdd72fe695ac5892a98b32b939ee96d2b"
+        },
+        "smooth": {
+            "0": "ddfc66d7808a619f65be6f00819b9246fc0bec2e210b2c730a7f8f1f623abe68",
+            "1": "83fe4029bb861916a80dd570e9980a712d8cbeee3fc8a265a21f14396e678523",
+            "2": "ec76a45e23d0efe268f28cd5c95c847d53f055ce1b1c84707b57e4d072fd8aa3",
+            "3": "3e7ec91a6c52071e66fdc14a1c130f79c3d6e01158779a35aca2a4b158c98c6d"
+        }
+    }
+}
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_certificates_and_outcomes_are_pinned(name):
     got = {str(seed): list(digests(name, seed)) for seed in SEEDS}
@@ -274,6 +448,11 @@ def test_query_order_is_pinned(name):
     assert got == PINNED_QUERY_LOGS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_plan_layout_is_pinned(name):
+    assert plan_digests(name) == PINNED_PLANS[name]
+
+
 if __name__ == "__main__":
     pinned = {name: {str(seed): list(digests(name, seed)) for seed in SEEDS}
               for name in sorted(SPACES)}
@@ -281,3 +460,5 @@ if __name__ == "__main__":
     logs = {name: {str(seed): query_log_digest(name, seed) for seed in SEEDS}
             for name in sorted(SPACES)}
     print("PINNED_QUERY_LOGS =", json.dumps(logs, indent=4, sort_keys=True))
+    plans = {name: plan_digests(name) for name in sorted(SPACES)}
+    print("PINNED_PLANS =", json.dumps(plans, indent=4, sort_keys=True))
