@@ -87,24 +87,6 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
     return v
 
 
-def _table_oracle(space: NormSpec, pairs, declared: bool,
-                  name: str, codomain: Optional[NormSpec] = None) -> PhaseMapOracle:
-    for x, fx in pairs:
-        if x.shape != (space.dim,):
-            raise _dimension_error(space.dim, x.shape)
-    codomain = codomain or space
-    for x, fx in pairs:
-        if fx.shape != (codomain.dim,):
-            raise _dimension_error(codomain.dim, fx.shape)
-    return PhaseMapOracle.from_table(space, codomain, pairs,
-                                     declared_surjective=declared, name=name)
-
-
-def _dimension_error(expected, got):
-    return DimensionMismatch(f"dimension mismatch: space has dim {expected}, "
-                             f"sample has shape {got}")
-
-
 def _non_negative(flag: str, value: int) -> int:
     if value < 0:
         raise ValueError(f"{flag} must be >= 0, got {value}")
@@ -146,12 +128,11 @@ def cmd_check(args) -> int:
     space = _load_space(args.space)
     codomain = _load_space(args.codomain) if args.codomain else None
     rows = read_samples(args.samples)
-    oracle = _table_oracle(space, rows, declared=False, name="check", codomain=codomain)
-    cod = oracle.codomain
+    oracle = PhaseMapOracle.from_table(space, codomain or space, rows, name="check")
     points = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), space.dim)
     images = oracle.images(points)
     i, j = _sample_pairs(len(rows), _non_negative("--max-pairs", args.max_pairs), args.seed)
-    report = check_phase_equation_batch(space, cod, points[i], points[j],
+    report = check_phase_equation_batch(space, oracle.codomain, points[i], points[j],
                                         images[i], images[j], tol)
     data = report.to_dict()
     data["tolerances"] = tol.to_dict()
@@ -180,8 +161,8 @@ def cmd_decompose(args) -> int:
     declared = bool(args.declare_surjective)
     if args.samples:
         codomain = _load_space(args.codomain) if args.codomain else None
-        f = _table_oracle(space, read_samples(args.samples), declared, name="table",
-                          codomain=codomain)
+        f = PhaseMapOracle.from_table(space, codomain or space, read_samples(args.samples),
+                                      declared_surjective=declared, name="table")
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
         if declared:
@@ -207,8 +188,8 @@ def cmd_lemma(args) -> int:
     x_star = space.functional(coords)
     if args.samples:
         codomain = _load_space(args.codomain) if args.codomain else None
-        f = _table_oracle(space, read_samples(args.samples), declared=False, name="lemma",
-                          codomain=codomain)
+        f = PhaseMapOracle.from_table(space, codomain or space, read_samples(args.samples),
+                                      name="lemma")
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x1E44]))

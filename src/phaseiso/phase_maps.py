@@ -115,10 +115,14 @@ def canonical_rays(rows: np.ndarray, space: NormSpec, oriented: bool = False) ->
     return r
 
 
+def _rounded_rays(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> np.ndarray:
+    """The rows of :func:`canonical_rays` with the coordinates of :func:`ray_key`."""
+    return np.round(canonical_rays(rows, space, oriented), _KEY_DECIMALS) + 0.0
+
+
 def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[Tuple[float, ...]]:
     """:func:`ray_key` of each row of an (m, dim) array, equal to it bit for bit."""
-    r = canonical_rays(rows, space, oriented)
-    return [tuple(row) for row in (np.round(r, _KEY_DECIMALS) + 0.0).tolist()]
+    return [tuple(row) for row in _rounded_rays(rows, space, oriented).tolist()]
 
 
 def key_string(key: Tuple[float, ...]) -> str:
@@ -162,27 +166,44 @@ class SignAssignment:
 # ---------------------------------------------------------------------------
 
 
+def _stack_rows(rows: Sequence, dim: int) -> np.ndarray:
+    """The rows as an (N, dim) array; the first row of another shape raises DimensionMismatch."""
+    try:
+        a = np.array(rows, dtype=float)
+        if a.shape == (len(rows), dim):
+            return a
+    except ValueError:  # rows of unequal lengths, named below
+        pass
+    for r in rows:
+        if np.shape(r) != (dim,):
+            raise DimensionMismatch(f"dimension mismatch: space has dim {dim}, "
+                                    f"sample has shape {np.shape(r)}")
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
 @dataclass(eq=False)
 class PhaseMapOracle:
     """Query interface to the map under study.
 
     Backed either by a callable or by a finite sample table with exact
-    coordinate keys.  Queries are cached, so repeated evaluation at the same
-    point returns the identical vector, and every distinct evaluated point
-    is recorded in ``query_log``.  ``fn_batch``, when set, maps an (m, dim)
-    array of points to their (m, codomain dim) images at once; it must agree
-    with ``fn`` row by row, and :meth:`images` computes its misses with it.
+    coordinate keys: ``table`` maps each x, as a tuple of floats, to its row
+    of the (N, codomain dim) array ``table_images``.  Queries are cached, so
+    repeated evaluation at the same point returns the identical vector, and
+    every distinct evaluated point is recorded in ``query_log``.
+    ``fn_batch``, when set, maps an (m, dim) array of points to their
+    (m, codomain dim) images at once; it must agree with ``fn`` row by row.
     """
 
     domain: NormSpec
     codomain: NormSpec
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    table: Optional[Dict[Tuple[float, ...], np.ndarray]] = None
+    table: Optional[Dict[Tuple[float, ...], int]] = None
     declared_surjective: bool = False
     name: str = "oracle"
     query_log: List[np.ndarray] = field(default_factory=list)
     hidden_truth: Optional[dict] = None
     fn_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    table_images: Optional[np.ndarray] = None
     _cache: Dict[Tuple[float, ...], np.ndarray] = field(default_factory=dict)
 
     @classmethod
@@ -196,23 +217,37 @@ class PhaseMapOracle:
     def from_table(cls, domain: NormSpec, codomain: NormSpec,
                    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
                    declared_surjective: bool = False, name: str = "table"):
-        """Oracle over a sample table; rows that repeat an x must repeat its fx."""
-        table: Dict[Tuple[float, ...], np.ndarray] = {}
-        for x, fx in pairs:
-            key = tuple(map(float, x))
-            val = np.asarray(fx, float)
-            prev = table.get(key)
-            if prev is not None and not np.array_equal(prev, val):
-                raise ValueError(f"sample table maps x = {list(key)} to two different fx")
-            table[key] = val
-        return cls(domain=domain, codomain=codomain, table=table,
+        """Oracle over a sample table of (x, fx) rows, validated here.
+
+        Every x must have shape (domain dim,), then every fx (codomain dim,)
+        (DimensionMismatch names the first row that does not).  |2x| and
+        |2fx| must be finite, which bounds every |x + y| and |x - y| a check
+        forms, and rows that repeat an x must repeat its fx (ValueError names
+        the first offending row's x).  A repeated x answers with its last row.
+        """
+        X = _stack_rows([x for x, _ in pairs], domain.dim)
+        FX = _stack_rows([fx for _, fx in pairs], codomain.dim)
+        keys = [tuple(row) for row in X.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
+        if not finite.all():
+            raise ValueError(f"sample at x = {list(keys[np.argmin(finite)])} is too large: "
+                             f"|2x| or |2fx| is not finite")
+        table = dict(zip(keys, range(len(keys))))
+        if len(table) < len(keys):  # compare each repeat with the first row of its x
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            differs = (FX[[first[k] for k in keys]] != FX).any(axis=1)
+            if differs.any():
+                raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
+                                 f"to two different fx")
+        FX.setflags(write=False)
+        return cls(domain=domain, codomain=codomain, table=table, table_images=FX,
                    declared_surjective=declared_surjective, name=name)
 
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
             return []
-        return [tuple(map(float, p)) for p in points
-                if tuple(map(float, p)) not in self.table]
+        return [key for key in (tuple(map(float, p)) for p in points) if key not in self.table]
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
         coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
@@ -222,38 +257,51 @@ class PhaseMapOracle:
             return hit
         if not np.all(np.isfinite(coords)):
             raise ValueError("coordinates must be finite")
-        return self._miss(key, coords)
+        self._fetch([key], np.array(coords, dtype=float).reshape(1, -1))
+        return self._cache[key]
 
-    def _miss(self, key: Tuple[float, ...], coords: np.ndarray) -> np.ndarray:
-        """Compute, check and commit the image of one uncached point."""
+    def _fetch(self, keys: List[Tuple[float, ...]], U: np.ndarray):
+        """Compute, check and commit the images of the uncached points U, one per key, as a block.
+
+        A table answers with one gather, ``fn_batch`` with one call and
+        ``fn`` one row at a time; a block of one row goes to ``fn`` when the
+        oracle has both, as ``fn`` is the cheaper of the two on one row.  The
+        block's shape and finiteness are checked once, the first failing row
+        is named, and a failing block commits nothing.  The cache gets
+        read-only rows of one frozen copy of the block, and ``query_log`` the
+        rows of U; a key that another thread committed meanwhile keeps that
+        thread's image and is logged once.
+        """
+        cod_dim = self.codomain.dim
         if self.table is not None:
-            if key not in self.table:
-                raise MissingSamples([key])
-            val = np.asarray(self.table[key], dtype=float)
+            rows = [self.table.get(key) for key in keys]
+            if None in rows:
+                raise MissingSamples([keys[rows.index(None)]])
+            V = self.table_images[rows]
+        elif self.fn_batch is not None and (len(U) > 1 or self.fn is None):
+            V = np.array(self.fn_batch(U), dtype=float)
         else:
-            val = np.asarray(self.fn(np.array(coords)), dtype=float)
-        if val.shape != (self.codomain.dim,):
+            rows = [np.asarray(self.fn(np.array(u)), dtype=float) for u in U]
+            V = np.array(rows) if len({r.shape for r in rows}) == 1 else None
+        if V is None or V.shape != (len(U), cod_dim):
             raise DimensionMismatch("oracle returned a vector of the wrong dimension")
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"oracle returned a non-finite vector at {list(coords)}")
-        return self._commit(key, coords, val)
-
-    def _commit(self, key: Tuple[float, ...], coords: np.ndarray, val: np.ndarray) -> np.ndarray:
-        """Cache a frozen copy of a checked image and log its point."""
-        val = val.copy()
-        val.setflags(write=False)
-        self._cache[key] = val
-        self.query_log.append(np.array(coords))
-        return val
+        if not np.isfinite(V).all():
+            bad = np.argmin(np.isfinite(V).all(axis=1))
+            raise ValueError(f"oracle returned a non-finite vector at {list(U[bad])}")
+        V.setflags(write=False)
+        cache, log = self._cache, self.query_log
+        for key, u, v in zip(keys, U, V):
+            if cache.setdefault(key, v) is v:  # one atomic check-and-insert per key
+                log.append(u)
 
     def images(self, points) -> np.ndarray:
         """The images of the rows of an (m, dim) array, as an (m, codomain dim) array.
 
         Equal to calling the oracle on each row in order, in the values, the
         cache and ``query_log``: a row seen before, in the cache or earlier in
-        the batch, is a hit, and the first occurrence of each new point is
-        computed and committed in row order, by ``fn_batch`` in one call when
-        the oracle has one.
+        the batch, is a hit, and the first occurrences of the new points are
+        fetched as one block, committed in row order.  Only a failing batch
+        differs: it commits nothing.
         """
         dim, cod_dim = self.domain.dim, self.codomain.dim
         X = np.asarray(points, dtype=float)
@@ -268,20 +316,8 @@ class PhaseMapOracle:
         for i, key in enumerate(keys):
             if key not in cache and key not in first:
                 first[key] = i
-        if first and self.fn_batch is not None:
-            U = X[list(first.values())]
-            V = np.asarray(self.fn_batch(U), dtype=float)
-            if V.shape != (len(U), cod_dim):
-                raise DimensionMismatch("oracle returned a vector of the wrong dimension")
-            finite = np.isfinite(V).all(axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise ValueError(f"oracle returned a non-finite vector at {list(U[bad])}")
-            for key, u, v in zip(first, U, V):
-                self._commit(key, u, v)
-        else:
-            for key, i in first.items():
-                self._miss(key, X[i])
+        if first:
+            self._fetch(list(first), X[list(first.values())])
         return np.array([cache[key] for key in keys], dtype=float).reshape(len(keys), cod_dim)
 
 
@@ -359,41 +395,65 @@ class PairCheck:
 
 @dataclass
 class PhaseCheckReport:
-    checks: List[PairCheck]
+    """Verdicts on the pairs (x[k], y[k]) of the (m, dim) arrays x and y.
+
+    ``pair_passed`` and ``discrepancy`` are (m,) arrays; :class:`PairCheck`
+    objects are built only for ``failures`` and, when asked for, ``checks``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    pair_passed: np.ndarray
+    discrepancy: np.ndarray
     max_discrepancy: float
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.pair_passed.all())
+
+    def _pair_checks(self, rows: np.ndarray) -> List[PairCheck]:
+        return [PairCheck(self.x[k], self.y[k], ok, d) for k, ok, d in
+                zip(rows, self.pair_passed[rows].tolist(), self.discrepancy[rows].tolist())]
+
+    @property
+    def checks(self) -> List[PairCheck]:
+        return self._pair_checks(np.arange(len(self.pair_passed)))
 
     @property
     def failures(self) -> List[PairCheck]:
-        return [c for c in self.checks if not c.passed]
+        return self._pair_checks(np.flatnonzero(~self.pair_passed))
 
     def to_dict(self, include_passing: bool = False) -> dict:
+        bad = ~self.pair_passed
         out = {
-            "pairs": len(self.checks),
+            "pairs": len(self.pair_passed),
             "passed": self.passed,
             "max_discrepancy": self.max_discrepancy,
             "failures": [
-                {"x": list(c.x), "y": list(c.y), "discrepancy": c.discrepancy}
-                for c in self.failures
+                {"x": x, "y": y, "discrepancy": d} for x, y, d in
+                zip(self.x[bad].tolist(), self.y[bad].tolist(), self.discrepancy[bad].tolist())
             ],
         }
         if include_passing:
             out["checks"] = [
-                {"x": list(c.x), "y": list(c.y), "passed": c.passed,
-                 "discrepancy": c.discrepancy}
-                for c in self.checks
+                {"x": x, "y": y, "passed": ok, "discrepancy": d} for x, y, ok, d in
+                zip(self.x.tolist(), self.y.tolist(), self.pair_passed.tolist(),
+                    self.discrepancy.tolist())
             ]
         return out
 
 
-def _pair_coords(pair, space: NormSpec):
-    x, y = pair
-    xc = x.coords if isinstance(x, Vector) else _as_coords(x, space.dim)
-    yc = y.coords if isinstance(y, Vector) else _as_coords(y, space.dim)
-    return xc, yc
+def _pair_rows(f: PhaseMapOracle, pairs) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs as an (m, 2, dim) array and their images, fetched in the order x0, y0, x1, ..."""
+    dim = f.domain.dim
+
+    def as_coords(x):
+        return x.coords if isinstance(x, Vector) else _as_coords(x, dim)
+
+    coords = np.array([(as_coords(x), as_coords(y)) for x, y in pairs],
+                      dtype=float).reshape(-1, 2, dim)
+    images = f.images(coords.reshape(-1, dim)).reshape(-1, 2, f.codomain.dim)
+    return coords, images
 
 
 def check_phase_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
@@ -402,11 +462,8 @@ def check_phase_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL
     The oracle is queried at x then y, pair by pair; the equation itself is
     evaluated by :func:`check_phase_equation_batch`.
     """
-    dom, cod = f.domain, f.codomain
-    coords = np.array([_pair_coords(pair, dom) for pair in pairs], dtype=float)
-    coords = coords.reshape(-1, 2, dom.dim)
-    images = f.images(coords.reshape(-1, dom.dim)).reshape(-1, 2, cod.dim)
-    return check_phase_equation_batch(dom, cod, coords[:, 0], coords[:, 1],
+    coords, images = _pair_rows(f, pairs)
+    return check_phase_equation_batch(f.domain, f.codomain, coords[:, 0], coords[:, 1],
                                       images[:, 0], images[:, 1], tol)
 
 
@@ -427,27 +484,23 @@ def check_phase_equation_batch(dom: NormSpec, cod: NormSpec, X: np.ndarray, Y: n
                       np.abs(got_hi - want_hi))
     # norms are nonnegative, so the larger of the two maxima is the largest magnitude
     passed = disc <= tol.rel * (1.0 + np.maximum(got_hi, want_hi))
-    checks = [PairCheck(x, y, ok, d)
-              for x, y, ok, d in zip(X, Y, passed.tolist(), disc.tolist())]
-    return PhaseCheckReport(checks, float(np.max(disc, initial=0.0)))
+    return PhaseCheckReport(X, Y, passed, disc, float(np.max(disc, initial=0.0)))
 
 
 def check_wigner_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
-    """Check |<f(x), f(y)>| = |<x, y>| on each pair (Euclidean spaces only)."""
+    """Check |<f(x), f(y)>| = |<x, y>| on each pair (Euclidean spaces only).
+
+    A NaN discrepancy fails its pair and is left out of ``max_discrepancy``.
+    """
     if not (f.domain.is_euclidean and f.codomain.is_euclidean):
         raise ValueError("the inner-product equation requires Euclidean (p=2) spaces")
-    checks = []
-    worst = 0.0
-    for pair in pairs:
-        xc, yc = _pair_coords(pair, f.domain)
-        fx, fy = f(xc), f(yc)
-        got = abs(float(np.dot(fx, fy)))
-        want = abs(float(np.dot(xc, yc)))
-        disc = abs(got - want)
-        ok = disc <= tol.rel * (1.0 + max(got, want))
-        worst = max(worst, disc)
-        checks.append(PairCheck(xc, yc, ok, disc))
-    return PhaseCheckReport(checks, worst)
+    coords, images = _pair_rows(f, pairs)
+    got = np.array([abs(float(np.dot(a, b))) for a, b in images], dtype=float)
+    want = np.array([abs(float(np.dot(a, b))) for a, b in coords], dtype=float)
+    disc = np.abs(got - want)
+    passed = disc <= tol.rel * (1.0 + np.maximum(got, want))
+    worst = float(np.max(disc, initial=0.0, where=~np.isnan(disc)))
+    return PhaseCheckReport(coords[:, 0], coords[:, 1], passed, disc, worst)
 
 
 @dataclass
@@ -568,6 +621,23 @@ def _hash_sign(seed: int, key: Tuple[float, ...]) -> int:
     return 1 if digest[0] & 1 == 0 else -1
 
 
+def _hash_signs(seed: int, rounded: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """:func:`_hash_sign` of the key of each row of an (m, dim) array of rounded
+    rays, and +1 where ``nonzero`` is False.
+
+    A row's '<f8' bytes are the bytes ``struct.pack`` makes of its key.
+    """
+    seeded = hashlib.blake2b(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF), digest_size=8)
+    data = np.ascontiguousarray(rounded, dtype="<f8").tobytes()
+    width = 8 * rounded.shape[1]
+    low = np.zeros(len(rounded), dtype=int)
+    for i in np.flatnonzero(nonzero).tolist():
+        h = seeded.copy()
+        h.update(data[i * width:(i + 1) * width])
+        low[i] = h.digest()[0] & 1
+    return 1 - 2 * low
+
+
 def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> PhaseMapOracle:
     """Oracle x -> eps(x) * T x with a hidden pseudo-random sign assignment.
 
@@ -581,11 +651,10 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
     hidden = SignAssignment(space)
 
     def keyed_signs(rows: np.ndarray):
-        """Ray keys, nonzero mask and hidden signs of the rows; zero rows carry +1."""
-        keys = ray_keys(rows, space, oriented=not even)
-        nonzero = np.any(rows, axis=1).tolist()
-        signs = [_hash_sign(seed, k) if nz else 1 for k, nz in zip(keys, nonzero)]
-        return keys, nonzero, np.array(signs, dtype=int)
+        """Rounded rays, nonzero mask and hidden signs of the rows; zero rows carry +1."""
+        rounded = _rounded_rays(rows, space, oriented=not even)
+        nonzero = np.any(rows, axis=1)
+        return rounded, nonzero, _hash_signs(seed, rounded, nonzero)
 
     def signs_of(rows: np.ndarray) -> np.ndarray:
         """Hidden signs of the rows of an (m, dim) array; zero rows carry +1."""
@@ -604,9 +673,10 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
         return s * (t.matrix @ coords)
 
     def fn_batch(rows: np.ndarray) -> np.ndarray:
-        keys, nonzero, s = keyed_signs(rows)
+        rounded, nonzero, s = keyed_signs(rows)
         if even:
-            hidden.table.update((k, v) for k, nz, v in zip(keys, nonzero, s.tolist()) if nz)
+            hidden.table.update((tuple(k), v) for k, v in
+                                zip(rounded[nonzero].tolist(), s[nonzero].tolist()))
         return s[:, None] * np.matmul(t.matrix, rows[:, :, None])[:, :, 0]  # bit for bit T @ x
 
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,

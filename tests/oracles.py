@@ -94,30 +94,35 @@ def brute_polyhedral_directional(space, u, x, atol=1e-12):
     return best
 
 
-def scalar_phase_check(f, pairs, rel=1e-9):
+def scalar_pair_checks(f, pairs, rel=1e-9):
     """The phase equation checked one pair at a time with scalar norms.
 
-    Returns (passed, max_discrepancy, failures) with failures as
-    (x, y, discrepancy) triples, computed the way the library did before it
-    evaluated pairs in batches: sort each two-element multiset, compare
-    componentwise, and keep the running maximum from 0.0.
+    Returns one (x, y, passed, discrepancy) per pair, x and y as lists,
+    computed the way the library did before it evaluated pairs in batches:
+    sort each two-element multiset and compare componentwise.
     """
     dom, cod = f.domain, f.codomain
-    worst = 0.0
-    passed = True
-    failures = []
+    checks = []
     for x, y in pairs:
         x, y = np.asarray(x, float), np.asarray(y, float)
         fx, fy = f(x), f(y)
         got = sorted((cod.norm_of(fx + fy), cod.norm_of(fx - fy)))
         want = sorted((dom.norm_of(x + y), dom.norm_of(x - y)))
         disc = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
-        ok = disc <= rel * (1.0 + max(got + want))
+        checks.append((list(x), list(y), disc <= rel * (1.0 + max(got + want)), disc))
+    return checks
+
+
+def scalar_phase_check(f, pairs, rel=1e-9):
+    """Returns (passed, max_discrepancy, failures) of :func:`scalar_pair_checks`,
+    with failures as (x, y, discrepancy) triples and the running maximum
+    kept from 0.0."""
+    checks = scalar_pair_checks(f, pairs, rel)
+    worst = 0.0
+    for *_, disc in checks:
         worst = max(worst, disc)
-        passed = passed and ok
-        if not ok:
-            failures.append((list(x), list(y), disc))
-    return passed, worst, failures
+    failures = [(x, y, disc) for x, y, ok, disc in checks if not ok]
+    return not failures, worst, failures
 
 
 def scalar_verify_isometric(t, seed=0, samples=100):

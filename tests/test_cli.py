@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,42 @@ class TestConflictingRows:
         samples.write_text("\n".join(lines[:5] + [lines[5]] + lines[5:]) + "\n")
         assert run(["decompose", "--space", self.L2_3, "--samples", str(samples),
                     "--seed", "1", "--declare-surjective"]) == 0
+
+
+class TestOverflowingRows:
+    """The identity on l1, n=2 with a row near 1e308 is a phase-isometry, but
+    x + y overflows: the table is rejected (exit 64) instead of failing the
+    check with NaN discrepancies."""
+
+    L1_2 = '{"kind": "lp", "dim": 2, "p": 1}'
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["decompose", "--declare-surjective"],
+        ["lemma", "--functional", "[1, 0]"],
+    ], ids=["check", "decompose", "lemma"])
+    def test_exit_64(self, tmp_path, capsys, argv):
+        samples = tmp_path / "big.jsonl"
+        samples.write_text('{"x": [1e308, 1e308], "fx": [1e308, 1e308]}\n'
+                           '{"x": [1, 0], "fx": [1, 0]}\n')
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code = run(argv + ["--space", self.L1_2, "--samples", str(samples),
+                               "--out", str(out)])
+        assert code == 64 and not out.exists()
+        err = capsys.readouterr().err
+        assert "x = [1e+308, 1e+308] is too large" in err and "Traceback" not in err
+
+    def test_largest_finite_identity_passes(self, tmp_path):
+        samples = tmp_path / "big.jsonl"
+        samples.write_text('{"x": [4e307, 4e307], "fx": [4e307, 4e307]}\n'
+                           '{"x": [1, 0], "fx": [1, 0]}\n')
+        out = tmp_path / "report.json"
+        assert run(["check", "--space", self.L1_2, "--samples", str(samples),
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())  # plain JSON: no NaN token
+        assert report["passed"] and report["pairs"] == 3
 
 
 class TestLemma:

@@ -9,6 +9,11 @@ trial outcome fails here.  So does a change to the order in which
 so is the layout of every probe plan: the SHA-256 of the bytes of
 ``np.array(plan.all_points())``, the row order of ``phaseiso gen`` tables, for
 each space's own route and, from dimension 2 on, the ``generic`` route.
+The table path is pinned end to end through ``phaseiso``'s command lines:
+the bytes of the ``gen`` table and hidden truth, of the table-mode
+``decompose`` certificate and of the ``check`` report (500 pairs, the
+default cap on a 2,000-row table, and a failing check on a shifted table),
+each with its exit code.
 The digests were made with numpy 2.4.6 and its OpenBLAS on x86-64; a
 different BLAS build can change the last bits of least-squares results.
 
@@ -19,11 +24,12 @@ Regenerate (only for an intended output change) with
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaseiso import NormSpec
+from phaseiso import NormSpec, cli
 from phaseiso.decomposition import decompose, plan_queries, route_for
 from phaseiso.harness import run_trial
 from phaseiso.phase_maps import generate_isometry, generate_phase_isometry
@@ -75,6 +81,70 @@ def plan_routes(name: str):
 def plan_digest(name: str, route: str, seed: int) -> str:
     points = plan_queries(SPACES[name], route, seed).all_points()
     return hashlib.sha256(np.array(points).tobytes()).hexdigest()
+
+
+TABLE_SPACES = ("l1_n8", "l2_n6", "linf_n8", "poly_n3")
+TABLE_SEEDS = range(2)
+BIG_TABLE_ROWS = 2000
+
+
+def cli_digest(argv, *outputs) -> str:
+    """SHA-256 of a ``phaseiso`` run's exit code and the bytes it wrote."""
+    data = f"exit={cli.main(argv)}\n".encode()
+    return hashlib.sha256(data + b"".join(Path(p).read_bytes() for p in outputs)).hexdigest()
+
+
+def table_digests(name: str, seed: int, workdir: Path):
+    """gen (table and hidden truth), table-mode decompose and a 500-pair check."""
+    spec, s = json.dumps(SPACES[name].to_json()), str(seed)
+    table, hidden, cert, report = (str(workdir / f"{name}_{seed}.{ext}")
+                                   for ext in ("jsonl", "hidden.json", "cert.json", "check.json"))
+    return {
+        "gen": cli_digest(["gen", "--space", spec, "--seed", s, "--out", table,
+                           "--extra", "100", "--hidden", hidden], table, hidden),
+        "decompose": cli_digest(["decompose", "--space", spec, "--samples", table, "--seed", s,
+                                 "--declare-surjective", "--out", cert], cert),
+        "check": cli_digest(["check", "--space", spec, "--samples", table, "--seed", s,
+                             "--max-pairs", "500", "--out", report], report),
+    }
+
+
+def big_check_digest(seed: int, workdir: Path) -> str:
+    """The default pair cap on a 2,000-row l1, n=8 table."""
+    space = SPACES["l1_n8"]
+    spec, s = json.dumps(space.to_json()), str(seed)
+    plan_rows = len(plan_queries(space, route_for(space), seed).all_points())
+    table, report = str(workdir / f"big_{seed}.jsonl"), str(workdir / f"big_{seed}.check.json")
+    cli.main(["gen", "--space", spec, "--seed", s, "--out", table,
+              "--extra", str(BIG_TABLE_ROWS - plan_rows)])
+    return cli_digest(["check", "--space", spec, "--samples", table, "--seed", s,
+                       "--out", report], report)
+
+
+def shifted_check_digest(workdir: Path) -> str:
+    """A failing check: the l2, n=6 table at seed 0 with every fx shifted."""
+    spec = json.dumps(SPACES["l2_n6"].to_json())
+    table, shifted = str(workdir / "l2.jsonl"), str(workdir / "l2_shifted.jsonl")
+    report = str(workdir / "shifted.check.json")
+    cli.main(["gen", "--space", spec, "--seed", "0", "--out", table, "--extra", "20"])
+    with open(table) as src, open(shifted, "w") as dst:
+        for line in src:
+            rec = json.loads(line)
+            rec["fx"] = [v + 0.25 for v in rec["fx"]]
+            dst.write(json.dumps(rec) + "\n")
+    digest = cli_digest(["check", "--space", spec, "--samples", shifted, "--seed", "0",
+                         "--max-pairs", "200", "--out", report], report)
+    assert json.loads(Path(report).read_text())["failures"]
+    return digest
+
+
+def all_table_digests(workdir: Path):
+    return {
+        "tables": {name: {str(seed): table_digests(name, seed, workdir) for seed in TABLE_SEEDS}
+                   for name in TABLE_SPACES},
+        "big_check": {str(seed): big_check_digest(seed, workdir) for seed in TABLE_SEEDS},
+        "shifted_check": shifted_check_digest(workdir),
+    }
 
 
 def plan_digests(name: str):
@@ -436,6 +506,65 @@ PINNED_PLANS = {
 }
 
 
+PINNED_TABLE_PATH = {
+    "big_check": {
+        "0": "f7a2f2c996df3941992d2e1e785135ff799d89873b93f907feb95a638a9efd44",
+        "1": "f7a2f2c996df3941992d2e1e785135ff799d89873b93f907feb95a638a9efd44"
+    },
+    "shifted_check": "6b06f9d9b0bc9b6b50b3939ce5759ba7a74d5a94d09f4207b0c2ea95ca452994",
+    "tables": {
+        "l1_n8": {
+            "0": {
+                "check": "0bb32323ea6f5012e1d7b3c40e5a762516d7ba6242576b225441ec1aae4212b2",
+                "decompose": "236b1c09c0bd4050b83520973f2787b705d22c8fb6b5fe81e9cdb6c83b8dabe9",
+                "gen": "c60910a1f35be43293bc67cf74be3257cf68dd3847e799afe58f9923729537f3"
+            },
+            "1": {
+                "check": "e11e8e288f24833e0115b77d3591416b10248651dd83bedac13ade86d56a9e23",
+                "decompose": "e208a02c37000ef4707b9c77e62ed99c8eab067cd774c28f84a61e524a2881a2",
+                "gen": "aa295dc4f471329eae4b2882a8cc430d026fdbafae4ab0e7ccef4ca16f7cb846"
+            }
+        },
+        "l2_n6": {
+            "0": {
+                "check": "f89a4bcea5db8e841387bc379bfcf81c2903c53610b773331c847f3ed0399247",
+                "decompose": "df356b24579fc4979ea4d19fd5fb5ea1655ff2f1561ceb67d1adbf0c1687427e",
+                "gen": "4403742af9ba75acfb455feeb933a9e668f212e2135303d89176c5109039549d"
+            },
+            "1": {
+                "check": "d13ee0d9bed3b16b9fa5f3a2e060aa93365350ecacaf81358f39d1302f1fb6fd",
+                "decompose": "d9642a729a622130ea7cc0e38f5aa4c8bf361468861c1a285602a41ef8dfb241",
+                "gen": "9e54b86405ed4ece7171934077c964ef17f28af022e63597ed8c691071454d6d"
+            }
+        },
+        "linf_n8": {
+            "0": {
+                "check": "d4d24a26a38bfb8ab9b51acae851567eb1387a3871e159898cc7fadc87c9e0b3",
+                "decompose": "a2f9a314c3a1722275b548c7cae53215840d41f7781bdbedf5801e517c01d8ad",
+                "gen": "c8d45b7d837fcd10b3d60b773fec4e154ed8ce76ce0f19fd6b89d7e5e9758b74"
+            },
+            "1": {
+                "check": "d4d24a26a38bfb8ab9b51acae851567eb1387a3871e159898cc7fadc87c9e0b3",
+                "decompose": "1bd7addc7c63654688143656f3c645c334a4ce910d313e59f0eec4d9e4e5fb4a",
+                "gen": "583ddf6ee0f8d191a2cfb2aba678a4a7640ed0ce1689a31e1b6fbd54de14f249"
+            }
+        },
+        "poly_n3": {
+            "0": {
+                "check": "d4d24a26a38bfb8ab9b51acae851567eb1387a3871e159898cc7fadc87c9e0b3",
+                "decompose": "b4f1b31fd29ed9d19d0b3f85c67e23b5bea98fbe7803d08eb69057b65abbf05a",
+                "gen": "f7ad492050060453e5530e4c2f9da8eb07351e1482f325c4f1dc466adf22fa95"
+            },
+            "1": {
+                "check": "d4d24a26a38bfb8ab9b51acae851567eb1387a3871e159898cc7fadc87c9e0b3",
+                "decompose": "c8ff69a1d42faedc7d772c02988645ea398c7f6597ff74b1f408c966e12227bf",
+                "gen": "0a45a5850a3d21ab5acf0a4ac74076a9d30af5dfd8d6eb79267af2fd702cfa15"
+            }
+        }
+    }
+}
+
+
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_certificates_and_outcomes_are_pinned(name):
     got = {str(seed): list(digests(name, seed)) for seed in SEEDS}
@@ -453,6 +582,21 @@ def test_plan_layout_is_pinned(name):
     assert plan_digests(name) == PINNED_PLANS[name]
 
 
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+@pytest.mark.parametrize("name", TABLE_SPACES)
+def test_table_path_is_pinned(name, seed, tmp_path):
+    assert table_digests(name, seed, tmp_path) == PINNED_TABLE_PATH["tables"][name][str(seed)]
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+def test_default_pair_cap_check_is_pinned(seed, tmp_path):
+    assert big_check_digest(seed, tmp_path) == PINNED_TABLE_PATH["big_check"][str(seed)]
+
+
+def test_failing_check_is_pinned(tmp_path):
+    assert shifted_check_digest(tmp_path) == PINNED_TABLE_PATH["shifted_check"]
+
+
 if __name__ == "__main__":
     pinned = {name: {str(seed): list(digests(name, seed)) for seed in SEEDS}
               for name in sorted(SPACES)}
@@ -462,3 +606,7 @@ if __name__ == "__main__":
     print("PINNED_QUERY_LOGS =", json.dumps(logs, indent=4, sort_keys=True))
     plans = {name: plan_digests(name) for name in sorted(SPACES)}
     print("PINNED_PLANS =", json.dumps(plans, indent=4, sort_keys=True))
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = all_table_digests(Path(tmp))
+    print("PINNED_TABLE_PATH =", json.dumps(tables, indent=4, sort_keys=True))

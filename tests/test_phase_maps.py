@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,6 +15,7 @@ from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, Ph
                       generate_isometry, generate_phase_isometry,
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
                       ray_key, ray_keys, read_samples, write_samples)
+from phaseiso.phase_maps import _hash_sign, _hash_signs, _rounded_rays
 
 L2_2 = NormSpec.lp(2, 2)
 LINE = NormSpec.lp(1, 2)
@@ -117,6 +120,23 @@ class TestOracle:
         assert a is b
         assert len(calls) == 1
         assert len(f.query_log) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: identity_oracle(L2_2),
+        lambda: generate_phase_isometry(generate_isometry(L2_2, 1), 1),
+        lambda: PhaseMapOracle.from_table(L2_2, L2_2, [(np.array([1.0, 2.0]), np.array([2.0, 1.0])),
+                                                       (np.array([3.0, 4.0]), np.array([4.0, 3.0]))]),
+    ], ids=["callable", "generated", "table"])
+    def test_repeat_query_returns_the_cached_object(self, make):
+        f = make()
+        x = np.array([1.0, 2.0])
+        a = f(x)
+        assert f(x.copy()) is a and f([1.0, 2.0]) is a
+        assert not a.flags.writeable
+        f.images(np.array([[3.0, 4.0], [1.0, 2.0]]))  # a block commit keeps the earlier object
+        y = np.array([3.0, 4.0])
+        assert f(x) is a and f(y) is f(y) and not f(y).flags.writeable
+        assert len(f.query_log) == 2
 
     def test_table_mode_exact_keys(self):
         f = PhaseMapOracle.from_table(L2_2, L2_2, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
@@ -294,6 +314,85 @@ class TestOracleImages:
         assert (MissingSamples, str(err.value)) == raised(lambda: oracles.scalar_images(g, X))
 
 
+class TestTableOracle:
+    """``from_table`` validates and stacks the table once; ``images`` answers
+    with one gather and commits nothing when a row fails."""
+
+    @staticmethod
+    def signed_zero_table(rng):
+        """Rows with identical repeats and x keys that differ only in the sign of a zero."""
+        X = rng.standard_normal((6, 3))
+        X[1, 0] = 0.0
+        pairs = [(x, np.cos(x)) for x in X]
+        pairs[1][1][1] = 0.0
+        pairs.append((X[2].copy(), np.cos(X[2])))  # an identical repeat
+        twin = X[1].copy()
+        twin[0] = -0.0  # the key of row 1 again
+        pairs.insert(1, (twin, pairs[1][1].copy()))
+        fx_last = pairs[1][1].copy()
+        fx_last[1] = -0.0  # equal as values, so not a conflict
+        pairs.append((X[1].copy(), fx_last))
+        return X, twin, pairs
+
+    def test_images_match_row_by_row(self, rng):
+        X, twin, pairs = self.signed_zero_table(rng)
+        batch = np.vstack([X, twin, X[::-1], X[2]])
+        warm = [X[4].copy()]
+        f = images_parity(lambda: PhaseMapOracle.from_table(POLY_SPACE, POLY_SPACE, pairs),
+                          batch, warm)
+        assert f.images(twin[None]).tobytes() == f.images(X[1:2]).tobytes()
+        # a repeated x answers with its last row, as a dict filled row by row does
+        assert math.copysign(1.0, f(X[1])[1]) == -1.0
+        assert len(f.table) == 6 and f.table_images.shape == (len(pairs), 3)
+
+    def test_missing_row_commits_nothing(self, rng):
+        X = rng.standard_normal((6, 2))
+        f = PhaseMapOracle.from_table(L2_2, L2_2, [(x, x) for k, x in enumerate(X) if k not in (2, 4)])
+        batch = np.vstack([X[:2], X[4], X[2]])
+        with pytest.raises(MissingSamples) as err:
+            f.images(batch)
+        assert err.value.points == [tuple(X[4])]  # the first missing row, alone
+        assert f.query_log == [] and f._cache == {}
+        assert f.missing_points(list(batch)) == [tuple(X[4]), tuple(X[2])]
+
+    @pytest.mark.parametrize("bad_x,bad_fx,message", [
+        (3, None, "space has dim 2, sample has shape (3,)"),
+        (None, 1, "space has dim 2, sample has shape (1,)"),
+        (4, 1, "space has dim 2, sample has shape (3,)"),  # x rows are checked first
+    ], ids=["x", "fx", "x-before-fx"])
+    def test_wrong_shape_row(self, rng, bad_x, bad_fx, message):
+        X = rng.standard_normal((6, 2))
+        pairs = [(x, 2.0 * x) for x in X]
+        if bad_x is not None:
+            pairs[bad_x] = (np.append(X[bad_x], 1.0), pairs[bad_x][1])
+        if bad_fx is not None:
+            pairs[bad_fx] = (X[bad_fx], np.ones(1))
+        with pytest.raises(DimensionMismatch) as err:
+            PhaseMapOracle.from_table(L2_2, L2_2, pairs)
+        assert str(err.value) == f"dimension mismatch: {message}"
+
+    @pytest.mark.parametrize("space,x,fx", [
+        (L2_2, [1.0, 2.0], [math.nan, 1.0]),
+        (L2_2, [1.0, 2.0], [math.inf, 1.0]),
+        (NormSpec.lp(2, 1), [1e308, 1e308], [1e308, 1e308]),
+        (NormSpec.lp(2, 1), [1.0, 0.0], [1e308, 1e308]),
+        (NormSpec.lp(2, 3), [1e103, 0.0], [1e103, 0.0]),
+        (POLY_SPACE, [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]),
+    ], ids=["nan-fx", "inf-fx", "l1-x", "l1-fx", "l3-power", "poly"])
+    def test_non_finite_or_overflowing_row_rejected(self, space, x, fx):
+        ok = (np.eye(space.dim)[0], np.eye(space.dim)[0])
+        with pytest.raises(ValueError, match=re.escape(f"sample at x = {x} is too large")):
+            PhaseMapOracle.from_table(space, space, [ok, (np.array(x), np.array(fx)), ok])
+
+    def test_largest_finite_rows_accepted(self):
+        space = NormSpec.lp(2, 1)
+        big = np.array([4e307, 4e307])
+        f = PhaseMapOracle.from_table(space, space, [(big, big), (-big, -big),
+                                                     (np.eye(2)[0], np.eye(2)[0])])
+        report = check_phase_equation(f, [(big, big), (big, -big), (big, np.eye(2)[0])])
+        assert report.passed and math.isfinite(report.max_discrepancy)
+
+
 class TestPhaseEquation:
     def test_identity_passes(self, rng):
         f = identity_oracle(L2_2)
@@ -357,9 +456,24 @@ class TestBatchedPhaseCheck:
         assert [(list(c.x), list(c.y), c.discrepancy) for c in report.failures] == failures
         assert len(report.checks) == len(pairs)
 
+    @pytest.mark.parametrize("f,pairs", _phase_fixtures())
+    def test_every_pair_matches_scalar_reference(self, f, pairs):
+        want = oracles.scalar_pair_checks(f, pairs)
+        report = check_phase_equation(f, pairs)
+        assert [(list(c.x), list(c.y), c.passed, c.discrepancy) for c in report.checks] == want
+        got = report.to_dict(include_passing=True)
+        assert got["checks"] == [{"x": x, "y": y, "passed": ok, "discrepancy": d}
+                                 for x, y, ok, d in want]
+        assert got["failures"] == [{"x": x, "y": y, "discrepancy": d}
+                                   for x, y, ok, d in want if not ok]
+        assert got["pairs"] == len(pairs) and got["passed"] == all(c[2] for c in want)
+
     def test_no_pairs(self):
         report = check_phase_equation(identity_oracle(L2_2), [])
         assert report.passed and report.checks == [] and report.max_discrepancy == 0.0
+        assert report.failures == [] and report.x.shape == (0, 2)
+        assert report.to_dict(include_passing=True) == {
+            "pairs": 0, "passed": True, "max_discrepancy": 0.0, "failures": [], "checks": []}
 
     def test_nan_discrepancy_fails(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -369,6 +483,26 @@ class TestBatchedPhaseCheck:
         assert [c.passed for c in report.checks] == [True, False]
         assert math.isnan(report.failures[0].discrepancy)
         assert math.isnan(report.max_discrepancy)
+
+    def test_nan_pair_in_report(self, rng):
+        """A NaN pair fails in ``checks``, ``failures`` and the JSON form alike,
+        and the other pairs keep the scalar reference's verdicts."""
+        f = identity_oracle(L2_2)
+        pairs = random_pairs(rng, 2, 5)
+        X = np.array([x for x, _ in pairs])
+        Y = np.array([y for _, y in pairs])
+        FX, FY = X.copy(), Y.copy()
+        FX[3, 1] = np.nan
+        report = check_phase_equation_batch(L2_2, L2_2, X, Y, FX, FY)
+        want = oracles.scalar_pair_checks(f, pairs)
+        want[3] = (want[3][0], want[3][1], False, math.nan)
+        got = report.to_dict(include_passing=True)
+        assert json.dumps(got["checks"]) == json.dumps(
+            [{"x": x, "y": y, "passed": ok, "discrepancy": d} for x, y, ok, d in want])
+        assert json.dumps(got["failures"]) == json.dumps(
+            [{"x": want[3][0], "y": want[3][1], "discrepancy": math.nan}])
+        assert [c.x.tolist() for c in report.failures] == [want[3][0]]
+        assert not got["passed"] and math.isnan(got["max_discrepancy"])
 
 
 class TestWignerEquation:
@@ -391,6 +525,20 @@ class TestWignerEquation:
         report = check_wigner_equation(f, [(np.array([1.0, 1.0]), np.array([1.0, -1.0]))])
         assert not report.passed
         assert report.max_discrepancy == pytest.approx(2.0)
+
+    def test_matches_pairwise_reference(self, rng):
+        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array([c[0], -2.0 * c[1]]))
+        pairs = random_pairs(rng, 2, 30) + [(np.array([1.0, 0.0]), np.array([0.0, 5.0]))]
+        report = check_wigner_equation(f, pairs)
+        want, worst = [], 0.0
+        for x, y in pairs:
+            got, target = abs(float(np.dot(f(x), f(y)))), abs(float(np.dot(x, y)))
+            disc = abs(got - target)
+            worst = max(worst, disc)
+            want.append((list(x), list(y), disc <= 1e-9 * (1.0 + max(got, target)), disc))
+        assert [(list(c.x), list(c.y), c.passed, c.discrepancy) for c in report.checks] == want
+        assert report.max_discrepancy == worst and len(report.failures) == sum(
+            not ok for *_, ok, _ in want)
 
     def test_requires_euclidean(self):
         f = identity_oracle(NormSpec.lp(2, 1))
@@ -531,6 +679,42 @@ class TestGenerators:
         t = LinearMap(2.0 * np.eye(2), L2_2, L2_2, isometric=False)
         with pytest.raises(ValueError):
             generate_phase_isometry(t, 0)
+
+
+class TestSignHash:
+    """The batched sign hash equals ``_hash_sign`` on each row's ray key."""
+
+    @staticmethod
+    def rows(dim, rng):
+        X = rng.standard_normal((30, dim))
+        X[3] = 0.0
+        X[4] = -0.0
+        X[5, 0] = -0.0
+        X[6] = -X[7]  # a line's two rays
+        X[8, 1] = -1e-14  # rounds to -0.0 in the key, which folds into +0.0
+        return X
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5, 2 ** 64 + 3])
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("space", [NormSpec.lp(3, 1), NormSpec.lp(4, 2), POLY_SPACE],
+                             ids=["l1", "l2", "poly"])
+    def test_matches_scalar_hash(self, rng, space, oriented, seed):
+        X = self.rows(space.dim, rng)
+        got = _hash_signs(seed, _rounded_rays(X, space, oriented), np.any(X, axis=1))
+        want = [_hash_sign(seed, ray_key(x, space, oriented)) if np.any(x) else 1 for x in X]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    def test_generated_signs_match_scalar_hash(self, rng, even):
+        space = NormSpec.lp(3, 1.5)
+        f = generate_phase_isometry(generate_isometry(space, 9), 9, even=even)
+        X = self.rows(3, rng)
+        want = [_hash_sign(9, ray_key(x, space, not even)) if np.any(x) else 1 for x in X]
+        assert f.hidden_truth["signs_of"](X).tolist() == want
+        f.images(X)
+        if even:
+            assert f.hidden_truth["signs"].table == {
+                ray_key(x, space): s for x, s in zip(X, want) if np.any(x)}
 
 
 class TestConcurrency:
