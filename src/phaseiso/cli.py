@@ -28,7 +28,7 @@ from .harness import CampaignConfig, run_campaign
 from .orthogonality import birkhoff_verdict
 from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
                          check_phase_equation_batch, generate_isometry,
-                         generate_phase_isometry, key_string, read_samples,
+                         generate_phase_isometry, read_samples, validate_table,
                          write_samples)
 from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
 from .spaces import DimensionMismatch, NormSpec
@@ -118,6 +118,18 @@ def _seed_oracle(space: NormSpec, oracle_seed: int, even: bool) -> PhaseMapOracl
     return generate_phase_isometry(t, oracle_seed, even=even)
 
 
+def _oracle(args, space: NormSpec, declared: bool = False) -> PhaseMapOracle:
+    """The --samples table over --codomain, else the --oracle-seed oracle; ``declared`` adds
+    the surjectivity declaration."""
+    if args.samples:
+        codomain = _load_space(args.codomain) if args.codomain else space
+        f = PhaseMapOracle.from_table(space, codomain, read_samples(args.samples))
+    else:
+        f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
+    f.declared_surjective |= declared
+    return f
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -126,14 +138,10 @@ def _seed_oracle(space: NormSpec, oracle_seed: int, even: bool) -> PhaseMapOracl
 def cmd_check(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    codomain = _load_space(args.codomain) if args.codomain else None
-    rows = read_samples(args.samples)
-    oracle = PhaseMapOracle.from_table(space, codomain or space, rows, name="check")
-    points = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), space.dim)
-    images = oracle.images(points)
-    i, j = _sample_pairs(len(rows), _non_negative("--max-pairs", args.max_pairs), args.seed)
-    report = check_phase_equation_batch(space, oracle.codomain, points[i], points[j],
-                                        images[i], images[j], tol)
+    codomain = _load_space(args.codomain) if args.codomain else space
+    X, FX, _ = validate_table(space, codomain, read_samples(args.samples))
+    i, j = _sample_pairs(len(X), _non_negative("--max-pairs", args.max_pairs), args.seed)
+    report = check_phase_equation_batch(space, codomain, X[i], X[j], FX[i], FX[j], tol)
     data = report.to_dict()
     data["tolerances"] = tol.to_dict()
     data["sampled_pairs"] = len(i)
@@ -158,15 +166,7 @@ def cmd_ortho(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    declared = bool(args.declare_surjective)
-    if args.samples:
-        codomain = _load_space(args.codomain) if args.codomain else None
-        f = PhaseMapOracle.from_table(space, codomain or space, read_samples(args.samples),
-                                      declared_surjective=declared, name="table")
-    else:
-        f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
-        if declared:
-            f.declared_surjective = True
+    f = _oracle(args, space, declared=args.declare_surjective)
     cert = decompose(f, route=args.route, seed=args.seed, tol=tol, force=args.force)
     data = cert.to_json()
     _log(f"route={cert.route} residual_max={cert.residual_max:.3e} "
@@ -186,12 +186,7 @@ def cmd_lemma(args) -> int:
         raise DimensionMismatch(f"functional must be unit in the dual norm (got {dn}); "
                                 "pass --normalize to rescale")
     x_star = space.functional(coords)
-    if args.samples:
-        codomain = _load_space(args.codomain) if args.codomain else None
-        f = PhaseMapOracle.from_table(space, codomain or space, read_samples(args.samples),
-                                      name="lemma")
-    else:
-        f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
+    f = _oracle(args, space)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x1E44]))
     verify = [rng.standard_normal(space.dim)
               for _ in range(_non_negative("--verify-points", args.verify_points))]
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="phase-isometry checking and sign-times-isometry decomposition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0, codomain=False):
+    def common(p, seed_default=0, codomain=False, oracle=False):
         p.add_argument("--space", required=True,
                        help="space description: JSON file path or inline JSON")
         p.add_argument("--tol", type=float, default=None,
@@ -270,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
         if codomain:
             p.add_argument("--codomain", default=None,
                            help="codomain space for sample tables (defaults to --space)")
+        if oracle:  # read by _oracle
+            p.add_argument("--samples", default=None, help="JSONL sample table for the oracle")
+            p.add_argument("--oracle-seed", type=int, default=0,
+                           help="regenerate a seeded oracle instead of reading samples")
+            p.add_argument("--uneven", action="store_true",
+                           help="seeded oracle draws per-ray signs (not odd)")
 
     p = sub.add_parser("check", help="verify the defining equation on sample pairs")
     common(p, codomain=True)
@@ -285,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ortho)
 
     p = sub.add_parser("decompose", help="factor an oracle into sign * isometry")
-    common(p, codomain=True)
-    p.add_argument("--samples", default=None, help="JSONL sample table for the oracle")
-    p.add_argument("--oracle-seed", type=int, default=0,
-                   help="regenerate a seeded oracle instead of reading samples")
-    p.add_argument("--uneven", action="store_true",
-                   help="seeded oracle draws per-ray signs (not odd)")
+    common(p, codomain=True, oracle=True)
     p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--declare-surjective", action="store_true")
     p.add_argument("--force", action="store_true",
@@ -298,13 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("lemma", help="recover the dual functional matched to an exposed x*")
-    common(p, codomain=True)
+    common(p, codomain=True, oracle=True)
     p.add_argument("--functional", required=True, help="dual coordinates as JSON")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the functional to unit dual norm first")
-    p.add_argument("--samples", default=None)
-    p.add_argument("--oracle-seed", type=int, default=0)
-    p.add_argument("--uneven", action="store_true")
     p.add_argument("--verify-points", type=int, default=100)
     p.set_defaults(func=cmd_lemma)
 

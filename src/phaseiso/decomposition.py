@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment,
-                         canonical_rays, check_phase_equation_batch, multiset_match,
-                         ray_keys)
+                         canonical_rays, check_phase_equation_batch, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import Functional, NormSpec, Vector, is_w_star_exposed, support_set
 
@@ -278,17 +277,13 @@ def _scaled_pairs(B: np.ndarray) -> np.ndarray:
     return np.stack([B, _hom_ts(len(B))[:, None] * B], axis=1)
 
 
-def _unit_functional(space: NormSpec, coords: np.ndarray) -> Functional:
-    c = np.asarray(coords, float)
-    return Functional(c / space.dual_norm_of(c), space)
-
-
-def _schedule_for(space: NormSpec, x_star: Functional, tol: Tolerances):
+def _exposing_point(x_star: Functional, tol: Tolerances) -> Vector:
+    """The smooth point that x* exposes, or NotExposed."""
     exposed = is_w_star_exposed(x_star, tol)
     if not exposed.exposed:
         raise NotExposed("functional is not an exposed point of the dual ball; "
                          "no smooth norming point exists")
-    return x_star, exposed.point
+    return exposed.point
 
 
 def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
@@ -328,7 +323,8 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
     else:
         anchors = {}
     for name, c in anchors.items():
-        plan.schedules[name] = _schedule_for(space, _unit_functional(space, c), tol)
+        x_star = Functional(c / space.dual_norm_of(c), space)
+        plan.schedules[name] = x_star, _exposing_point(x_star, tol)
     if anchors:
         U = np.array([u.coords for _, u in plan.schedules.values()])
         probes["schedules"] = np.array(_SCHEDULE)[:, None] * U[:, None]
@@ -364,7 +360,6 @@ class FunctionalRecovery:
     exposing_point: Vector
     stabilized_at: float
     trace: List[Tuple[float, float]]
-    samples: List[np.ndarray]
     sign_pattern: List[int]
     max_deviation: float
 
@@ -398,14 +393,7 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
     stopping once successive estimates agree in dual norm; the result is
     oriented so phi(f(u)) > 0 and checked against |x*(x)| on the samples.
     """
-    if exposing_point is None:
-        exposed = is_w_star_exposed(x_star, tol)
-        if not exposed.exposed:
-            raise NotExposed(
-                "functional is not exposed: no smooth point is normed by it alone")
-        u = exposed.point
-    else:
-        u = exposing_point
+    u = _exposing_point(x_star, tol) if exposing_point is None else exposing_point
     cod = f.codomain
 
     prev = None
@@ -450,7 +438,7 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
             f"|x*(x)| and |phi(f(x))| disagree by {dev[k]:.3e}", witness=list(samples[k]))
     small = tol.scaled(1.0)
     signs = np.where((np.abs(lhs) > small) & (np.abs(rhs) > small) & ~(lhs * rhs > 0), -1, 1)
-    return FunctionalRecovery(x_star, phi, u, stabilized_at, trace, samples, signs.tolist(),
+    return FunctionalRecovery(x_star, phi, u, stabilized_at, trace, signs.tolist(),
                               float(np.max(dev, initial=0.0)))
 
 
@@ -463,26 +451,15 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
 class TwoDimNormalization:
     """Certified sign-product constancy on the grid plus the linear map it yields.
 
-    ``products`` maps each grid ratio a to alpha(a)*beta(a); certification
-    means every pin succeeded and every product equals the one at a = 1, so
-    the derived map g(a x + b y) = a g(x) + b g(y) is linear and phase
+    ``products`` maps each grid ratio a to alpha(a)*beta(a); every pin
+    succeeded and every product equals ``pi``, the one at a = 1, so the
+    derived map g(a x + b y) = a g(x) + b g(y) is linear and phase
     equivalent to the oracle.
     """
 
     pi: int
     products: Dict[float, int]
-    pins: Dict[float, SignPinning]
     linear: LinearMap
-
-    @property
-    def certified(self) -> bool:
-        return all(v == self.pi for v in self.products.values())
-
-    def as_oracle(self) -> PhaseMapOracle:
-        lin = self.linear
-        return PhaseMapOracle.from_callable(
-            lin.domain, lin.codomain, lambda c: lin.matrix @ c,
-            declared_surjective=True, name="normalized")
 
 
 def _homogenized_images(f: PhaseMapOracle, Z: np.ndarray) -> np.ndarray:
@@ -516,20 +493,15 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL) -> TwoDi
     Z = A * e1 + e2
     G = _homogenized_images(f, np.vstack([e1, e2, Z]))
     g1, g2 = G[0], G[1]
-    best, r_best, tied, failed = _pin_rows(cod, A * g1, np.broadcast_to(g2, (len(A), cod.dim)),
-                                           G[2:], space.norms_of(Z), tol)
+    best, r_best, _, failed = _pin_rows(cod, A * g1, np.broadcast_to(g2, (len(A), cod.dim)),
+                                         G[2:], space.norms_of(Z), tol)
     if failed.any():
         k = int(np.argmax(failed))
         raise NotDecomposable(
             f"sign pinning failed on the normalization grid at a={grid[k]}",
             witness=("grid", grid[k], r_best[k]))
-    pins: Dict[float, SignPinning] = {}
-    products: Dict[float, int] = {}
-    for a, i, r, t in zip(grid, best.tolist(), r_best.tolist(), tied.tolist()):
-        pins[a] = SignPinning(*_SIGN_PAIRS[i], r, t)
-        products[a] = pins[a].product
-
-    pi = products.get(1.0, pins[grid[0]].product)
+    products = {a: math.prod(_SIGN_PAIRS[i]) for a, i in zip(grid, best.tolist())}
+    pi = products[1.0]
     offenders = [a for a, v in products.items() if v != pi]
     if offenders:
         raise NotDecomposable(
@@ -538,12 +510,23 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL) -> TwoDi
 
     matrix = np.column_stack([pi * g1, g2])
     linear = LinearMap(matrix, space, cod, isometric=True)
-    return TwoDimNormalization(pi, products, pins, linear)
+    return TwoDimNormalization(pi, products, linear)
 
 
 # ---------------------------------------------------------------------------
 # projective linear recovery
 # ---------------------------------------------------------------------------
+
+
+def _basis_frame(f: PhaseMapOracle, plan: QueryPlan) -> np.ndarray:
+    """The images of the basis probes as the columns of a matrix, or RangeDegenerate."""
+    v = np.column_stack(f.images(plan.probes["basis"]))
+    sing = np.linalg.svd(v, compute_uv=False)
+    if sing[-1] <= 1e-9 * max(sing[0], 1.0):
+        raise RangeDegenerate(
+            "basis images are linearly dependent; the range collapses into "
+            "a lower-dimensional subspace", witness=None)
+    return v
 
 
 def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
@@ -559,12 +542,7 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
     if n < 2:
         raise RouteUnsupported("projective recovery requires dimension >= 2; "
                                "use the one-dimensional path")
-    v = np.column_stack(f.images(plan.probes["basis"]))
-    sing = np.linalg.svd(v, compute_uv=False)
-    if sing[-1] <= 1e-9 * max(sing[0], 1.0):
-        raise RangeDegenerate(
-            "basis images are linearly dependent; the range collapses into "
-            "a lower-dimensional subspace", witness=None)
+    v = _basis_frame(f, plan)
     ones = plan.probes["ones"][0]
     s_img = f(ones)
     c = np.linalg.lstsq(v, s_img, rcond=None)[0]
@@ -814,35 +792,30 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
             "aligned coordinate functionals do not separate the basis "
             f"images (phi_{i}(f(e_{j})) = {vals[i, j]:.3e})", witness=(i, j))
 
-    # Step 2: the coordinate sign map must commute with f up to phase
+    # Step 2: the coordinate sign map must commute with f up to phase: the pairs
+    # (theta, |x| theta) and (|x| theta, x), theta = sign(x), keep their norms
     X, thetas, scaled = np.moveaxis(plan.probes["sign_vectors"], 1, 0)
     F = f.images(_interleaved(thetas, scaled, X)).reshape(len(X), 3, cod.dim)
     f_theta, f_scaled, f_x = F[:, 0], F[:, 1], F[:, 2]
-    nxs = space.norms_of(X).tolist()
-    got_a = zip(cod.norms_of(f_theta + f_scaled).tolist(),
-                cod.norms_of(f_theta - f_scaled).tolist())
-    got_b = zip(cod.norms_of(f_scaled + f_x).tolist(), cod.norms_of(f_scaled - f_x).tolist())
-    for k, (x, nx, ga, gb) in enumerate(zip(X, nxs, got_a, got_b)):
-        support = np.abs(x) > 0.0
-        ok, _ = multiset_match(ga, (1.0 + nx, abs(1.0 - nx)), tol)
-        if not ok:
-            raise NotDecomposable("sign-map identity (unit vs scaled) fails",
-                                  witness=list(x))
-        inf_supp = np.min(np.abs(x[support]))
-        ok, _ = multiset_match(gb, (2.0 * nx, nx - inf_supp), tol)
-        if not ok:
-            raise NotDecomposable("sign-map identity (scaled vs original) fails",
-                                  witness=list(x))
-        b = w_matrix @ f_theta[k]
-        c = w_matrix @ f_x[k]
-        if np.max(np.abs(np.abs(b[support]) - 1.0)) > math.sqrt(tol.rel):
-            raise NotDecomposable("image of a sign vector lost unit coordinates",
-                                  witness=list(x))
-        rel = np.sign(b[support]) * np.sign(c[support])
-        if np.any(rel != rel[0]):
-            raise NotDecomposable(
-                "coordinate signs of f(x) disagree with the image of the sign "
-                "vector", witness=list(x))
+    unit = check_phase_equation_batch(space, cod, thetas, scaled, f_theta, f_scaled, tol)
+    pair = check_phase_equation_batch(space, cod, scaled, X, f_scaled, f_x, tol)
+    support = np.abs(X) > 0.0
+    B = np.matmul(w_matrix, f_theta[:, :, None])[:, :, 0]  # bit for bit w_matrix @ row
+    C = np.matmul(w_matrix, f_x[:, :, None])[:, :, 0]
+    lost = np.max(np.where(support, np.abs(np.abs(B) - 1.0), 0.0), axis=1) > math.sqrt(tol.rel)
+    rel = np.sign(B) * np.sign(C)
+    lead = rel[np.arange(len(X)), np.argmax(support, axis=1)]
+    checks = (
+        (~unit.pair_passed, "sign-map identity (unit vs scaled) fails"),
+        (~pair.pair_passed, "sign-map identity (scaled vs original) fails"),
+        (lost, "image of a sign vector lost unit coordinates"),
+        (np.any(support & (rel != lead[:, None]), axis=1),
+         "coordinate signs of f(x) disagree with the image of the sign vector"),
+    )
+    failed = np.any([mask for mask, _ in checks], axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotDecomposable(next(msg for mask, msg in checks if mask[k]), witness=list(X[k]))
 
     # Step 3: homogeneity, pinning across the coordinate hyperplane and the
     # marked direction e_0 (mutually Birkhoff orthogonal in plain l1 and
@@ -883,10 +856,7 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
     # Steps 2/3: finite-support expansion in the basis images with bookkeeping
     pins = _basis_pins(f, plan, tol)
     sigma = _column_signs(pins, n)
-    v = np.column_stack(f.images(basis))
-    sing = np.linalg.svd(v, compute_uv=False)
-    if sing[-1] <= 1e-9 * max(sing[0], 1.0):
-        raise RangeDegenerate("basis images are linearly dependent", witness=None)
+    v = _basis_frame(f, plan)
     X = np.vstack([plan.probes[name] for name in ("randoms", "ones", "basis_pairs")])
     _check_expansion(f, v, sigma, X, tol)
 

@@ -8,7 +8,6 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -106,12 +105,6 @@ class CampaignReport:
             "outcomes": [o.to_dict() for o in self.outcomes],
             "timing": {"wall_seconds": self.wall_seconds},
         }
-
-    def to_json(self, include_timing: bool = True) -> str:
-        data = self.to_dict()
-        if not include_timing:
-            data.pop("timing")
-        return json.dumps(data, sort_keys=True, indent=2)
 
 
 def trial_seed(campaign_seed: int, index: int) -> int:

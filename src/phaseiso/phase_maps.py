@@ -46,6 +46,7 @@ __all__ = [
     "make_sign_flip_oracle",
     "multiset_match",
     "read_samples",
+    "validate_table",
     "write_samples",
 ]
 
@@ -139,23 +140,16 @@ class SignAssignment:
     space: NormSpec
     table: Dict[Tuple[float, ...], int] = field(default_factory=dict)
 
-    def key_of(self, x: Union[Vector, np.ndarray]) -> Tuple[float, ...]:
-        coords = x.coords if isinstance(x, Vector) else np.asarray(x, float)
-        return ray_key(coords, self.space)
-
     def get(self, x: Union[Vector, np.ndarray]) -> int:
         coords = x.coords if isinstance(x, Vector) else np.asarray(x, float)
         if not np.any(coords):
             return 1
-        return self.table[self.key_of(coords)]
+        return self.table[ray_key(coords, self.space)]
 
     def set(self, x: Union[Vector, np.ndarray], value: int):
         if value not in (-1, 1):
             raise ValueError("sign values must be -1 or +1")
-        self.table[self.key_of(x)] = value
-
-    def __len__(self):
-        return len(self.table)
+        self.table[ray_key(x.coords if isinstance(x, Vector) else x, self.space)] = value
 
     def to_dict(self) -> Dict[str, int]:
         return {key_string(k): v for k, v in sorted(self.table.items())}
@@ -181,6 +175,36 @@ def _stack_rows(rows: Sequence, dim: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
+def validate_table(domain: NormSpec, codomain: NormSpec,
+                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]]):
+    """A sample table of (x, fx) rows as arrays X and read-only FX, and the
+    ``table`` that maps each x, as a tuple of floats, to its last row.
+
+    Every x must have shape (domain dim,), then every fx (codomain dim,)
+    (DimensionMismatch names the first row that does not).  |2x| and |2fx|
+    must be finite, which bounds every |x + y| and |x - y| a check forms, and
+    rows that repeat an x must repeat its fx (ValueError names the first
+    offending row's x).
+    """
+    X = _stack_rows([x for x, _ in pairs], domain.dim)
+    FX = _stack_rows([fx for _, fx in pairs], codomain.dim)
+    keys = [tuple(row) for row in X.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
+    if not finite.all():
+        raise ValueError(f"sample at x = {list(keys[np.argmin(finite)])} is too large: "
+                         f"|2x| or |2fx| is not finite")
+    table = dict(zip(keys, range(len(keys))))
+    if len(table) < len(keys):  # compare each repeat with the first row of its x
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        differs = (FX[[first[k] for k in keys]] != FX).any(axis=1)
+        if differs.any():
+            raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
+                             f"to two different fx")
+    FX.setflags(write=False)
+    return X, FX, table
+
+
 @dataclass(eq=False)
 class PhaseMapOracle:
     """Query interface to the map under study.
@@ -199,7 +223,6 @@ class PhaseMapOracle:
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     table: Optional[Dict[Tuple[float, ...], int]] = None
     declared_surjective: bool = False
-    name: str = "oracle"
     query_log: List[np.ndarray] = field(default_factory=list)
     hidden_truth: Optional[dict] = None
     fn_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -209,40 +232,18 @@ class PhaseMapOracle:
     @classmethod
     def from_callable(cls, domain: NormSpec, codomain: NormSpec,
                       fn: Callable[[np.ndarray], np.ndarray],
-                      declared_surjective: bool = False, name: str = "oracle"):
+                      declared_surjective: bool = False):
         return cls(domain=domain, codomain=codomain, fn=fn,
-                   declared_surjective=declared_surjective, name=name)
+                   declared_surjective=declared_surjective)
 
     @classmethod
     def from_table(cls, domain: NormSpec, codomain: NormSpec,
                    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-                   declared_surjective: bool = False, name: str = "table"):
-        """Oracle over a sample table of (x, fx) rows, validated here.
-
-        Every x must have shape (domain dim,), then every fx (codomain dim,)
-        (DimensionMismatch names the first row that does not).  |2x| and
-        |2fx| must be finite, which bounds every |x + y| and |x - y| a check
-        forms, and rows that repeat an x must repeat its fx (ValueError names
-        the first offending row's x).  A repeated x answers with its last row.
-        """
-        X = _stack_rows([x for x, _ in pairs], domain.dim)
-        FX = _stack_rows([fx for _, fx in pairs], codomain.dim)
-        keys = [tuple(row) for row in X.tolist()]
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
-        if not finite.all():
-            raise ValueError(f"sample at x = {list(keys[np.argmin(finite)])} is too large: "
-                             f"|2x| or |2fx| is not finite")
-        table = dict(zip(keys, range(len(keys))))
-        if len(table) < len(keys):  # compare each repeat with the first row of its x
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            differs = (FX[[first[k] for k in keys]] != FX).any(axis=1)
-            if differs.any():
-                raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
-                                 f"to two different fx")
-        FX.setflags(write=False)
+                   declared_surjective: bool = False):
+        """Oracle over a sample table checked by :func:`validate_table`."""
+        _, FX, table = validate_table(domain, codomain, pairs)
         return cls(domain=domain, codomain=codomain, table=table, table_images=FX,
-                   declared_surjective=declared_surjective, name=name)
+                   declared_surjective=declared_surjective)
 
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
@@ -343,28 +344,12 @@ class LinearMap:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, x: Union[Vector, np.ndarray]) -> np.ndarray:
-        coords = x.coords if isinstance(x, Vector) else _as_coords(x, self.domain.dim)
-        return self.matrix @ coords
-
-    def verify_isometric(self, seed: int = 0, samples: int = 100,
-                         tol: Tolerances = DEFAULT_TOL) -> float:
+    def verify_isometric(self, seed: int = 0, samples: int = 100) -> float:
         """Max deviation of |Tx| from |x| over a random sample."""
         x = np.random.default_rng(seed).standard_normal((samples, self.domain.dim))
         tx = np.matmul(self.matrix, x[:, :, None])[:, :, 0]  # bit for bit matrix @ row
         dev = np.abs(self.codomain.norms_of(tx) - self.domain.norms_of(x))
         return float(np.max(dev, initial=0.0))
-
-    def to_json(self) -> dict:
-        return {"matrix": [list(row) for row in self.matrix],
-                "domain": self.domain.to_json(), "codomain": self.codomain.to_json(),
-                "isometric": self.isometric, "note": self.note}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LinearMap":
-        return cls(np.asarray(data["matrix"], float),
-                   NormSpec.from_json(data["domain"]), NormSpec.from_json(data["codomain"]),
-                   isometric=bool(data.get("isometric", False)), note=data.get("note"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +357,32 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
+def _multiset_verdicts(got_a: np.ndarray, got_b: np.ndarray, want_a: np.ndarray,
+                       want_b: np.ndarray, tol: Tolerances):
+    """Per row, match the multiset {got_a, got_b} of norms against {want_a, want_b}.
+
+    Both are sorted and compared componentwise; the discrepancy is the larger
+    gap, and a row passes when it is at most tol.rel * (1 + the largest norm).
+    Returns (passed, discrepancy); a NaN discrepancy fails its row.
+    """
+    got_hi, want_hi = np.maximum(got_a, got_b), np.maximum(want_a, want_b)
+    disc = np.maximum(np.abs(np.minimum(got_a, got_b) - np.minimum(want_a, want_b)),
+                      np.abs(got_hi - want_hi))
+    # norms are nonnegative, so the larger of the two maxima is the largest magnitude
+    return disc <= tol.rel * (1.0 + np.maximum(got_hi, want_hi)), disc
+
+
 def multiset_match(pair_a: Tuple[float, float], pair_b: Tuple[float, float],
                    tol: Tolerances = DEFAULT_TOL) -> Tuple[bool, float]:
-    """Compare two-element multisets: sort and match componentwise.
+    """Compare two two-element multisets of norms, which are nonnegative.
 
-    Returns (matched, discrepancy) with the threshold scaled by magnitude.
+    Returns (matched, discrepancy), one row of :func:`check_phase_equation_batch`'s
+    verdict; a NaN or infinite discrepancy fails.
     """
-    a = sorted(pair_a)
-    b = sorted(pair_b)
-    disc = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-    scale = max(map(abs, a + b), default=0.0)
-    return disc <= tol.rel * (1.0 + scale), disc
+    norms = np.array([pair_a, pair_b], dtype=float).reshape(4, 1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails
+        passed, disc = _multiset_verdicts(*norms, tol)
+    return bool(passed[0]), float(disc[0])
 
 
 @dataclass(frozen=True)
@@ -474,16 +474,11 @@ def check_phase_equation_batch(dom: NormSpec, cod: NormSpec, X: np.ndarray, Y: n
 
     X and Y are (m, dom.dim) arrays, FX and FY (m, cod.dim).  Each pair gets
     the verdict and discrepancy of :func:`multiset_match` on its two norm
-    multisets, to the bit; a pair whose discrepancy is NaN fails, and then
+    multisets; a pair whose discrepancy is NaN fails, and then
     ``max_discrepancy`` is NaN too.
     """
-    got_a, got_b = cod.norms_of(FX + FY), cod.norms_of(FX - FY)
-    want_a, want_b = dom.norms_of(X + Y), dom.norms_of(X - Y)
-    got_hi, want_hi = np.maximum(got_a, got_b), np.maximum(want_a, want_b)
-    disc = np.maximum(np.abs(np.minimum(got_a, got_b) - np.minimum(want_a, want_b)),
-                      np.abs(got_hi - want_hi))
-    # norms are nonnegative, so the larger of the two maxima is the largest magnitude
-    passed = disc <= tol.rel * (1.0 + np.maximum(got_hi, want_hi))
+    passed, disc = _multiset_verdicts(cod.norms_of(FX + FY), cod.norms_of(FX - FY),
+                                      dom.norms_of(X + Y), dom.norms_of(X - Y), tol)
     return PhaseCheckReport(X, Y, passed, disc, float(np.max(disc, initial=0.0)))
 
 
@@ -680,7 +675,7 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
         return s[:, None] * np.matmul(t.matrix, rows[:, :, None])[:, :, 0]  # bit for bit T @ x
 
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,
-                                          declared_surjective=even, name="generated")
+                                          declared_surjective=even)
     oracle.fn_batch = fn_batch
     oracle.hidden_truth = {"T": t, "seed": seed, "even": even, "sign_of": sign_of,
                            "signs_of": signs_of, "signs": hidden}
@@ -700,8 +695,7 @@ def make_sign_flip_oracle(space: NormSpec, x0, tol: Tolerances = DEFAULT_TOL) ->
             return -coords
         return coords
 
-    return PhaseMapOracle.from_callable(space, space, fn,
-                                        declared_surjective=True, name="sign-flip")
+    return PhaseMapOracle.from_callable(space, space, fn, declared_surjective=True)
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,47 @@ def scalar_pin(f, x, y, tol):
         best, r_best = residuals[0]
     fits = not r_best > tol.scaled(f.domain.norm_of(x + y))
     return best[0], best[1], r_best, tied, fits
+
+
+def scalar_linf_sign_map(f, sign_vectors, w, tol):
+    """The linf route's sign-map checks, one probe and one check at a time, as
+    the route ran them in a loop before they became row masks.
+
+    ``sign_vectors`` holds the plan's (x, theta, |x| theta) rows, theta =
+    sign(x), and ``w`` the aligned coordinate functionals as rows.  Per probe,
+    in order: {|f(theta) +- f(|x| theta)|} must be {1 + |x|, |1 - |x||};
+    {|f(|x| theta) +- f(x)|} must be {2|x|, |x| - min over the support of
+    |x_i|}; w f(theta) must have unit coordinates on the support of x; and
+    sign(w f(theta)) sign(w f(x)) must be constant there.  The multisets are
+    sorted and compared componentwise.
+
+    Returns (row, message, witness) for every failing check of every probe,
+    in that order; the route reports the first.
+    """
+    dom, cod = f.domain, f.codomain
+
+    def match(got, want):
+        got, want = sorted(got), sorted(want)
+        disc = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+        return disc <= tol.rel * (1.0 + max(got + want))
+
+    failures = []
+    for k, (x, theta, scaled) in enumerate(sign_vectors):
+        nx = dom.norm_of(x)
+        ft, fs, fx = f(theta), f(scaled), f(x)
+        support = np.abs(x) > 0.0
+        b, c = w @ ft, w @ fx
+        rel = np.sign(b[support]) * np.sign(c[support])
+        checks = [
+            (match((cod.norm_of(ft + fs), cod.norm_of(ft - fs)), (1.0 + nx, abs(1.0 - nx))),
+             "sign-map identity (unit vs scaled) fails"),
+            (match((cod.norm_of(fs + fx), cod.norm_of(fs - fx)),
+                   (2.0 * nx, nx - np.min(np.abs(x[support])))),
+             "sign-map identity (scaled vs original) fails"),
+            (not np.max(np.abs(np.abs(b[support]) - 1.0)) > math.sqrt(tol.rel),
+             "image of a sign vector lost unit coordinates"),
+            (np.all(rel == rel[0]),
+             "coordinate signs of f(x) disagree with the image of the sign vector"),
+        ]
+        failures += [(k, msg, list(x)) for ok, msg in checks if not ok]
+    return failures

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from phaseiso import DimensionMismatch, NormSpec, plan_queries
+import oracles
+from phaseiso import DimensionMismatch, NormSpec, PhaseMapOracle, plan_queries, read_samples
 from phaseiso import cli
 from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
 from phaseiso.decomposition import ROUTES
@@ -70,6 +71,31 @@ class TestCheck:
         report = json.loads(out.read_text())
         assert not report["passed"]
         assert report["failures"]
+
+    def test_report_equals_scalar_reference_on_repeated_rows(self, tmp_path):
+        # a quarter turn, except that [1, 1] -> [2, 0] breaks the equation; x =
+        # [0, 1] comes back as [-0, 1] with an fx that differs only in the sign
+        # of a zero, and [1, 2] repeats exactly
+        rows = [([0.0, 1.0], [-1.0, 0.0]), ([1.0, 2.0], [-2.0, 1.0]),
+                ([-0.0, 1.0], [-1.0, -0.0]), ([3.0, -0.0], [0.0, 3.0]),
+                ([1.0, 2.0], [-2.0, 1.0]), ([1.0, 1.0], [2.0, 0.0]),
+                ([0.5, -1.5], [1.5, 0.5])]
+        samples = tmp_path / "repeats.jsonl"
+        samples.write_text("".join(json.dumps({"x": x, "fx": fx}) + "\n" for x, fx in rows))
+        out = tmp_path / "report.json"
+        assert run(["check", "--space", L2_2, "--samples", str(samples),
+                    "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        space = NormSpec.lp(2, 2)
+        f = PhaseMapOracle.from_table(space, space, read_samples(str(samples)))
+        X = [np.array(x) for x, _ in rows]
+        pairs = [(X[i], X[j]) for i in range(len(X)) for j in range(i, len(X))]
+        passed, worst, failures = oracles.scalar_phase_check(f, pairs)
+        want = [{"x": x, "y": y, "discrepancy": d} for x, y, d in failures]
+        assert (report["pairs"], report["passed"]) == (len(pairs), passed)
+        assert json.dumps([report["max_discrepancy"], report["failures"]], sort_keys=True) == \
+            json.dumps([worst, want], sort_keys=True)
+        assert "-0.0" in json.dumps(report["failures"])
 
     def test_truncated_jsonl_exit_64(self, tmp_path, capsys):
         samples = tmp_path / "trunc.jsonl"

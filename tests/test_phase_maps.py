@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, Ph
                       check_wigner_equation,
                       generate_isometry, generate_phase_isometry,
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
-                      ray_key, ray_keys, read_samples, write_samples)
+                      ray_key, ray_keys, read_samples, write_samples, Tolerances)
 from phaseiso.phase_maps import _hash_sign, _hash_signs, _rounded_rays
 
 L2_2 = NormSpec.lp(2, 2)
@@ -25,7 +26,7 @@ POLY_SPACE = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
 
 def identity_oracle(space, surjective=True):
     return PhaseMapOracle.from_callable(space, space, lambda c: c,
-                                        declared_surjective=surjective, name="id")
+                                        declared_surjective=surjective)
 
 
 def random_pairs(rng, dim, count, scale=3.0):
@@ -42,6 +43,42 @@ class TestMultiset:
         ok, disc = multiset_match((1.0, 2.0), (1.0, 2.5))
         assert not ok
         assert disc == pytest.approx(0.5)
+
+    def test_bound_scales_with_the_largest_norm_of_either_side(self):
+        # |1 - 0| <= 0.5 * (1 + 1) only when the got side's 1.0 sets the scale
+        tol = Tolerances(rel=0.5)
+        assert multiset_match((1.0, 0.0), (0.0, 0.0), tol) == (True, 1.0)
+        assert multiset_match((0.0, 0.0), (1.0, 0.0), tol) == (True, 1.0)
+        assert multiset_match((1.25, 0.0), (0.0, 0.0), tol) == (False, 1.25)
+
+    @pytest.mark.parametrize("got,want", [((math.inf, 0.0), (math.inf, 0.0)),
+                                          ((1.0, math.nan), (1.0, 1.0)),
+                                          ((math.nan, 1.0), (1.0, 1.0))],
+                             ids=["inf-inf", "nan-second", "nan-first"])
+    def test_nan_or_infinite_discrepancy_fails(self, got, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf - inf must not warn
+            ok, disc = multiset_match(got, want)
+        assert not ok and math.isnan(disc)
+
+    @pytest.mark.parametrize("space", space_zoo(), ids=zoo_ids())
+    def test_one_row_of_the_batch_verdict(self, space, rng):
+        # y = x, y = -x and y = 0 tie the norms exactly; f(y) = -y swaps the
+        # two norms, and scaling f(x) by 1 + 1e-10 .. 1e-8 straddles the bound
+        m = 48
+        X = rng.standard_normal((m, space.dim))
+        ties = [X, -X, np.zeros_like(X), rng.standard_normal((m, space.dim))]
+        Y = np.choose((np.arange(m) % 4)[:, None], ties)
+        FX = (1.0 + rng.choice([0.0, 1e-10, 1e-9, 1e-8], size=m))[:, None] * X
+        FY = -Y
+        report = check_phase_equation_batch(space, space, X, Y, FX, FY)
+        got = zip(space.norms_of(FX + FY).tolist(), space.norms_of(FX - FY).tolist())
+        want = zip(space.norms_of(X + Y).tolist(), space.norms_of(X - Y).tolist())
+        for k, (g, w) in enumerate(zip(got, want)):
+            ok, disc = multiset_match(g, w)
+            assert ok == report.pair_passed[k]
+            assert struct.pack("<d", disc) == struct.pack("<d", report.discrepancy[k])
+        assert report.pair_passed.any() and not report.pair_passed.all()
 
 
 class TestCanonicalRay:
