@@ -8,7 +8,8 @@ environment variable overrides the default comparison tolerance; an explicit
 Exit codes: 0 success; 1 failed checks; 2 not decomposable; 3 route or
 input-plan errors; 4 functional not exposed; 64 malformed input, usage
 errors included (and a polyhedral space whose dual-norm LP the solver
-rejects); 65 dimension mismatches.
+rejects), and an output file that cannot be written; 65 dimension
+mismatches.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import (ROUTES, DecompositionError, NoStabilization, NotDecomposable,
-                            NotExposed, RouteUnsupported, SmoothnessFailure,
-                            SurjectivityNotDeclared, decompose, plan_queries,
-                            recover_functional, route_for)
+from .decomposition import (ROUTES, NoStabilization, NotDecomposable, NotExposed,
+                            RouteUnsupported, SmoothnessFailure, decompose, plan_queries,
+                            recover_functional)
 from .harness import CampaignConfig, run_campaign
 from .orthogonality import birkhoff_verdict
 from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
@@ -200,9 +200,8 @@ def cmd_lemma(args) -> int:
 def cmd_gen(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
-    route = route_for(space) if args.route == "auto" else args.route
     oracle = _seed_oracle(space, args.seed, even=not args.uneven)
-    plan = plan_queries(space, route, args.seed, tol)
+    plan = plan_queries(space, args.route, args.seed, tol)
     points = plan.all_points()
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE57A]))
     extras = [rng.standard_normal(space.dim) for _ in range(_non_negative("--extra", args.extra))]
@@ -212,7 +211,7 @@ def cmd_gen(args) -> int:
         truth = oracle.hidden_truth
         signs = truth["signs"].to_dict()
         data = {"space": space.to_json(), "seed": args.seed,
-                "even": not args.uneven, "route": route,
+                "even": not args.uneven, "route": plan.route,
                 "T": [list(row) for row in truth["T"].matrix],
                 "signs": signs}
         with open(args.hidden, "w") as fh:
@@ -255,13 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="phase-isometry checking and sign-times-isometry decomposition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0, codomain=False, oracle=False):
+    def common(p, seed_default=0, codomain=False, oracle=False, samples_out=False):
         p.add_argument("--space", required=True,
                        help="space description: JSON file path or inline JSON")
         p.add_argument("--tol", type=float, default=None,
                        help="override the comparison tolerance")
-        p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--out", default=None, help="write the JSON result here")
+        if seed_default is not None:  # ortho draws nothing at random and takes no seed
+            p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--out", required=samples_out, help="write the JSONL samples here"
+                       if samples_out else "write the JSON result here")
         if codomain:
             p.add_argument("--codomain", default=None,
                            help="codomain space for sample tables (defaults to --space)")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("ortho", help="Birkhoff orthogonality verdict")
-    common(p)
+    common(p, seed_default=None)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(func=cmd_ortho)
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("gen", help="generate a hidden factorization and its samples")
-    common(p, seed_default=42)
+    common(p, seed_default=42, samples_out=True)
     p.add_argument("--uneven", action="store_true",
                    help="independent per-ray signs (oddness generically fails)")
     p.add_argument("--route", choices=ROUTES, default="auto")
@@ -310,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra random sample points beyond the probe plan")
     p.add_argument("--hidden", default=None, help="write the hidden truth JSON here")
     p.set_defaults(func=cmd_gen)
-    # gen writes samples to --out
-    for action in p._actions:
-        if action.dest == "out":
-            action.required = True
-            action.help = "write the JSONL samples here"
 
     p = sub.add_parser("fuzz", help="seeded generate/decompose/score campaign")
     common(p, seed_default=42)
@@ -326,6 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# How a failing run ends: the first row the exception is an instance of gives the exit code,
+# the stderr prefix and the JSON written to --out, if any; no row follows one of its supertypes.
+_FAILURES = (
+    (SampleFormatError, EXIT_BAD_INPUT, "input error", None),
+    (DimensionMismatch, EXIT_DIMENSION, "error", None),
+    (MissingSamples, EXIT_ROUTE_ERROR, "sample table incomplete",
+     lambda exc: {"missing_probes": [list(p) for p in exc.points]}),
+    (NotExposed, EXIT_NOT_EXPOSED, "not exposed", None),
+    (NotDecomposable, EXIT_NOT_DECOMPOSABLE, "not decomposable",
+     lambda exc: {"not_decomposable": str(exc), "witness": exc.witness}),
+    (RouteUnsupported, EXIT_ROUTE_ERROR, "route error", None),
+    (NoStabilization, EXIT_ROUTE_ERROR, "route error", None),
+    (SmoothnessFailure, EXIT_ROUTE_ERROR, "route error", None),
+    (ValueError, EXIT_BAD_INPUT, "error", None),
+    (ArithmeticError, EXIT_BAD_INPUT, "numerical error", None),  # a dual-norm LP the solver rejects
+    (OSError, EXIT_BAD_INPUT, "cannot write output", None),  # every read is a SampleFormatError
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -334,37 +349,15 @@ def main(argv=None) -> int:
             if getattr(args, dest, None) is not None:
                 _non_negative("--" + dest.replace("_", "-"), getattr(args, dest))
         return args.func(args)
-    except SampleFormatError as exc:
-        _log(f"input error: {exc}")
-        return EXIT_BAD_INPUT
-    except DimensionMismatch as exc:
-        _log(f"error: {exc}")
-        return EXIT_DIMENSION
-    except MissingSamples as exc:
-        _log(f"sample table incomplete: {exc}")
-        _emit({"missing_probes": [list(p) for p in exc.points]}, getattr(args, "out", None))
-        return EXIT_ROUTE_ERROR
-    except NotExposed as exc:
-        _log(f"not exposed: {exc}")
-        return EXIT_NOT_EXPOSED
-    except NotDecomposable as exc:
-        _log(f"not decomposable: {exc}")
-        _emit({"not_decomposable": str(exc),
-               "witness": getattr(exc, "witness", None)}, getattr(args, "out", None))
-        return EXIT_NOT_DECOMPOSABLE
-    except (RouteUnsupported, SurjectivityNotDeclared, NoStabilization,
-            SmoothnessFailure) as exc:
-        _log(f"route error: {exc}")
-        return EXIT_ROUTE_ERROR
-    except DecompositionError as exc:
-        _log(f"decomposition error: {exc}")
-        return EXIT_ROUTE_ERROR
-    except ValueError as exc:
-        _log(f"error: {exc}")
-        return EXIT_BAD_INPUT
-    except ArithmeticError as exc:  # a polyhedral dual-norm LP the solver rejects
-        _log(f"numerical error: {exc}")
-        return EXIT_BAD_INPUT
+    except tuple(row[0] for row in _FAILURES) as exc:
+        _, code, prefix, payload = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        _log(f"{prefix}: {exc}")
+        if payload is not None:
+            try:
+                _emit(payload(exc), args.out)
+            except OSError as write_exc:  # the run keeps its own exit code
+                _log(f"cannot write output: {write_exc}")
+        return code
 
 
 if __name__ == "__main__":

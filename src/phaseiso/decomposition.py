@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment,
-                         canonical_rays, check_phase_equation_batch, ray_keys)
+from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment, _interleaved,
+                         _row_dots, canonical_rays, check_phase_equation_batch, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import Functional, NormSpec, Vector, is_w_star_exposed, support_set
 
@@ -138,15 +138,14 @@ class SignPinning:
         return self.alpha * self.beta
 
 
-def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot of each row of A with b (a vector, or the matching row of an array), bit for bit."""
-    b = b[:, :, None] if b.ndim == 2 else b[:, None]
-    return np.matmul(A[:, None, :], b)[:, 0, 0]
+def _nearer_signs(cod: NormSpec, A: np.ndarray, B: np.ndarray):
+    """Per row: the sign s in {+1, -1} with the smaller |A - s B|, and that residual.
 
-
-def _interleaved(*groups: np.ndarray) -> np.ndarray:
-    """Rows a0, b0, ..., a1, b1, ... of equally long (m, dim) arrays a, b, ..."""
-    return np.stack(groups, axis=1).reshape(-1, groups[0].shape[1])
+    +1 wins a tie and, as min() keeps its first argument, a NaN residual of its own.
+    """
+    r_plus, r_minus = cod.norms_of(A - B), cod.norms_of(A + B)
+    minus = r_minus < r_plus
+    return np.where(minus, -1, 1), np.where(minus, r_minus, r_plus)
 
 
 _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -629,18 +628,11 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     matrix = _normalize_global_sign(matrix, tol)
     t_map = LinearMap(matrix, space, cod, isometric=True)
 
-    def best_signs(points, images):
-        """Per row: the sign s in {+1, -1} with the smaller |f(x) - s T x|, and that residual."""
-        tx = np.matmul(matrix, points[:, :, None])[:, :, 0]  # bit for bit matrix @ row
-        r_plus, r_minus = cod.norms_of(images - tx), cod.norms_of(images + tx)
-        plus = r_plus <= r_minus
-        return np.where(plus, 1, -1), np.where(plus, r_plus, r_minus), tx
-
     # re-verify the defining equation through the factorization on fresh pairs;
     # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
     xy = plan.probes["fresh_pairs"].reshape(-1, space.dim)
-    signs, _, txy = best_signs(xy, f.images(xy))
-    rxy = signs[:, None] * txy
+    txy = np.matmul(matrix, xy[:, :, None])[:, :, 0]  # bit for bit matrix @ row
+    rxy = _nearer_signs(cod, f.images(xy), txy)[0][:, None] * txy
     report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
                                         rxy[0::2], rxy[1::2], tol)
     if not report.passed:
@@ -653,7 +645,7 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     # replay every logged query against eps * T
     q = np.array(f.query_log, dtype=float).reshape(-1, space.dim)
     q = q[np.any(q, axis=1)]
-    signs, residuals, _ = best_signs(q, f.images(q))
+    signs, residuals = _nearer_signs(cod, f.images(q), np.matmul(matrix, q[:, :, None])[:, :, 0])
     bounds = tol.rel * (1.0 + space.norms_of(q))
     failed = ~(residuals <= bounds)  # a NaN residual fails too
     if failed.any():
@@ -689,12 +681,9 @@ def _scale_residuals(f: PhaseMapOracle, B: np.ndarray, P: np.ndarray,
     """min(|f(p) - t f(b)|, |f(p) + t f(b)|) for the rows b, p, t of B, P and t.
 
     The images are fetched in one call, in the order b0, p0, b1, p1, ...
-    Of two equal residuals (or a NaN) the first is kept, as min() does.
     """
     F = f.images(_interleaved(B, P)).reshape(len(P), 2, f.codomain.dim)
-    tfb = t[:, None] * F[:, 0]
-    minus, plus = f.codomain.norms_of(F[:, 1] - tfb), f.codomain.norms_of(F[:, 1] + tfb)
-    return np.where(plus < minus, plus, minus)
+    return _nearer_signs(f.codomain, F[:, 1], t[:, None] * F[:, 0])[1]
 
 
 def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
@@ -709,28 +698,23 @@ def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
                               witness=(t, list(H[k, 0])))
 
 
-def _basis_pins(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Dict[Tuple[int, int], SignPinning]:
-    """Pin every basis pair i < j and check the products are sign-coherent."""
+def _column_signs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Tuple[np.ndarray, int]:
+    """Pin every basis pair i < j; return the column signs of T and the number of tied pins.
+
+    Column j carries product(0, j), and each product(i, j) must equal
+    product(0, i) * product(0, j); the first incoherent pair in triu order is the witness.
+    """
     basis = plan.probes["basis"]
     i, j = np.triu_indices(len(basis), 1)
-    pins = dict(zip(zip(i.tolist(), j.tolist()), pin_signs_batch(f, basis[i], basis[j], tol)))
-    # triangle coherence: product(i,j) must equal product(0,i)*product(0,j)
-    for (i, j), pin in pins.items():
-        if i == 0:
-            continue
-        left = pins[(0, i)].product * pins[(0, j)].product
-        if pin.product != left:
-            raise NotDecomposable(
-                "pairwise sign products are incoherent across basis triples",
-                witness=(i, j))
-    return pins
-
-
-def _column_signs(pins: Dict[Tuple[int, int], SignPinning], n: int) -> np.ndarray:
-    sigma = np.ones(n)
-    for j in range(1, n):
-        sigma[j] = pins[(0, j)].product
-    return sigma
+    pins = pin_signs_batch(f, basis[i], basis[j], tol)
+    product = np.array([p.product for p in pins], dtype=float)
+    sigma = np.concatenate([[1.0], product[:len(basis) - 1]])  # the pairs (0, j) lead triu order
+    incoherent = product != sigma[i] * sigma[j]
+    if incoherent.any():
+        k = int(np.argmax(incoherent))
+        raise NotDecomposable("pairwise sign products are incoherent across basis triples",
+                              witness=(int(i[k]), int(j[k])))
+    return sigma, sum(p.tied for p in pins)
 
 
 def _pin_group(f: PhaseMapOracle, plan: QueryPlan, name: str, tol: Tolerances):
@@ -763,7 +747,7 @@ def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagn
         norm2 = normalize_two_dim(f, tol)
         diagnostics["two_dim_products"] = {str(a): v for a, v in norm2.products.items()}
         return norm2.linear.matrix
-    pins = _basis_pins(f, plan, tol)
+    _, ties = _column_signs(f, plan, tol)
     _pin_group(f, plan, "random_pairs", tol)
     if "coord0" in plan.schedules:
         x_star, u = plan.schedules["coord0"]
@@ -771,7 +755,7 @@ def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagn
         diagnostics["functional_max_deviation"] = rec.max_deviation
     lin = recover_projective_linear(f, plan, tol)
     if plan.route == "smooth":
-        diagnostics["pin_ties"] = sum(1 for p in pins.values() if p.tied)
+        diagnostics["pin_ties"] = ties
     return lin.matrix
 
 
@@ -822,8 +806,7 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     # linf, whatever f is), basis pinning
     _check_homogeneity(f, plan, tol)
     _pin_group(f, plan, "hyperplane", tol)
-    pins = _basis_pins(f, plan, tol)
-    sigma = _column_signs(pins, n)
+    sigma, _ = _column_signs(f, plan, tol)
     return np.column_stack(sigma[:, None] * basis_images)
 
 
@@ -854,8 +837,7 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
             f"identity ({float(got[k, sgn])} != 3)", witness=(int(first[k]), int(second[k])))
 
     # Steps 2/3: finite-support expansion in the basis images with bookkeeping
-    pins = _basis_pins(f, plan, tol)
-    sigma = _column_signs(pins, n)
+    sigma, _ = _column_signs(f, plan, tol)
     v = _basis_frame(f, plan)
     X = np.vstack([plan.probes[name] for name in ("randoms", "ones", "basis_pairs")])
     _check_expansion(f, v, sigma, X, tol)

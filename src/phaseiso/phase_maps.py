@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -357,6 +357,17 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
+def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row of A with b (a vector, or the matching row of an array), bit for bit."""
+    b = b[:, :, None] if b.ndim == 2 else b[:, None]
+    return np.matmul(A[:, None, :], b)[:, 0, 0]
+
+
+def _interleaved(*groups: np.ndarray) -> np.ndarray:
+    """Rows a0, b0, ..., a1, b1, ... of equally long (m, dim) arrays a, b, ..."""
+    return np.stack(groups, axis=1).reshape(-1, groups[0].shape[1])
+
+
 def _multiset_verdicts(got_a: np.ndarray, got_b: np.ndarray, want_a: np.ndarray,
                        want_b: np.ndarray, tol: Tolerances):
     """Per row, match the multiset {got_a, got_b} of norms against {want_a, want_b}.
@@ -443,17 +454,17 @@ class PhaseCheckReport:
         return out
 
 
+def _points(xs, dim: int) -> np.ndarray:
+    """The points, Vectors or checked coordinate sequences, as an (m, dim) array."""
+    return np.array([x.coords if isinstance(x, Vector) else _as_coords(x, dim) for x in xs],
+                    dtype=float).reshape(-1, dim)
+
+
 def _pair_rows(f: PhaseMapOracle, pairs) -> Tuple[np.ndarray, np.ndarray]:
     """The pairs as an (m, 2, dim) array and their images, fetched in the order x0, y0, x1, ..."""
     dim = f.domain.dim
-
-    def as_coords(x):
-        return x.coords if isinstance(x, Vector) else _as_coords(x, dim)
-
-    coords = np.array([(as_coords(x), as_coords(y)) for x, y in pairs],
-                      dtype=float).reshape(-1, 2, dim)
-    images = f.images(coords.reshape(-1, dim)).reshape(-1, 2, f.codomain.dim)
-    return coords, images
+    coords = _points([p for x, y in pairs for p in (x, y)], dim).reshape(-1, 2, dim)
+    return coords, f.images(coords.reshape(-1, dim)).reshape(-1, 2, f.codomain.dim)
 
 
 def check_phase_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TOL) -> PhaseCheckReport:
@@ -490,8 +501,8 @@ def check_wigner_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TO
     if not (f.domain.is_euclidean and f.codomain.is_euclidean):
         raise ValueError("the inner-product equation requires Euclidean (p=2) spaces")
     coords, images = _pair_rows(f, pairs)
-    got = np.array([abs(float(np.dot(a, b))) for a, b in images], dtype=float)
-    want = np.array([abs(float(np.dot(a, b))) for a, b in coords], dtype=float)
+    got = np.abs(_row_dots(images[:, 0], images[:, 1]))
+    want = np.abs(_row_dots(coords[:, 0], coords[:, 1]))
     disc = np.abs(got - want)
     passed = disc <= tol.rel * (1.0 + np.maximum(got, want))
     worst = float(np.max(disc, initial=0.0, where=~np.isnan(disc)))
@@ -516,59 +527,42 @@ class InvariantReport:
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {
-            "norm_preserved": self.norm_preserved,
-            "sign_symmetric": self.sign_symmetric,
-            "odd": self.odd,
-            "injective": self.injective,
-            "max_norm_deviation": self.max_norm_deviation,
-            "witnesses": self.witnesses,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_phase_invariants(f: PhaseMapOracle, xs, surjective_mode: bool = False,
-                       tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
+                           tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
     """Check the consequences every phase-isometry must satisfy on a sample:
     norm preservation and f(-x) = +-f(x); under a surjectivity declaration
     additionally oddness (f(-x) = -f(x)) and injectivity on the sample.
+
+    The images are fetched in one call, in the order x0, -x0, x1, -x1, ...;
+    witnesses keep the sample's order, and a NaN deviation is left out of the maximum.
     """
     dom, cod = f.domain, f.codomain
-    witnesses: Dict[str, list] = {"norm": [], "sign": [], "odd": [], "injective": []}
-    max_dev = 0.0
-    points = []
-    for x in xs:
-        xc = x.coords if isinstance(x, Vector) else _as_coords(x, dom.dim)
-        points.append(xc)
-        fx = f(xc)
-        dev = abs(cod.norm_of(fx) - dom.norm_of(xc))
-        max_dev = max(max_dev, dev)
-        if dev > tol.scaled(dom.norm_of(xc)):
-            witnesses["norm"].append(list(xc))
-        fmx = f(-xc)
-        scale = tol.scaled(cod.norm_of(fx))
-        plus = cod.norm_of(fmx - fx) <= scale
-        minus = cod.norm_of(fmx + fx) <= scale
-        if not (plus or minus):
-            witnesses["sign"].append(list(xc))
-        if surjective_mode and not minus:
-            witnesses["odd"].append(list(xc))
-    injective: Optional[bool] = None
+    X = _points(xs, dom.dim)
+    F = f.images(_interleaved(X, -X)).reshape(len(X), 2, cod.dim)
+    FX, FMX = F[:, 0], F[:, 1]
+    nx, nfx = dom.norms_of(X), cod.norms_of(FX)
+    dev = np.abs(nfx - nx)
+    scale = tol.scaled(nfx)
+    plus, minus = cod.norms_of(FMX - FX) <= scale, cod.norms_of(FMX + FX) <= scale
+    masks = {"norm": dev > tol.scaled(nx), "sign": ~(plus | minus), "odd": ~minus & surjective_mode}
+    witnesses: Dict[str, list] = {k: [list(x) for x in X[m]] for k, m in masks.items()}
+    witnesses["injective"] = []
     if surjective_mode:
-        injective = True
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if dom.norm_of(points[i] - points[j]) <= tol.scaled(1.0):
-                    continue
-                if cod.norm_of(f(points[i]) - f(points[j])) <= tol.scaled(1.0):
-                    injective = False
-                    witnesses["injective"].append([list(points[i]), list(points[j])])
+        near = tol.scaled(1.0)
+        for i in range(len(X) - 1):  # row i against the later rows, so memory stays O(n)
+            apart = ~(dom.norms_of(X[i] - X[i + 1:]) <= near)
+            merged = apart & (cod.norms_of(FX[i] - FX[i + 1:]) <= near)
+            witnesses["injective"] += [[list(X[i]), list(X[j])]
+                                       for j in np.flatnonzero(merged) + i + 1]
     return InvariantReport(
         norm_preserved=not witnesses["norm"],
         sign_symmetric=not witnesses["sign"],
         odd=(not witnesses["odd"]) if surjective_mode else None,
-        injective=injective,
-        max_norm_deviation=max_dev,
+        injective=(not witnesses["injective"]) if surjective_mode else None,
+        max_norm_deviation=float(np.max(dev, initial=0.0, where=~np.isnan(dev))),
         witnesses={k: v for k, v in witnesses.items() if v},
     )
 

@@ -238,3 +238,52 @@ def scalar_linf_sign_map(f, sign_vectors, w, tol):
         ]
         failures += [(k, msg, list(x)) for ok, msg in checks if not ok]
     return failures
+
+
+def scalar_invariants(f, xs, surjective_mode, tol):
+    """The invariant suite one point at a time, as ``check_phase_invariants`` ran
+    before it fetched its sample as one batch; returns its ``to_dict()``.
+
+    Per point x in order: f(x), then f(-x), each one oracle call; the norm
+    deviation | |f(x)| - |x| | (kept from 0.0 by a running max(), which skips a
+    NaN) must not exceed tol.scaled(|x|); f(-x) must lie within
+    tol.scaled(|f(x)|) of f(x) or -f(x), and of -f(x) under a surjectivity
+    declaration.  Injectivity compares every pair i < j row-major: points
+    farther apart than tol.scaled(1) must have images farther apart than that.
+    """
+    dom, cod = f.domain, f.codomain
+    witnesses = {"norm": [], "sign": [], "odd": [], "injective": []}
+    max_dev = 0.0
+    points = []
+    for x in xs:
+        xc = np.asarray(x, dtype=float)
+        points.append(xc)
+        fx = f(xc)
+        dev = abs(cod.norm_of(fx) - dom.norm_of(xc))
+        max_dev = max(max_dev, dev)
+        if dev > tol.scaled(dom.norm_of(xc)):
+            witnesses["norm"].append(list(xc))
+        fmx = f(-xc)
+        scale = tol.scaled(cod.norm_of(fx))
+        plus = cod.norm_of(fmx - fx) <= scale
+        minus = cod.norm_of(fmx + fx) <= scale
+        if not (plus or minus):
+            witnesses["sign"].append(list(xc))
+        if surjective_mode and not minus:
+            witnesses["odd"].append(list(xc))
+    injective = None
+    if surjective_mode:
+        injective = True
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                if dom.norm_of(points[i] - points[j]) <= tol.scaled(1.0):
+                    continue
+                if cod.norm_of(f(points[i]) - f(points[j])) <= tol.scaled(1.0):
+                    injective = False
+                    witnesses["injective"].append([list(points[i]), list(points[j])])
+    odd = (not witnesses["odd"]) if surjective_mode else None
+    checks = [not witnesses["norm"], not witnesses["sign"]]
+    checks += [v for v in (odd, injective) if v is not None]
+    return {"norm_preserved": not witnesses["norm"], "sign_symmetric": not witnesses["sign"],
+            "odd": odd, "injective": injective, "max_norm_deviation": max_dev,
+            "witnesses": {k: v for k, v in witnesses.items() if v}, "passed": all(checks)}

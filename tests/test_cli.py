@@ -1,6 +1,9 @@
 import json
+import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,7 +508,9 @@ class TestInputValidation:
         ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]", "--bogus"],
         ["decompose", "--space", L2_2, "--seed", "one"],
         ["no-such-command"],
-    ], ids=["missing-value", "unknown-flag", "non-integer-seed", "unknown-command"])
+        ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]", "--seed", "1"],
+    ], ids=["missing-value", "unknown-flag", "non-integer-seed", "unknown-command",
+            "ortho-seed"])
     def test_usage_errors_exit_64(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -561,3 +566,73 @@ class TestInputValidation:
         assert run(argv) == 64
         monkeypatch.setattr(cli, "cmd_check", raising(DimensionMismatch("shape (3,)")))
         assert run(argv) == 65
+
+
+class TestWriteFailures:
+    """An output under a missing directory exits 64 and names the path, with no traceback."""
+
+    @pytest.fixture
+    def unwritable(self, tmp_path):
+        return str(tmp_path / "missing" / "out.json")
+
+    def expect_64(self, argv, path, capsys):
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]"],
+        ["decompose", "--space", L2_2, "--oracle-seed", "1", "--declare-surjective"],
+        ["lemma", "--space", L2_2, "--functional", "[1, 0]", "--oracle-seed", "1"],
+        ["gen", "--space", L2_2, "--extra", "2"],
+        ["fuzz", "--space", L2_2, "--trials", "1"],
+    ], ids=["ortho", "decompose", "lemma", "gen", "fuzz"])
+    def test_out(self, argv, unwritable, capsys):
+        self.expect_64(argv + ["--out", unwritable], unwritable, capsys)
+
+    def test_passing_check_does_not_exit_1(self, generated, unwritable, capsys):
+        samples, _ = generated
+        self.expect_64(["check", "--space", L1_3, "--samples", str(samples),
+                        "--max-pairs", "50", "--out", unwritable], unwritable, capsys)
+
+    def test_gen_hidden(self, tmp_path, unwritable, capsys):
+        samples = tmp_path / "s.jsonl"
+        self.expect_64(["gen", "--space", L2_2, "--extra", "2", "--out", str(samples),
+                        "--hidden", unwritable], unwritable, capsys)
+        assert samples.exists()
+
+    @pytest.mark.parametrize("rows,code,prefix", [
+        ("plan", 2, "not decomposable"), ("two", 3, "sample table incomplete"),
+    ], ids=["not-decomposable", "missing-probes"])
+    def test_failure_payload_keeps_the_run_code(self, tmp_path, unwritable, capsys,
+                                                rows, code, prefix):
+        # the curve t -> (t, sin t) is not a phase-isometry, and two rows miss the plan
+        plan = plan_queries(NormSpec.lp(1, 2), "one_dim", 0)
+        ts = sorted({float(p[0]) for p in plan.all_points()}) if rows == "plan" else [0.0, 1.0]
+        table = tmp_path / "curve.jsonl"
+        table.write_text("".join(json.dumps({"x": [t], "fx": [t, math.sin(t)]}) + "\n"
+                                 for t in ts))
+        assert run(["decompose", "--space", TestCodomainTables.LINE, "--codomain",
+                    TestCodomainTables.PLANE, "--samples", str(table), "--seed", "0",
+                    "--force", "--out", unwritable]) == code
+        err = capsys.readouterr().err
+        assert f"{prefix}: " in err and "cannot write output: " in err
+        assert unwritable in err and "Traceback" not in err
+
+
+class TestFailureTable:
+    """``cli._FAILURES`` decides how every failing run ends."""
+
+    def test_no_row_is_shadowed(self):
+        for k, (exc_type, *_) in enumerate(cli._FAILURES):
+            shadows = [row[0] for row in cli._FAILURES[:k] if issubclass(exc_type, row[0])]
+            assert not shadows, (exc_type, shadows)
+
+    def test_codes_are_the_documented_ones(self):
+        doc = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]
+        documented = {int(part.split()[0]) for part in doc.split(";")}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        in_readme = {int(c) for c in re.findall(
+            r"`(\d+)`", readme.split("Exit codes:")[1].split("dimension\nmismatch.")[0])}
+        codes = {code for _, code, _, _ in cli._FAILURES} | {cli.EXIT_OK, cli.EXIT_CHECK_FAILED}
+        assert codes == documented == in_readme

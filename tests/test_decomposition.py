@@ -601,6 +601,31 @@ class TestCertificateReplay:
         assert err.value.witness == list(logged)
 
 
+class TestColumnSignChain:
+    """f(e_i + e_j) replaced by T e_i - T e_j flips the sign product of the pair (i, j)."""
+
+    @pytest.mark.parametrize("pairs,witness", [
+        ([(1, 2)], [1, 2]),
+        ([(1, 2), (2, 3)], [1, 2]),  # two incoherent pairs: the earlier one in triu order
+        ([(0, 1)], [1, 2]),  # a flipped column sign: every pair (1, j) is incoherent
+        ([(0, 1), (1, 2)], [1, 3]),
+    ], ids=["12", "12+23", "01", "01+12"])
+    @pytest.mark.parametrize("p", [float("inf"), 1.0, 2.0], ids=["linf", "l1", "l2"])
+    def test_first_incoherent_pair_is_the_witness(self, p, pairs, witness):
+        space = NormSpec.lp(4, p)
+        t, e = generate_isometry(space, 3), np.eye(4)
+        base = generate_phase_isometry(t, 3)
+        swapped = {tuple(e[i] + e[j]): t.matrix @ (e[i] - e[j]) for i, j in pairs}
+        f = PhaseMapOracle.from_callable(space, space, lambda c: swapped.get(tuple(c), base(c)),
+                                         declared_surjective=True)
+        with pytest.raises(NotDecomposable,
+                           match="^pairwise sign products are incoherent across basis "
+                                 "triples$") as err:
+            decompose(f, seed=3)
+        assert err.value.witness == witness
+        assert all(type(v) is int for v in err.value.witness)
+
+
 class TestBatchedWitnesses:
     def test_earlier_collinearity_failure_is_the_witness(self):
         plan = plan_queries(L2_4, "smooth", 0)

@@ -15,7 +15,8 @@ from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, Ph
                       check_wigner_equation,
                       generate_isometry, generate_phase_isometry,
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
-                      ray_key, ray_keys, read_samples, write_samples, Tolerances)
+                      ray_key, ray_keys, read_samples, write_samples, Tolerances,
+                      DEFAULT_TOL)
 from phaseiso.phase_maps import _hash_sign, _hash_signs, _rounded_rays
 
 L2_2 = NormSpec.lp(2, 2)
@@ -649,6 +650,76 @@ class TestLemma21Suite:
         dist_image = L2_2.norm_of(f(x0) - f(x))
         dist_domain = L2_2.norm_of(x0 - x)
         assert abs(dist_image - dist_domain) > 0.5
+
+
+def _invariant_sample(space, seed, extra=()):
+    """Random points with one repeated point and a zero row, then ``extra``."""
+    rng = np.random.default_rng(seed)
+    xs = [3.0 * rng.standard_normal(space.dim) for _ in range(6)]
+    return [*xs, xs[2].copy(), np.zeros(space.dim), *extra]
+
+
+def _table_with_merged_images(space):
+    """A table over its points and their negatives in which two distinct points
+    share an image (injectivity fails) and one point's negative keeps its image
+    (oddness fails)."""
+    xs = _invariant_sample(space, 11)
+    fx = {tuple(x): x[::-1].copy() for x in xs}  # a coordinate swap is an l-inf isometry
+    fx.update({tuple(-x): -x[::-1] for x in xs})
+    fx[tuple(-xs[1])] = xs[1][::-1].copy()
+    q1, q2 = np.array([1.0, 2.0]), np.array([-2.0, 1.0])
+    for q, s in ((q1, 1.0), (-q1, -1.0), (q2, 1.0), (-q2, -1.0)):
+        fx[tuple(q)] = s * q1[::-1]
+    pairs = [(np.array(k), v) for k, v in fx.items()]
+    return (PhaseMapOracle.from_table(space, space, pairs, declared_surjective=True),
+            xs + [q1, q2])
+
+
+class TestInvariantsAgainstScalarReference:
+    """``check_phase_invariants`` on arrays against the one-point-at-a-time suite."""
+
+    @pytest.mark.parametrize("name", ["even", "uneven", "sign-flip", "table"])
+    @pytest.mark.parametrize("surjective", [True, False], ids=["surjective", "plain"])
+    def test_report_and_query_log_match(self, name, surjective):
+        def build():
+            if name == "even":  # a row near 1e308 has |f(x)| - |x| = inf - inf
+                space = NormSpec.lp(3, 1)
+                t = generate_isometry(space, 4)
+                huge = np.array([1e308, 1e308, 0.0])
+                return generate_phase_isometry(t, 4), [huge] + _invariant_sample(space, 4)
+            if name == "uneven":  # x beside -x: the two rays of a line draw their own signs
+                space = NormSpec.lp(3, 2)
+                xs = _invariant_sample(space, 5)
+                return (generate_phase_isometry(generate_isometry(space, 5), 5, even=False),
+                        xs + [-x for x in xs[:4]])
+            if name == "sign-flip":
+                x0 = np.array([1.0, -0.5])
+                return make_sign_flip_oracle(L2_2, x0), _invariant_sample(L2_2, 6, [x0, -x0])
+            return _table_with_merged_images(LINF_2)
+
+        f, xs = build()
+        g, _ = build()
+        with np.errstate(over="ignore", invalid="ignore"):  # the row near 1e308
+            report = check_phase_invariants(f, xs, surjective_mode=surjective)
+            reference = oracles.scalar_invariants(g, xs, surjective, DEFAULT_TOL)
+        assert report.to_dict() == reference
+        assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
+        assert not math.isnan(report.max_norm_deviation)
+        if name == "even":
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert math.isnan(f.codomain.norm_of(f(xs[0])) - f.domain.norm_of(xs[0]))
+        if surjective and name in ("uneven", "table"):
+            assert report.injective is False and report.witnesses["injective"]
+        if surjective and name == "table":
+            assert report.witnesses["odd"] == [list(xs[1])]
+
+    def test_failing_batch_commits_nothing(self):
+        f = generate_phase_isometry(generate_isometry(L2_2, 1), 1)
+        with pytest.raises(DimensionMismatch):
+            check_phase_invariants(f, [np.ones(2), np.ones(3)])
+        with pytest.raises(ValueError, match="finite"):
+            check_phase_invariants(f, [np.ones(2), np.array([np.nan, 1.0])])
+        assert f.query_log == [] and not f.hidden_truth["signs"].table
 
 
 class TestGenerators:
