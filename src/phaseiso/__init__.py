@@ -14,7 +14,7 @@ from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SampleFormat
                          check_phase_equation_batch, check_wigner_equation, generate_isometry,
                          generate_phase_isometry, check_phase_invariants,
                          make_sign_flip_oracle, multiset_match, ray_key,
-                         ray_keys, read_samples, write_samples)
+                         ray_keys, read_samples, read_table, write_samples)
 from .decomposition import (CollinearityViolation, DecompositionCertificate,
                             DecompositionError, FunctionalRecovery, NoStabilization,
                             NotDecomposable, NotExposed, QueryPlan, RangeDegenerate,

@@ -3,7 +3,9 @@
 Subcommands: check, decompose, ortho, lemma, gen, fuzz.  All results are
 JSON on stdout (or --out); progress notes go to stderr.  The PHASE_TOL
 environment variable overrides the default comparison tolerance; an explicit
---tol flag wins over both.
+--tol flag wins over both.  ``main`` builds its parser once per process and
+runs subcommand ``<name>`` as the module attribute ``cmd_<name>(args)``, looked
+up at each call, so a ``cmd_*`` patched in after the first call still runs.
 
 Exit codes: 0 success; 1 failed checks; 2 not decomposable; 3 route or
 input-plan errors; 4 functional not exposed; 64 malformed input, usage
@@ -15,6 +17,7 @@ mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -28,7 +31,7 @@ from .harness import CampaignConfig, run_campaign
 from .orthogonality import birkhoff_verdict
 from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
                          check_phase_equation_batch, generate_isometry,
-                         generate_phase_isometry, read_samples, validate_table,
+                         generate_phase_isometry, read_table, validate_table,
                          write_samples)
 from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
 from .spaces import DimensionMismatch, NormSpec
@@ -123,7 +126,7 @@ def _oracle(args, space: NormSpec, declared: bool = False) -> PhaseMapOracle:
     the surjectivity declaration."""
     if args.samples:
         codomain = _load_space(args.codomain) if args.codomain else space
-        f = PhaseMapOracle.from_table(space, codomain, read_samples(args.samples))
+        f = PhaseMapOracle.from_table(space, codomain, columns=read_table(args.samples))
     else:
         f = _seed_oracle(space, args.oracle_seed, even=not args.uneven)
     f.declared_surjective |= declared
@@ -139,7 +142,7 @@ def cmd_check(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
     codomain = _load_space(args.codomain) if args.codomain else space
-    X, FX, _ = validate_table(space, codomain, read_samples(args.samples))
+    X, FX, _ = validate_table(space, codomain, columns=read_table(args.samples))
     i, j = _sample_pairs(len(X), _non_negative("--max-pairs", args.max_pairs), args.seed)
     report = check_phase_equation_batch(space, codomain, X[i], X[j], FX[i], FX[j], tol)
     data = report.to_dict()
@@ -278,13 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="JSONL file of {x, fx} records")
     p.add_argument("--max-pairs", type=int, default=10_000,
                    help="cap on pairs formed from the sample pool")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("ortho", help="Birkhoff orthogonality verdict")
     common(p, seed_default=None)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_ortho)
 
     p = sub.add_parser("decompose", help="factor an oracle into sign * isometry")
     common(p, codomain=True, oracle=True)
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--declare-surjective", action="store_true")
     p.add_argument("--force", action="store_true",
                    help="attempt decomposition without the surjectivity declaration")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("lemma", help="recover the dual functional matched to an exposed x*")
     common(p, codomain=True, oracle=True)
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="rescale the functional to unit dual norm first")
     p.add_argument("--verify-points", type=int, default=100)
-    p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("gen", help="generate a hidden factorization and its samples")
     common(p, seed_default=42, samples_out=True)
@@ -310,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra", type=int, default=100,
                    help="extra random sample points beyond the probe plan")
     p.add_argument("--hidden", default=None, help="write the hidden truth JSON here")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fuzz", help="seeded generate/decompose/score campaign")
     common(p, seed_default=42)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--uneven", action="store_true")
-    p.set_defaults(func=cmd_fuzz)
 
     return parser
 
@@ -341,14 +338,19 @@ _FAILURES = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for dest in ("seed", "oracle_seed"):
             if getattr(args, dest, None) is not None:
                 _non_negative("--" + dest.replace("_", "-"), getattr(args, dest))
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)  # looked up now: callers patch cmd_*
     except tuple(row[0] for row in _FAILURES) as exc:
         _, code, prefix, payload = next(row for row in _FAILURES if isinstance(exc, row[0]))
         _log(f"{prefix}: {exc}")

@@ -46,6 +46,7 @@ __all__ = [
     "make_sign_flip_oracle",
     "multiset_match",
     "read_samples",
+    "read_table",
     "validate_table",
     "write_samples",
 ]
@@ -127,7 +128,7 @@ def ray_keys(rows: np.ndarray, space: NormSpec, oriented: bool = False) -> List[
 
 
 def key_string(key: Tuple[float, ...]) -> str:
-    return ",".join(repr(v) for v in key)
+    return ",".join(map(repr, key))
 
 
 @dataclass
@@ -163,7 +164,7 @@ class SignAssignment:
 def _stack_rows(rows: Sequence, dim: int) -> np.ndarray:
     """The rows as an (N, dim) array; the first row of another shape raises DimensionMismatch."""
     try:
-        a = np.array(rows, dtype=float)
+        a = np.asarray(rows, dtype=float)  # a float array of the right shape is not copied
         if a.shape == (len(rows), dim):
             return a
     except ValueError:  # rows of unequal lengths, named below
@@ -176,18 +177,21 @@ def _stack_rows(rows: Sequence, dim: int) -> np.ndarray:
 
 
 def validate_table(domain: NormSpec, codomain: NormSpec,
-                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]]):
+                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]] = (), *,
+                   columns: Optional[Tuple[Sequence, Sequence]] = None):
     """A sample table of (x, fx) rows as arrays X and read-only FX, and the
     ``table`` that maps each x, as a tuple of floats, to its last row.
 
-    Every x must have shape (domain dim,), then every fx (codomain dim,)
-    (DimensionMismatch names the first row that does not).  |2x| and |2fx|
-    must be finite, which bounds every |x + y| and |x - y| a check forms, and
-    rows that repeat an x must repeat its fx (ValueError names the first
-    offending row's x).
+    ``columns``, the (X, FX) that :func:`read_table` returns, stands in for
+    ``pairs`` and is not stacked again.  Every x must have shape (domain
+    dim,), then every fx (codomain dim,) (DimensionMismatch names the first
+    row that does not).  |2x| and |2fx| must be finite, which bounds every
+    |x + y| and |x - y| a check forms, and rows that repeat an x must repeat
+    its fx (ValueError names the first offending row's x).
     """
-    X = _stack_rows([x for x, _ in pairs], domain.dim)
-    FX = _stack_rows([fx for _, fx in pairs], codomain.dim)
+    xs, fxs = columns if columns is not None else ([x for x, _ in pairs], [fx for _, fx in pairs])
+    X = _stack_rows(xs, domain.dim)
+    FX = _stack_rows(fxs, codomain.dim)
     keys = [tuple(row) for row in X.tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
@@ -238,17 +242,19 @@ class PhaseMapOracle:
 
     @classmethod
     def from_table(cls, domain: NormSpec, codomain: NormSpec,
-                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-                   declared_surjective: bool = False):
-        """Oracle over a sample table checked by :func:`validate_table`."""
-        _, FX, table = validate_table(domain, codomain, pairs)
+                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]] = (),
+                   declared_surjective: bool = False, *,
+                   columns: Optional[Tuple[Sequence, Sequence]] = None):
+        """Oracle over a sample table, rows or columns, checked by :func:`validate_table`."""
+        _, FX, table = validate_table(domain, codomain, pairs, columns=columns)
         return cls(domain=domain, codomain=codomain, table=table, table_images=FX,
                    declared_surjective=declared_surjective)
 
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
             return []
-        return [key for key in (tuple(map(float, p)) for p in points) if key not in self.table]
+        keys = map(tuple, np.asarray(points, dtype=float).tolist())
+        return [key for key in keys if key not in self.table]
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
         coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
@@ -698,40 +704,97 @@ def make_sign_flip_oracle(space: NormSpec, x0, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def write_samples(path: str, oracle: PhaseMapOracle, points: Sequence[np.ndarray]):
-    """Write one {"x", "fx"} line per point; every image is fetched before the file opens."""
+    """Write one {"x", "fx"} line per point; every image is fetched before the file opens.
+
+    The lines are the bytes of ``json.dumps({"x": x, "fx": fx})``: a list of
+    finite floats prints as JSON does, with ``float.__repr__`` and ", ", and
+    ``images`` admits finite points and images only.
+    """
     X = np.array(points, dtype=float).reshape(len(points), oracle.domain.dim)
     FX = oracle.images(X)
+    text = "".join([f'{{"x": {x}, "fx": {fx}}}\n' for x, fx in zip(X.tolist(), FX.tolist())])
     with open(path, "w") as fh:
-        for x, fx in zip(X.tolist(), FX.tolist()):
-            fh.write(json.dumps({"x": x, "fx": fx}) + "\n")
+        fh.write(text)
 
 
-def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Parse a samples file; malformed or non-finite rows raise SampleFormatError."""
-    pairs = []
-    line_nos = []
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(line: str):
+    """``json.loads`` of a stripped line, without its wrapper's two whitespace
+    scans when the line is one JSON value."""
+    try:
+        rec, end = _raw_decode(line)
+        if end == len(line):
+            return rec
+    except ValueError:
+        pass
+    return json.loads(line)  # json.loads's own error, as for a BOM or trailing data
+
+
+def _record_rows(path: str, records: list, line_nos: List[int]):
+    """The x and fx arrays of parsed records, converted one line at a time;
+    the first line that does not convert raises SampleFormatError."""
+    xs, fxs = [], []
+    for line_no, rec in zip(line_nos, records):
+        try:
+            x = np.asarray(rec["x"], dtype=float)
+            fx = np.asarray(rec["fx"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SampleFormatError(path, line_no, str(exc)) from exc
+        if x.ndim != 1 or fx.ndim != 1:
+            raise SampleFormatError(path, line_no, "x and fx must be flat arrays")
+        xs.append(x)
+        fxs.append(fx)
+    return xs, fxs
+
+
+def read_table(path: str):
+    """Parse a samples file into its columns X and FX, one row per record.
+
+    They are (N, dim) arrays, or lists of 1-D rows when the records differ
+    in shape (:func:`validate_table` names the first row of the wrong
+    shape).  The first malformed line raises SampleFormatError with its line
+    number; in a table with none, the first line that holds a non-finite
+    value does.  Lines are parsed one by one and converted column by column;
+    only a table that fails that is looked at row by row.
+    """
+    records, line_nos, stop = [], [], None
     try:
         fh = open(path)
     except OSError as exc:
         raise SampleFormatError(path, 0, f"cannot read samples: {exc}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                x = np.asarray(rec["x"], dtype=float)
-                fx = np.asarray(rec["fx"], dtype=float)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise SampleFormatError(path, line_no, str(exc)) from exc
-            if x.ndim != 1 or fx.ndim != 1:
-                raise SampleFormatError(path, line_no, "x and fx must be flat arrays")
-            pairs.append((x, fx))
-            line_nos.append(line_no)
-    # one finiteness scan over every value; the slow search runs only on failure
-    if pairs and not np.isfinite(np.concatenate([v for pair in pairs for v in pair])).all():
-        line_no = next(n for n, (x, fx) in zip(line_nos, pairs)
-                       if not (np.isfinite(x).all() and np.isfinite(fx).all()))
-        raise SampleFormatError(path, line_no, "x and fx must be finite")
-    return pairs
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    records.append(_loads(line))
+                    line_nos.append(line_no)
+        except Exception as exc:  # raised after the lines before it are checked
+            stop = exc
+    X = FX = None
+    if stop is None:
+        try:
+            X = np.array([rec["x"] for rec in records], dtype=float)
+            FX = np.array([rec["fx"] for rec in records], dtype=float)
+        except Exception:  # the row-by-row pass below raises the first line's error
+            X = None
+    if X is None or X.ndim != 2 or FX.ndim != 2:
+        X, FX = _record_rows(path, records, line_nos)
+        if isinstance(stop, json.JSONDecodeError):
+            raise SampleFormatError(path, line_no, str(stop)) from stop
+        if stop is not None:
+            raise stop
+        finite = [np.isfinite(x).all() and np.isfinite(fx).all() for x, fx in zip(X, FX)]
+    else:
+        finite = np.isfinite(X).all(axis=1) & np.isfinite(FX).all(axis=1)
+    if not np.all(finite):
+        raise SampleFormatError(path, line_nos[int(np.argmin(finite))], "x and fx must be finite")
+    return X, FX
+
+
+def read_samples(path: str) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Parse a samples file into (x, fx) rows, the rows of :func:`read_table`'s
+    columns; malformed or non-finite rows raise SampleFormatError."""
+    return list(zip(*read_table(path)))

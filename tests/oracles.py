@@ -3,9 +3,11 @@
 Deliberately written from the definitions, not from the library's formulas:
 finite differences for directional derivatives, golden-section search for
 one-dimensional norm minimization, and exhaustive enumeration for polyhedral
-quantities.
+quantities.  The scalar loops and the line-by-line sample reader are frozen
+copies of earlier library code, kept as references for the array versions.
 """
 
+import json
 import math
 
 import numpy as np
@@ -287,3 +289,80 @@ def scalar_invariants(f, xs, surjective_mode, tol):
     return {"norm_preserved": not witnesses["norm"], "sign_symmetric": not witnesses["sign"],
             "odd": odd, "injective": injective, "max_norm_deviation": max_dev,
             "witnesses": {k: v for k, v in witnesses.items() if v}, "passed": all(checks)}
+
+
+def line_by_line_samples(path):
+    """The (x, fx) rows of a samples file, read one line at a time.
+
+    A frozen copy of the reader the package used before its columnar one:
+    each line is parsed and converted to two arrays on its own, and the
+    first bad line raises SampleFormatError; then one scan over every value
+    names the first line that holds a non-finite one.
+    """
+    from phaseiso import SampleFormatError
+
+    pairs = []
+    line_nos = []
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise SampleFormatError(path, 0, f"cannot read samples: {exc}") from exc
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                x = np.asarray(rec["x"], dtype=float)
+                fx = np.asarray(rec["fx"], dtype=float)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise SampleFormatError(path, line_no, str(exc)) from exc
+            if x.ndim != 1 or fx.ndim != 1:
+                raise SampleFormatError(path, line_no, "x and fx must be flat arrays")
+            pairs.append((x, fx))
+            line_nos.append(line_no)
+    if pairs and not np.isfinite(np.concatenate([v for pair in pairs for v in pair])).all():
+        line_no = next(n for n, (x, fx) in zip(line_nos, pairs)
+                       if not (np.isfinite(x).all() and np.isfinite(fx).all()))
+        raise SampleFormatError(path, line_no, "x and fx must be finite")
+    return pairs
+
+
+def row_stacked_table(domain, codomain, pairs):
+    """X, FX and ``table`` of (x, fx) rows, validated as the package did
+    before it read tables as columns (a frozen copy): the rows are stacked,
+    x shapes before fx shapes (DimensionMismatch names the first bad row),
+    then |2x| and |2fx| must be finite and each x must keep one fx
+    (ValueError names the first offending x)."""
+    from phaseiso import DimensionMismatch
+
+    def stack(rows, dim):
+        try:
+            a = np.array(rows, dtype=float)
+            if a.shape == (len(rows), dim):
+                return a
+        except ValueError:
+            pass
+        for r in rows:
+            if np.shape(r) != (dim,):
+                raise DimensionMismatch(f"dimension mismatch: space has dim {dim}, "
+                                        f"sample has shape {np.shape(r)}")
+        return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+    X = stack([x for x, _ in pairs], domain.dim)
+    FX = stack([fx for _, fx in pairs], codomain.dim)
+    keys = [tuple(row) for row in X.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
+    if not finite.all():
+        raise ValueError(f"sample at x = {list(keys[np.argmin(finite)])} is too large: "
+                         f"|2x| or |2fx| is not finite")
+    table = dict(zip(keys, range(len(keys))))
+    if len(table) < len(keys):
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        differs = (FX[[first[k] for k in keys]] != FX).any(axis=1)
+        if differs.any():
+            raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
+                             f"to two different fx")
+    return X, FX, table

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -636,3 +638,72 @@ class TestFailureTable:
             r"`(\d+)`", readme.split("Exit codes:")[1].split("dimension\nmismatch.")[0])}
         codes = {code for _, code, _, _ in cli._FAILURES} | {cli.EXIT_OK, cli.EXIT_CHECK_FAILED}
         assert codes == documented == in_readme
+
+
+class TestCachedParser:
+    """``main`` parses with one parser per process, built on its first call, and
+    runs each subcommand as the ``cmd_*`` it finds in the module at that call."""
+
+    def test_not_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+                 "import phaseiso.cli\n"
+                 "print(len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0"
+
+    def test_same_runs_as_a_fresh_parser(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        runs = [
+            ["gen", "--space", L1_3, "--seed", "5", "--extra", "3", "--out", str(samples)],
+            ["decompose", "--space", L1_3, "--samples", str(samples), "--seed", "5",
+             "--declare-surjective"],
+            ["check", "--space", L1_3, "--samples", str(samples), "--max-pairs", "40"],
+            ["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]"],
+            ["lemma", "--space", L2_2, "--functional", "[1, 0]", "--oracle-seed", "1",
+             "--verify-points", "3"],
+            ["check", "--space", L2_2, "--samples", str(samples)],
+            ["decompose", "--space", L2_2, "--route", "nope"],
+        ]
+
+        def outcomes(fresh):
+            got = []
+            for argv in runs:
+                if fresh:
+                    cli._parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                got.append((code, *capsys.readouterr(), samples.read_bytes()))
+            return got
+
+        cached = outcomes(fresh=False)
+        assert [code for code, *_ in cached] == [0, 0, 0, 0, 0, 65, ("exit", 64)]
+        assert outcomes(fresh=True) == cached
+        for argv in runs[:-1]:
+            assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_patch_after_first_call_takes_effect(self, tmp_path, monkeypatch):
+        argv = ["gen", "--space", L2_2, "--extra", "1", "--out", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(args.out) or 7)
+        assert main(argv) == 7
+        assert seen == [argv[-1]]
+
+    def test_help_then_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ortho", "--help"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["ortho", "--space", L2_2, "--x", "[1, 0]"])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert "usage:" in out and "--y" in err
+        assert main(["ortho", "--space", L2_2, "--x", "[1, 0]", "--y", "[0, 1]"]) == 0
