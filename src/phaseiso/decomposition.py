@@ -22,8 +22,10 @@ log against it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -285,9 +287,50 @@ def _exposing_point(x_star: Functional, tol: Tolerances) -> Vector:
     return exposed.point
 
 
+@functools.lru_cache(maxsize=64)
+def _seed_free_part(space: NormSpec, route: str, tol: Tolerances):
+    """The probe groups of a plan that do not depend on its seed, in plan
+    order, as a read-only mapping of read-only arrays, and its ``schedules``
+    as (name, (x*, u)) pairs.  Cached per (space, route, tol): every plan on
+    an equal triple would rebuild them unchanged, dual-norm and exposure
+    solves included.
+    """
+    n = space.dim
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    groups = {"basis": eye, "ones": np.ones((1, n)), "basis_pairs": eye[i] + eye[j]}
+    if route == "l1":
+        groups["basis_rays"] = _scaled_pairs(eye)
+        anchors = {"exposed": np.ones(n)}
+    elif route == "linf":
+        anchors = {f"coord{k}": eye[k] for k in range(n)}
+    elif route == "smooth" and n >= 3:
+        anchors = {"coord0": eye[0]}
+    else:
+        anchors = {}
+    schedules = []
+    for name, c in anchors.items():
+        x_star = Functional(c / space.dual_norm_of(c), space)
+        schedules.append((name, (x_star, _exposing_point(x_star, tol))))
+    if anchors:
+        U = np.array([u.coords for _, (_, u) in schedules])
+        groups["schedules"] = np.array(_SCHEDULE)[:, None] * U[:, None]
+    if n == 2 and route in ("smooth", "generic"):
+        lines = np.array(_TWO_DIM_GRID)[:, None] * eye[0] + eye[1]
+        groups["two_dim"] = canonical_rays(np.vstack([lines, eye]), space)
+    for group in groups.values():
+        group.setflags(write=False)
+    return MappingProxyType(groups), tuple(schedules)
+
+
 def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
                  tol: Tolerances = DEFAULT_TOL) -> QueryPlan:
-    """Lay out every probe a decomposition run will use, ahead of time."""
+    """Lay out every probe a decomposition run will use, ahead of time.
+
+    The seed-free groups and ``schedules`` entries come from a cache shared
+    by every plan on an equal (space, route, tol), and their arrays are
+    read-only; the seeded groups and the ``schedules`` dict are the plan's own.
+    """
     route = _validate_route(space, route)
     n = space.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E37]))
@@ -302,31 +345,15 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
         probes["unit"] = np.ones((1, 1))
         return plan
 
-    eye = np.eye(n)
-    i, j = np.triu_indices(n, 1)
-    probes["basis"] = eye
-    probes["ones"] = np.ones((1, n))
-    probes["basis_pairs"] = eye[i] + eye[j]
+    fixed, schedules = _seed_free_part(space, route, tol)
+    plan.schedules.update(schedules)
+    eye = fixed["basis"]
+    probes.update((name, fixed[name]) for name in ("basis", "ones", "basis_pairs"))
     randoms = probes["randoms"] = rng.standard_normal((3 * n, n))
     xy = randoms[:2 * min(5, 3 * n // 2)].reshape(-1, 2, n)
     probes["random_pairs"] = np.stack([xy[:, 0], xy[:, 1], xy[:, 0] + xy[:, 1]], axis=1)
     probes["homogeneity"] = _scaled_pairs(np.vstack([eye[:1], randoms[:2]]))
-
-    if route == "l1":
-        probes["basis_rays"] = _scaled_pairs(eye)
-        anchors = {"exposed": np.ones(n)}
-    elif route == "linf":
-        anchors = {f"coord{k}": eye[k] for k in range(n)}
-    elif route == "smooth" and n >= 3:
-        anchors = {"coord0": eye[0]}
-    else:
-        anchors = {}
-    for name, c in anchors.items():
-        x_star = Functional(c / space.dual_norm_of(c), space)
-        plan.schedules[name] = x_star, _exposing_point(x_star, tol)
-    if anchors:
-        U = np.array([u.coords for _, u in plan.schedules.values()])
-        probes["schedules"] = np.array(_SCHEDULE)[:, None] * U[:, None]
+    probes.update((name, fixed[name]) for name in ("basis_rays", "schedules") if name in fixed)
     if route == "linf":
         X = randoms[:6]
         theta = np.sign(X)
@@ -336,9 +363,8 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
         Z[:, 0] = 0.0
         Z = Z[np.any(Z, axis=1)]
         probes["hyperplane"] = np.stack([Z, np.broadcast_to(eye[0], Z.shape), Z + eye[0]], axis=1)
-    if n == 2 and route in ("smooth", "generic"):
-        lines = np.array(_TWO_DIM_GRID)[:, None] * eye[0] + eye[1]
-        probes["two_dim"] = canonical_rays(np.vstack([lines, eye]), space)
+    if "two_dim" in fixed:
+        probes["two_dim"] = fixed["two_dim"]
 
     probes["verify"] = rng.standard_normal((100, n))
     probes["fresh_pairs"] = rng.standard_normal((25, 2, n))

@@ -118,7 +118,12 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
 
     The global sign of T is unidentifiable, so the matrix is matched up to a
     single sign s and the recovered phase must equal s times the hidden one
-    at every logged point.
+    at every logged point.  An even generated oracle recorded the hidden
+    sign of each point it answered under the point's ray key, so those signs
+    are read back when the certificate keys its signs in that same space
+    object, the oracle's domain (``NormSpec ==`` also equates spaces whose
+    functionals differ in the sign of a zero).  Otherwise, or for a key the
+    record lacks, the signs are hashed again.
     """
     truth = oracle.hidden_truth
     if truth is None:
@@ -129,12 +134,16 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     err_minus = float(np.max(np.abs(t_hat + t_true)))
     s = 1 if err_plus <= err_minus else -1
     logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
-    logged = logged[np.any(logged, axis=1)]
-    recovered = [cert.sign_table.table.get(key)
-                 for key in ray_keys(logged, cert.sign_table.space)]
+    logged = logged[logged.any(axis=1)]
+    keys = ray_keys(logged, cert.sign_table.space)
+    recovered = map(cert.sign_table.table.get, keys)
+    hidden, wanted = truth["signs"], None
+    if truth["even"] and cert.sign_table.space is hidden.space:
+        wanted = list(map(hidden.table.get, keys))
+    if wanted is None or None in wanted:
+        wanted = truth["signs_of"](logged).tolist()
     # a point outside the certificate's transcript (None) is not scored
-    eps_ok = all(r is None or r * s == want
-                 for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
+    eps_ok = all(r is None or r * s == want for r, want in zip(recovered, wanted))
     return {"t_error": min(err_plus, err_minus), "global_sign": s,
             "eps_consistent": eps_ok}
 

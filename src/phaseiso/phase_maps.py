@@ -143,7 +143,7 @@ class SignAssignment:
 
     def get(self, x: Union[Vector, np.ndarray]) -> int:
         coords = x.coords if isinstance(x, Vector) else np.asarray(x, float)
-        if not np.any(coords):
+        if not coords.any():
             return 1
         return self.table[ray_key(coords, self.space)]
 
@@ -262,7 +262,7 @@ class PhaseMapOracle:
         hit = self._cache.get(key)
         if hit is not None:  # only finite points are ever stored
             return hit
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite")
         self._fetch([key], np.array(coords, dtype=float).reshape(1, -1))
         return self._cache[key]
@@ -315,7 +315,7 @@ class PhaseMapOracle:
         if X.ndim != 2 or X.shape[1] != dim:
             raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
                                     f"got shape {X.shape[1:]}")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise ValueError("coordinates must be finite")
         keys = [tuple(row) for row in X.tolist()]
         cache = self._cache
@@ -648,7 +648,7 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
     def keyed_signs(rows: np.ndarray):
         """Rounded rays, nonzero mask and hidden signs of the rows; zero rows carry +1."""
         rounded = _rounded_rays(rows, space, oriented=not even)
-        nonzero = np.any(rows, axis=1)
+        nonzero = rows.any(axis=1)
         return rounded, nonzero, _hash_signs(seed, rounded, nonzero)
 
     def signs_of(rows: np.ndarray) -> np.ndarray:
@@ -660,7 +660,7 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
 
     def fn(coords: np.ndarray) -> np.ndarray:
         s = 1
-        if np.any(coords):
+        if coords.any():
             key = ray_key(coords, space, oriented=not even)
             s = _hash_sign(seed, key)
             if even:  # the unoriented key is the recorded one
@@ -749,6 +749,15 @@ def _record_rows(path: str, records: list, line_nos: List[int]):
     return xs, fxs
 
 
+def _check_utf8(path: str, line_no: int, line: str):
+    """SampleFormatError naming the line's first byte that is not UTF-8, if any."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:  # the lone surrogate of a rejected byte
+        byte = ord(line[exc.start]) - 0xDC00
+        raise SampleFormatError(path, line_no, f"not valid UTF-8: byte 0x{byte:02x}") from None
+
+
 def read_table(path: str):
     """Parse a samples file into its columns X and FX, one row per record.
 
@@ -760,17 +769,20 @@ def read_table(path: str):
     only a table that fails that is looked at row by row.
     """
     records, line_nos, stop = [], [], None
-    try:
-        fh = open(path)
+    try:  # a byte that is not UTF-8 is decoded to a lone surrogate, named below
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise SampleFormatError(path, 0, f"cannot read samples: {exc}") from exc
     with fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    records.append(_loads(line))
-                    line_nos.append(line_no)
+                if not line:
+                    continue
+                if not line.isascii():
+                    _check_utf8(path, line_no, line)
+                records.append(_loads(line))
+                line_nos.append(line_no)
         except Exception as exc:  # raised after the lines before it are checked
             stop = exc
     X = FX = None
@@ -782,7 +794,7 @@ def read_table(path: str):
             X = None
     if X is None or X.ndim != 2 or FX.ndim != 2:
         X, FX = _record_rows(path, records, line_nos)
-        if isinstance(stop, json.JSONDecodeError):
+        if isinstance(stop, (json.JSONDecodeError, RecursionError)):  # a line nested too deep
             raise SampleFormatError(path, line_no, str(stop)) from stop
         if stop is not None:
             raise stop

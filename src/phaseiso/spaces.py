@@ -50,7 +50,7 @@ def _as_coords(x, dim: int) -> np.ndarray:
     if a.shape != (dim,):
         raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
                                 f"got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
     return a
 
@@ -148,12 +148,12 @@ class NormSpec:
         """Norm of raw coordinates."""
         a = _coerce(coords, self.dim)
         if self.functionals is not None:
-            return float(np.max(np.abs(self.functionals @ a)))
+            return float(np.maximum.reduce(np.abs(self.functionals @ a)))
         if math.isinf(self.p):
-            return float(np.max(self._w * np.abs(a)))
+            return float(np.maximum.reduce(self._w * np.abs(a)))
         if self.p == 1.0:
-            return float(np.sum(self._w * np.abs(a)))
-        return float(np.sum(self._w * np.abs(a) ** self.p) ** (1.0 / self.p))
+            return float(np.add.reduce(self._w * np.abs(a)))
+        return float(np.add.reduce(self._w * np.abs(a) ** self.p) ** (1.0 / self.p))
 
     def norms_of(self, rows) -> np.ndarray:
         """Norms of the rows of an (m, dim) array.
@@ -163,19 +163,22 @@ class NormSpec:
         element on Python floats (numpy's array ``**`` can differ from the
         scalar one in the last bit), and polyhedral values come from one
         matrix-vector product per row (``X @ A.T`` rounds differently).
+        Both reduce with ``np.add`` and ``np.maximum`` directly, the ufunc
+        reductions ``np.sum`` and ``np.max`` call, without their wrappers.
         """
         a = np.ascontiguousarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise DimensionMismatch(f"dimension mismatch: expected rows of {self.dim} "
                                     f"coordinates, got shape {a.shape}")
         if self.functionals is not None:
-            return np.max(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]), axis=1)
+            return np.maximum.reduce(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]),
+                                     axis=1)
         mag = np.abs(a)
         if math.isinf(self.p):
-            return np.max(self._w * mag, axis=1)
+            return np.maximum.reduce(self._w * mag, axis=1)
         if self.p == 1.0:
-            return np.sum(self._w * mag, axis=1)
-        sums = np.sum(self._w * mag ** self.p, axis=1)
+            return np.add.reduce(self._w * mag, axis=1)
+        sums = np.add.reduce(self._w * mag ** self.p, axis=1)
         inv = 1.0 / self.p
         return np.array([s ** inv for s in sums.tolist()], dtype=float)
 
@@ -189,11 +192,11 @@ class NormSpec:
         if self.functionals is None:
             w = self._w
             if math.isinf(self.p):
-                return float(np.sum(np.abs(c) / w))
+                return float(np.add.reduce(np.abs(c) / w))
             if self.p == 1.0:
-                return float(np.max(np.abs(c) / w))
+                return float(np.maximum.reduce(np.abs(c) / w))
             q = self.p / (self.p - 1.0)
-            return float(np.sum((np.abs(c) / w ** (1.0 / self.p)) ** q) ** (1.0 / q))
+            return float(np.add.reduce((np.abs(c) / w ** (1.0 / self.p)) ** q) ** (1.0 / q))
         # max c.x subject to |a_i . x| <= 1
         a = self.functionals
         ub = np.vstack([a, -a])
@@ -282,7 +285,7 @@ class Vector:
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.coords == 0.0))
+        return not self.coords.any()
 
     def unit(self) -> "Vector":
         n = self.norm

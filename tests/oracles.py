@@ -366,3 +366,24 @@ def row_stacked_table(domain, codomain, pairs):
             raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
                              f"to two different fx")
     return X, FX, table
+
+
+def rehashed_score(oracle, cert):
+    """``score_certificate`` as it was before it read the oracle's recorded
+    signs (a frozen copy): each wanted sign is hashed again by the hidden
+    ``signs_of`` and compared, up to the global sign of T, with the
+    certificate's sign at every logged nonzero point it holds."""
+    from phaseiso.phase_maps import ray_keys
+
+    truth = oracle.hidden_truth
+    t_true, t_hat = truth["T"].matrix, cert.T.matrix
+    err_plus = float(np.max(np.abs(t_hat - t_true)))
+    err_minus = float(np.max(np.abs(t_hat + t_true)))
+    s = 1 if err_plus <= err_minus else -1
+    logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
+    logged = logged[np.any(logged, axis=1)]
+    recovered = [cert.sign_table.table.get(key)
+                 for key in ray_keys(logged, cert.sign_table.space)]
+    eps_ok = all(r is None or r * s == want
+                 for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
+    return {"t_error": min(err_plus, err_minus), "global_sign": s, "eps_consistent": eps_ok}

@@ -15,7 +15,7 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       Tolerances)
 from conftest import zoo_ids
 from phaseiso.decomposition import (ROUTES, _assemble_certificate, _expansion_coefficients,
-                                    route_for)
+                                    _seed_free_part, route_for)
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -917,3 +917,112 @@ class TestPlanLayout:
                     assert is_birkhoff_orthogonal(ev, zv) and is_birkhoff_orthogonal(zv, ev)
                     pairs += 1
         assert pairs == 7 * 20 * 6
+
+
+# Every (family, dim, route) a plan accepts, dims 1, 2 and 3, each family's own route and generic.
+PLAN_CASES = [(name, n, route) for n in (1, 2, 3) for name in zoo_ids()
+              for route in (ACCEPTED_ROUTES[name] if n >= 2 else ("one_dim",))]
+
+
+def plan_bytes(plan):
+    """Everything a plan lays out, as bytes: the groups in order, the deduplicated
+    points and each schedule's (x*, u)."""
+    return ([(name, g.dtype.str, g.shape, g.tobytes()) for name, g in plan.probes.items()],
+            [p.tobytes() for p in plan.all_points()],
+            [(name, x.coords.tobytes(), u.coords.tobytes())
+             for name, (x, u) in plan.schedules.items()])
+
+
+class TestPlanCache:
+    """The seed-free part of a plan is cached per (space, route, tol) without changing a bit."""
+
+    def test_warm_plan_equals_cold_plan(self):
+        tol = DEFAULT_TOL.with_rel(1e-7)
+        cases = [(name, n, route, t, seed) for name, n, route in PLAN_CASES
+                 for t in (DEFAULT_TOL, tol) for seed in (0, 5)]
+        for name, n, route, t, seed in cases:  # every case is cached before any is compared
+            plan_queries(family(name, n), route, seed, t)
+        warm = [plan_bytes(plan_queries(family(name, n), route, seed, t))
+                for name, n, route, t, seed in cases]
+        for (name, n, route, t, seed), want in zip(cases, warm):
+            _seed_free_part.cache_clear()
+            assert plan_bytes(plan_queries(family(name, n), route, seed, t)) == want
+
+    @pytest.mark.parametrize("name,n,route", [c for c in PLAN_CASES if c[1] >= 2])
+    def test_seed_free_groups_are_shared_and_read_only(self, name, n, route):
+        a = plan_queries(family(name, n), route, 1)
+        b = plan_queries(family(name, n), route, 2)
+        shared = [k for k in a.probes if np.array_equal(a.probes[k], b.probes[k])]
+        assert shared == [k for k in a.probes if k in
+                          ("basis", "ones", "basis_pairs", "basis_rays", "schedules", "two_dim")]
+        for k in shared:
+            assert b.probes[k] is a.probes[k] and not a.probes[k].flags.writeable
+            with pytest.raises(ValueError):
+                a.probes[k][0] = 1.0
+
+    def test_plans_own_their_schedules(self):
+        a, b = plan_queries(LINF_3, "linf", 1), plan_queries(LINF_3, "linf", 1)
+        assert a.schedules is not b.schedules and list(a.schedules) == ["coord0", "coord1", "coord2"]
+        a.schedules.clear()
+        assert list(b.schedules) == list(plan_queries(LINF_3, "linf", 1).schedules) == [
+            "coord0", "coord1", "coord2"]
+
+
+SCORE_SPACES = [L2_4, L1_3, LINF_3, POLY_3, NormSpec.lp(5, 1.5), L2_2, LINE]
+
+
+def decomposed(space, seed, even):
+    f = generate_phase_isometry(generate_isometry(space, seed), seed, even=even)
+    return f, decompose(f, seed=seed, force=not even)
+
+
+class TestScoringFromRecordedSigns:
+    """``score_certificate`` reads the signs an even oracle recorded, and
+    equals the score that hashes every sign again."""
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    @pytest.mark.parametrize("space", SCORE_SPACES, ids=repr)
+    def test_own_oracle(self, space, even):
+        for seed in range(3):
+            f, cert = decomposed(space, seed, even)
+            assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    @pytest.mark.parametrize("space", SCORE_SPACES, ids=repr)
+    def test_second_oracle(self, space, even):
+        """A certificate scored against another oracle on the same space object:
+        the logged points outside its transcript are skipped."""
+        _, cert = decomposed(space, 1, True)
+        g, _ = decomposed(space, 2, even)
+        for x in np.random.default_rng(3).standard_normal((5, space.dim)):
+            g(x)  # points the certificate never saw
+        got = score_certificate(g, cert)
+        assert got == oracles.rehashed_score(g, cert)
+        if space.dim >= 2:
+            assert got["eps_consistent"] is False  # the two oracles' signs differ somewhere
+
+    def test_missing_record_rehashes(self):
+        f, cert = decomposed(L2_4, 4, True)
+        want = oracles.rehashed_score(f, cert)
+        assert want["eps_consistent"]
+        recorded = f.hidden_truth["signs"].table
+        for key in list(recorded)[::3]:
+            del recorded[key]
+        assert score_certificate(f, cert) == want
+
+    def test_certificate_in_an_equal_space(self):
+        """The signs of a certificate keyed in another space object, equal by
+        ``==``, are hashed again, never looked up in the oracle's record."""
+        space = NormSpec.polyhedral(2, [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        twin = NormSpec.polyhedral(2, [[1.0, -0.0], [-0.0, 1.0], [1.0, -1.0]])
+        assert twin == space and twin is not space
+        f, cert = decomposed(space, 6, True)
+        moved = DecompositionCertificate(
+            cert.T, SignAssignment(twin, dict(cert.sign_table.table)), cert.route,
+            cert.residual_max, cert.verified_pairs, cert.max_equation_discrepancy,
+            cert.surjectivity, cert.queried_points, cert.tolerances)
+        recorded = f.hidden_truth["signs"].table
+        recorded.update((key, -sign) for key, sign in recorded.items())  # a lookup would disagree
+        assert score_certificate(f, moved) == oracles.rehashed_score(f, moved)
+        assert score_certificate(f, moved)["eps_consistent"]
+        assert score_certificate(f, cert)["eps_consistent"] is False  # the record is read

@@ -182,6 +182,31 @@ class TestCliFailureOrder:
         else:
             assert "sample has shape (1,)" in err  # the x row, though an fx row fails first
 
+    GOOD = b'{"x": [1.0, 0.0], "fx": [1.0, 0.0]}\n'
+    DEEP = b'{"x": ' + b"[" * 100_000 + b"\n"
+    BAD_BYTE = b'{"x": [1.0, 0.0], "fx": [\xff1.0, 0.0]}\n'
+    NESTED = b'{"x": [[1.0, 0.0]], "fx": [1.0, 0.0]}\n'
+
+    @pytest.mark.parametrize("data,line_no,reason", [
+        (GOOD + DEEP, 2, "maximum recursion depth exceeded"),
+        (GOOD + DEEP + NESTED, 2, "maximum recursion depth exceeded"),
+        (NESTED + DEEP, 1, "x and fx must be flat arrays"),
+        (GOOD + BAD_BYTE, 2, "not valid UTF-8: byte 0xff"),
+        (GOOD * 3000 + BAD_BYTE + GOOD, 3001, "not valid UTF-8: byte 0xff"),
+        (NESTED + BAD_BYTE, 1, "x and fx must be flat arrays"),
+    ], ids=["deep", "deep-then-nested", "nested-then-deep", "bad-byte", "bad-byte-late",
+            "nested-then-bad-byte"])
+    def test_undecodable_line(self, tmp_path, capsys, data, line_no, reason):
+        """A line nested past the recursion limit, or a byte that is not UTF-8,
+        is an input error at its own line, after the lines before it are checked."""
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(data)
+        assert main(["check", "--space", '{"kind": "lp", "dim": 2, "p": 2}',
+                     "--samples", str(path)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}:{line_no}: ")
+        assert reason in err
+
 
 def json_dumps_lines(X, FX):
     return "".join(json.dumps({"x": x, "fx": fx}) + "\n"
