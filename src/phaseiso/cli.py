@@ -33,7 +33,7 @@ from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
                          check_phase_equation_batch, generate_isometry,
                          generate_phase_isometry, read_table, validate_table,
                          write_samples)
-from .settings import DEFAULT_TOL, Tolerances, tolerances_from_env
+from .settings import Tolerances, tolerances_from_env
 from .spaces import DimensionMismatch, NormSpec
 
 EXIT_OK = 0
@@ -70,9 +70,9 @@ def _load_space(arg: str) -> NormSpec:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = tolerances_from_env(DEFAULT_TOL)
+    tol = tolerances_from_env()
     if getattr(args, "tol", None) is not None:
-        tol = tol.with_rel(args.tol)
+        tol = Tolerances(args.tol)
     return tol
 
 

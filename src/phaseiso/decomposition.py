@@ -33,7 +33,8 @@ import numpy as np
 from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment, _interleaved,
                          _row_dots, canonical_rays, check_phase_equation_batch, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import Functional, NormSpec, Vector, is_w_star_exposed, support_set
+from .spaces import (Functional, NormSpec, Vector, _row_products, is_w_star_exposed,
+                     support_set)
 
 __all__ = [
     "DecompositionError",
@@ -581,7 +582,7 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
 
     P = plan.probes["verify"]
     FX = f.images(P)
-    AX = np.matmul(a, P[:, :, None])[:, :, 0]  # bit for bit a @ probe
+    AX = _row_products(a, P)
     na, nf = np.sqrt(_row_dots(AX, AX)), np.sqrt(_row_dots(FX, FX))
     skip = (na < 1e-12) | (nf < 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -657,7 +658,7 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     # re-verify the defining equation through the factorization on fresh pairs;
     # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
     xy = plan.probes["fresh_pairs"].reshape(-1, space.dim)
-    txy = np.matmul(matrix, xy[:, :, None])[:, :, 0]  # bit for bit matrix @ row
+    txy = _row_products(matrix, xy)
     rxy = _nearer_signs(cod, f.images(xy), txy)[0][:, None] * txy
     report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
                                         rxy[0::2], rxy[1::2], tol)
@@ -671,9 +672,8 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
     # replay every logged query against eps * T
     q = np.array(f.query_log, dtype=float).reshape(-1, space.dim)
     q = q[np.any(q, axis=1)]
-    signs, residuals = _nearer_signs(cod, f.images(q), np.matmul(matrix, q[:, :, None])[:, :, 0])
-    bounds = tol.rel * (1.0 + space.norms_of(q))
-    failed = ~(residuals <= bounds)  # a NaN residual fails too
+    signs, residuals = _nearer_signs(cod, f.images(q), _row_products(matrix, q))
+    failed = ~(residuals <= tol.scaled(space.norms_of(q)))  # a NaN residual fails too
     if failed.any():
         k = int(np.argmax(failed))
         raise NotDecomposable(
@@ -810,8 +810,8 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     unit = check_phase_equation_batch(space, cod, thetas, scaled, f_theta, f_scaled, tol)
     pair = check_phase_equation_batch(space, cod, scaled, X, f_scaled, f_x, tol)
     support = np.abs(X) > 0.0
-    B = np.matmul(w_matrix, f_theta[:, :, None])[:, :, 0]  # bit for bit w_matrix @ row
-    C = np.matmul(w_matrix, f_x[:, :, None])[:, :, 0]
+    B = _row_products(w_matrix, f_theta)
+    C = _row_products(w_matrix, f_x)
     lost = np.max(np.where(support, np.abs(np.abs(B) - 1.0), 0.0), axis=1) > math.sqrt(tol.rel)
     rel = np.sign(B) * np.sign(C)
     lead = rel[np.arange(len(X)), np.argmax(support, axis=1)]
@@ -908,7 +908,7 @@ def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.
     B = _expansion_coefficients(v, FX)
     nx = space.norms_of(X)
     bound = tol.scaled(nx)
-    outside = cod.norms_of(np.matmul(v, B[:, :, None])[:, :, 0] - FX) > bound
+    outside = cod.norms_of(_row_products(v, B) - FX) > bound
     magnitude = np.max(np.abs(np.abs(B) - np.abs(X)), axis=1) > bound
     support = np.abs(X) > bound[:, None]
     rel = np.sign(B) * np.sign(X) * sigma

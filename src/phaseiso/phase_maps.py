@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import DimensionMismatch, NormSpec, Vector, _as_coords, _coerce
+from .spaces import DimensionMismatch, NormSpec, Vector, _as_coords, _coerce, _row_products
 
 __all__ = [
     "MissingSamples",
@@ -353,7 +353,7 @@ class LinearMap:
     def verify_isometric(self, seed: int = 0, samples: int = 100) -> float:
         """Max deviation of |Tx| from |x| over a random sample."""
         x = np.random.default_rng(seed).standard_normal((samples, self.domain.dim))
-        tx = np.matmul(self.matrix, x[:, :, None])[:, :, 0]  # bit for bit matrix @ row
+        tx = _row_products(self.matrix, x)
         dev = np.abs(self.codomain.norms_of(tx) - self.domain.norms_of(x))
         return float(np.max(dev, initial=0.0))
 
@@ -379,14 +379,14 @@ def _multiset_verdicts(got_a: np.ndarray, got_b: np.ndarray, want_a: np.ndarray,
     """Per row, match the multiset {got_a, got_b} of norms against {want_a, want_b}.
 
     Both are sorted and compared componentwise; the discrepancy is the larger
-    gap, and a row passes when it is at most tol.rel * (1 + the largest norm).
+    gap, and a row passes when it is at most tol.scaled(the largest norm).
     Returns (passed, discrepancy); a NaN discrepancy fails its row.
     """
     got_hi, want_hi = np.maximum(got_a, got_b), np.maximum(want_a, want_b)
     disc = np.maximum(np.abs(np.minimum(got_a, got_b) - np.minimum(want_a, want_b)),
                       np.abs(got_hi - want_hi))
     # norms are nonnegative, so the larger of the two maxima is the largest magnitude
-    return disc <= tol.rel * (1.0 + np.maximum(got_hi, want_hi)), disc
+    return disc <= tol.scaled(np.maximum(got_hi, want_hi)), disc
 
 
 def multiset_match(pair_a: Tuple[float, float], pair_b: Tuple[float, float],
@@ -510,7 +510,7 @@ def check_wigner_equation(f: PhaseMapOracle, pairs, tol: Tolerances = DEFAULT_TO
     got = np.abs(_row_dots(images[:, 0], images[:, 1]))
     want = np.abs(_row_dots(coords[:, 0], coords[:, 1]))
     disc = np.abs(got - want)
-    passed = disc <= tol.rel * (1.0 + np.maximum(got, want))
+    passed = disc <= tol.scaled(np.maximum(got, want))
     worst = float(np.max(disc, initial=0.0, where=~np.isnan(disc)))
     return PhaseCheckReport(coords[:, 0], coords[:, 1], passed, disc, worst)
 
@@ -672,7 +672,7 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
         if even:
             hidden.table.update((tuple(k), v) for k, v in
                                 zip(rounded[nonzero].tolist(), s[nonzero].tolist()))
-        return s[:, None] * np.matmul(t.matrix, rows[:, :, None])[:, :, 0]  # bit for bit T @ x
+        return s[:, None] * _row_products(t.matrix, rows)
 
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,
                                           declared_surjective=even)

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """All comparison thresholds in one record.
 
-    rel            relative tolerance for norm/functional comparisons
+    rel            relative tolerance for norm/functional comparisons; the one
+                   settable value (``Tolerances(rel)``, ``--tol``, ``PHASE_TOL``),
+                   which must be finite and > 0
+
+    The other six are fixed class constants, read as ``tol.<name>`` and
+    reported by ``to_dict`` beside ``rel``:
+
     fd             acceptance threshold for finite-difference fallbacks
     boundary       margin for boolean orthogonality verdicts near the threshold
     collinearity   sine-of-angle bound for projective consistency checks
@@ -19,48 +26,33 @@ class Tolerances:
                    estimates on the t-schedule
     tie            residual spread below which sign pinning is treated as tied
     functional     relative bound for |x*(x)| vs |phi(f(x))| agreement
-
-    Every value must be finite and > 0.
     """
 
     rel: float = 1e-9
-    fd: float = 1e-6
-    boundary: float = 1e-9
-    collinearity: float = 1e-8
-    stabilization: float = 1e-9
-    tie: float = 1e-9
-    functional: float = 1e-8
+    fd: ClassVar[float] = 1e-6
+    boundary: ClassVar[float] = 1e-9
+    collinearity: ClassVar[float] = 1e-8
+    stabilization: ClassVar[float] = 1e-9
+    tie: ClassVar[float] = 1e-9
+    functional: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name!r} must be finite and > 0, got {value}")
-
-    def with_rel(self, rel: float) -> "Tolerances":
-        return replace(self, rel=rel)
+        if not (math.isfinite(self.rel) and self.rel > 0):
+            raise ValueError(f"tolerance 'rel' must be finite and > 0, got {self.rel}")
 
     def scaled(self, magnitude: float) -> float:
         """Absolute threshold for comparing values of the given magnitude."""
         return self.rel * (1.0 + abs(magnitude))
 
     def to_dict(self) -> dict:
-        return {
-            "rel": self.rel,
-            "fd": self.fd,
-            "boundary": self.boundary,
-            "collinearity": self.collinearity,
-            "stabilization": self.stabilization,
-            "tie": self.tie,
-            "functional": self.functional,
-        }
+        return {name: getattr(self, name) for name in
+                ("rel", "fd", "boundary", "collinearity", "stabilization", "tie", "functional")}
 
 
 DEFAULT_TOL = Tolerances()
 
 
-def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
-    """Apply the PHASE_TOL override, if set, to the main comparison tolerance."""
+def tolerances_from_env() -> Tolerances:
+    """DEFAULT_TOL with its rel replaced by PHASE_TOL, if that is set."""
     raw = os.environ.get("PHASE_TOL")
-    if not raw:
-        return base
-    return base.with_rel(float(raw))
+    return Tolerances(float(raw)) if raw else DEFAULT_TOL

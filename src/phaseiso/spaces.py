@@ -46,10 +46,7 @@ class DimensionMismatch(ValueError):
 
 
 def _as_coords(x, dim: int) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (dim,):
-        raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
-                                f"got shape {a.shape}")
+    a = _coerce(x, dim)
     if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
     return a
@@ -62,6 +59,12 @@ def _coerce(x, dim: int) -> np.ndarray:
         raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
                                 f"got shape {a.shape}")
     return a
+
+
+def _row_products(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for each row x of X, equal bit for bit to that one-row product
+    (``X @ M.T`` rounds differently)."""
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -161,8 +164,8 @@ class NormSpec:
         Equal bit for bit to ``norm_of`` on each row: the sums and maxima run
         row-wise in the scalar code's order, the final root is taken per
         element on Python floats (numpy's array ``**`` can differ from the
-        scalar one in the last bit), and polyhedral values come from one
-        matrix-vector product per row (``X @ A.T`` rounds differently).
+        scalar one in the last bit), and polyhedral values come from
+        ``_row_products``.
         Both reduce with ``np.add`` and ``np.maximum`` directly, the ufunc
         reductions ``np.sum`` and ``np.max`` call, without their wrappers.
         """
@@ -171,8 +174,7 @@ class NormSpec:
             raise DimensionMismatch(f"dimension mismatch: expected rows of {self.dim} "
                                     f"coordinates, got shape {a.shape}")
         if self.functionals is not None:
-            return np.maximum.reduce(np.abs(np.matmul(self.functionals, a[:, :, None])[:, :, 0]),
-                                     axis=1)
+            return np.maximum.reduce(np.abs(_row_products(self.functionals, a)), axis=1)
         mag = np.abs(a)
         if math.isinf(self.p):
             return np.maximum.reduce(self._w * mag, axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,13 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       recover_functional, recover_projective_linear, score_certificate,
                       Tolerances)
 from conftest import zoo_ids
-from phaseiso.decomposition import (ROUTES, _assemble_certificate, _expansion_coefficients,
-                                    _seed_free_part, route_for)
+from phaseiso.decomposition import (ROUTES, _TWO_DIM_GRID, _assemble_certificate,
+                                    _expansion_coefficients, _seed_free_part, route_for)
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
 L1_3 = NormSpec.lp(3, 1)
+L1_4 = NormSpec.lp(4, 1)
 LINF_3 = NormSpec.lp(3, float("inf"))
 LINE = NormSpec.lp(1, 2)
 LINF_2 = NormSpec.lp(2, float("inf"))
@@ -626,6 +628,149 @@ class TestColumnSignChain:
         assert all(type(v) is int for v in err.value.witness)
 
 
+def embedded(seed, at, answer):
+    """The generated eps * T oracle on L1_3, padded with a zero fourth
+    coordinate into L1_4, answering ``answer(c, eps * T)`` at the points ``at``."""
+    base = generate_phase_isometry(generate_isometry(L1_3, seed), seed)
+
+    def fn(c):
+        if any(np.array_equal(c, p) for p in at):
+            return answer(c, base)
+        return np.append(base(c), 0.0)
+
+    return PhaseMapOracle.from_callable(L1_3, L1_4, fn, declared_surjective=True)
+
+
+class TestRejectionWitnesses:
+    """Each rejection, reached through a tampered oracle, names its witness;
+    where two points are tampered, the earlier one in query order is it."""
+
+    def test_vanishing_schedule_image(self):
+        space = NormSpec.lp(3, 3)
+        x_star, u = plan_queries(space, "smooth", 0).schedules["coord0"]
+        f = tampered(space, 0, [2.0 * u.coords], lambda fx: 0.0 * fx)
+        with pytest.raises(SmoothnessFailure,
+                           match=r"^f vanished on the schedule at t=2\.0$") as err:
+            recover_functional(f, x_star, exposing_point=u)
+        assert err.value.t == 2.0
+
+    def test_two_dim_grid_pin(self):
+        e1, e2 = np.eye(2)
+        reps = [canonical_ray(a * e1 + e2, L2_2) for a in _TWO_DIM_GRID]
+        f = tampered(L2_2, 0, [reps[7], reps[4]], lambda fx: 1.01 * fx)
+        a = _TWO_DIM_GRID[4]
+        assert a == 0.0625
+        with pytest.raises(NotDecomposable, match=r"^sign pinning failed on the normalization "
+                                                  r"grid at a=0\.0625$") as err:
+            normalize_two_dim(f)
+        # the grid image is 1.01 times +-T(a e1 + e2), so the best fit misses by 0.01 |a e1 + e2|
+        kind, at, residual = err.value.witness
+        assert (kind, at) == ("grid", a)
+        assert residual == pytest.approx(0.01 * L2_2.norm_of(a * e1 + e2), rel=1e-9)
+
+    def test_all_ones_probe_outside_the_basis_span(self):
+        space = NormSpec.lp(3, 2)
+        plan = plan_queries(space, "smooth", 0)
+        ones = plan.probes["ones"][0]
+
+        def fn(c):
+            return np.append(c, 0.5 if np.array_equal(c, ones) else 0.0)
+
+        f = PhaseMapOracle.from_callable(space, L2_4, fn, declared_surjective=True)
+        with pytest.raises(CollinearityViolation,
+                           match="^image of the all-ones probe is not in the span of the "
+                                 "basis images$") as err:
+            recover_projective_linear(f, plan)
+        assert err.value.witness == [1.0, 1.0, 1.0]
+
+    def test_fresh_pair_of_a_non_isometric_factor(self):
+        # T stretched along e_3 is an isometry on pairs without an e_3 part;
+        # only pairs 3 and 5 of the fresh pairs have one
+        t = generate_isometry(L2_4, 0)
+        f = generate_phase_isometry(t, 0)
+        plan = plan_queries(L2_4, "smooth", 0)
+        pairs = plan.probes["fresh_pairs"].copy()
+        pairs[:, :, 3] = 0.0
+        pairs[5, 1, 3], pairs[3, 0, 3] = 1.0, -1.0
+        plan = dataclasses.replace(plan, probes={**plan.probes, "fresh_pairs": pairs})
+        with pytest.raises(NotDecomposable,
+                           match="^reconstructed map violates the defining equation on a "
+                                 "fresh pair$") as err:
+            _assemble_certificate(f, t.matrix @ np.diag([1.0, 1.0, 1.0, 1.01]), "smooth",
+                                  plan, DEFAULT_TOL, {})
+        assert err.value.witness == [list(pairs[3, 0]), list(pairs[3, 1])]
+
+    def test_linf_functional_alignment(self):
+        e = np.eye(3)
+        f = tampered(LINF_3, 0, [e[2], e[1]], lambda fx: 1.01 * fx)
+        with pytest.raises(NotDecomposable,
+                           match=r"^aligned coordinate functionals do not separate the basis "
+                                 r"images \(phi_1\(f\(e_1\)\) = 1\.010e\+00\)$") as err:
+            decompose(f, seed=0)
+        assert err.value.witness == [1, 1]
+
+    def test_l1_basis_ray_scaling(self):
+        rays = plan_queries(L1_3, "l1", 0).probes["basis_rays"]  # rows (e_i, t e_i), i major
+        assert np.array_equal(rays[6, 1], -1.0 * rays[6, 0]) and rays[6, 0, 1] == 1.0
+        f = tampered(L1_3, 0, [rays[8, 1], rays[6, 1]], lambda fx: 1.01 * fx)
+        with pytest.raises(NotDecomposable,
+                           match=r"^f\(t e_1\) is not \+- t f\(e_1\) at t=-1\.0$") as err:
+            decompose(f, seed=0)
+        assert err.value.witness == [1, -1.0]
+
+    def test_l1_additive_identity(self):
+        # the ray of e_2 goes to the direction (f(e_1) + f(e_2)) / 2: it scales
+        # correctly, but overlaps f(e_1), so the probe pair (1, 2) breaks first
+        e = np.eye(4)
+
+        def oracle():
+            base = generate_phase_isometry(generate_isometry(L1_4, 0), 0)
+            w = (base(e[1]) + base(e[2])) / 2.0
+            return PhaseMapOracle.from_callable(
+                L1_4, L1_4, lambda c: base(c) if np.delete(c, 2).any() else c[2] * w,
+                declared_surjective=True)
+
+        g = oracle()
+        a, b = g(2.0 * e[1]), g(e[2])
+        got = [v for v in (L1_4.norm_of(a + b), L1_4.norm_of(a - b))
+               if abs(v - 3.0) > DEFAULT_TOL.scaled(3.0)]
+        with pytest.raises(NotDecomposable) as err:
+            decompose(oracle(), seed=0)
+        assert str(err.value) == ("disjointly supported basis probes lost the additive norm "
+                                  f"identity ({got[0]} != 3)")
+        assert err.value.witness == [1, 2]
+
+    def test_expansion_outside_the_span(self):
+        randoms = plan_queries(L1_3, "l1", 2).probes["randoms"]
+        f = embedded(2, [randoms[5], randoms[2]], lambda c, base: np.append(base(c), 0.5))
+        with pytest.raises(NotDecomposable,
+                           match="^f\\(x\\) is outside the span of the basis images$") as err:
+            decompose(f, seed=2)
+        assert err.value.witness == list(randoms[2])
+
+    def test_expansion_signs_incoherent(self):
+        randoms = plan_queries(L1_3, "l1", 2).probes["randoms"]
+        f = embedded(2, [randoms[5], randoms[2]],
+                     lambda c, base: np.append(base(c * [1.0, 1.0, -1.0]), 0.0))
+        with pytest.raises(NotDecomposable,
+                           match="^expansion signs are incoherent with the basis sign "
+                                 "chain$") as err:
+            decompose(f, seed=2)
+        assert err.value.witness == list(randoms[2])
+
+    def test_expansion_norm_bookkeeping(self):
+        # a lift below the span bound adds it twice to |f(x) + b v| + |f(x) - b v|;
+        # the rows of basis_pairs are e0 + e1, e0 + e2, e1 + e2
+        pairs = plan_queries(L1_3, "l1", 2).probes["basis_pairs"]
+        lift = 0.75 * DEFAULT_TOL.scaled(2.0)
+        f = embedded(2, [pairs[2]], lambda c, base: np.append(base(c), lift))
+        with pytest.raises(NotDecomposable,
+                           match="^norm bookkeeping identity fails for a support "
+                                 "coordinate$") as err:
+            decompose(f, seed=2)
+        assert err.value.witness == [[0.0, 1.0, 1.0], 1]
+
+
 class TestBatchedWitnesses:
     def test_earlier_collinearity_failure_is_the_witness(self):
         plan = plan_queries(L2_4, "smooth", 0)
@@ -752,7 +897,7 @@ class TestLinfSignMap:
     def test_coordinate_signs(self):
         # flipping the smallest coordinate of f(x) moves the pair identity by
         # 2 min|x_i|, which a loose tolerance forgives; only the signs break
-        tol = DEFAULT_TOL.with_rel(1e-2)
+        tol = Tolerances(1e-2)
         for seed in range(200):
             sv = plan_queries(LINF_3, "linf", seed, tol).probes["sign_vectors"]
             low = np.min(np.abs(sv[:, 0]), axis=1)
@@ -937,7 +1082,7 @@ class TestPlanCache:
     """The seed-free part of a plan is cached per (space, route, tol) without changing a bit."""
 
     def test_warm_plan_equals_cold_plan(self):
-        tol = DEFAULT_TOL.with_rel(1e-7)
+        tol = Tolerances(1e-7)
         cases = [(name, n, route, t, seed) for name, n, route in PLAN_CASES
                  for t in (DEFAULT_TOL, tol) for seed in (0, 5)]
         for name, n, route, t, seed in cases:  # every case is cached before any is compared
