@@ -184,6 +184,8 @@ def cmd_lemma(args) -> int:
     coords = _parse_vector(args.functional, space.dim)
     dn = space.dual_norm_of(coords)
     if args.normalize:
+        if dn == 0.0:
+            raise ValueError("the functional is zero and cannot be normalized")
         coords = coords / dn
     elif abs(dn - 1.0) > 1e-6:
         raise DimensionMismatch(f"functional must be unit in the dual norm (got {dn}); "

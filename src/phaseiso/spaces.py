@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .settings import DEFAULT_TOL, Tolerances
 
@@ -39,6 +38,17 @@ __all__ = [
 ]
 
 _KINDS = ("lp", "weighted_lp", "polyhedral")
+
+
+def _highs_lp(c, **constraints):
+    """``min c.x`` under ``constraints`` (``linprog``'s keywords), solved by HiGHS.
+
+    The one LP entry point.  ``scipy.optimize`` is imported here, at the first
+    LP a process solves, so ``import phaseiso`` loads numpy alone: only the
+    polyhedral dual norm and exposed-point test need an LP.
+    """
+    from scipy.optimize import linprog
+    return linprog(c, method="highs", **constraints)
 
 
 class DimensionMismatch(ValueError):
@@ -202,8 +212,7 @@ class NormSpec:
         # max c.x subject to |a_i . x| <= 1
         a = self.functionals
         ub = np.vstack([a, -a])
-        res = linprog(-c, A_ub=ub, b_ub=np.ones(2 * len(a)), bounds=[(None, None)] * self.dim,
-                      method="highs")
+        res = _highs_lp(-c, A_ub=ub, b_ub=np.ones(2 * len(a)), bounds=[(None, None)] * self.dim)
         if not res.success:
             raise ArithmeticError(f"dual norm LP failed: {res.message}")
         return float(-res.fun)
@@ -568,9 +577,8 @@ def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> Expo
                 rows = np.zeros((0, n + 1))
                 b = np.zeros(0)
             eq = np.hstack([s * a[i], 0.0])[None, :]
-            res = linprog(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=b,
-                          A_eq=eq, b_eq=[1.0],
-                          bounds=[(None, None)] * n + [(None, 2.0)], method="highs")
+            res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=b,
+                            A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
             if res.success and res.x[-1] > 1e-9:
                 x = res.x[:n]
                 x = x / space.norm_of(x)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from phaseiso import DimensionMismatch, NormSpec, PhaseMapOracle, plan_queries, read_samples
+from phaseiso import (DimensionMismatch, NormSpec, PhaseMapOracle, is_w_star_exposed, plan_queries,
+                      read_samples)
 from phaseiso import cli
 from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
 from phaseiso.decomposition import ROUTES
@@ -19,6 +20,8 @@ from phaseiso.decomposition import ROUTES
 L1_3 = '{"kind": "lp", "dim": 3, "p": 1}'
 L2_2 = '{"kind": "lp", "dim": 2, "p": 2}'
 LINF_4 = '{"kind": "lp", "dim": 4, "p": "inf"}'
+POLY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+POLY3_SPACE = json.dumps({"kind": "polyhedral", "dim": 3, "functionals": POLY3})
 
 
 def run(args):
@@ -378,6 +381,16 @@ class TestLemma:
                     "--normalize", "--oracle-seed", "5"])
         assert code == 0
 
+    @pytest.mark.parametrize("space", [L1_3, POLY3_SPACE], ids=["lp", "polyhedral"])
+    def test_zero_functional_cannot_be_normalized(self, space, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["lemma", "--space", space, "--functional", "[0, 0, 0]",
+                        "--normalize", "--oracle-seed", "5"])
+        assert code == 64
+        assert capsys.readouterr().err.strip() == \
+            "error: the functional is zero and cannot be normalized"
+
 
 class TestFuzz:
     def test_small_campaign_succeeds(self, tmp_path):
@@ -640,12 +653,71 @@ class TestFailureTable:
         assert codes == documented == in_readme
 
 
+def _fresh_python(probe: str, *argv: str, cwd=None) -> str:
+    """stdout of ``probe`` run by a fresh interpreter that imports phaseiso from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env={"PYTHONPATH": src},
+                          cwd=cwd, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+class TestScipyOnDemand:
+    """``import phaseiso`` loads numpy alone; ``scipy.optimize`` is imported by the
+    first polyhedral LP (dual norm or exposed-point test), which only that needs."""
+
+    def test_startup_imports_no_scipy(self):
+        probe = ("import json, sys\n"
+                 "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                 "import phaseiso\n"
+                 "after_package = loaded()\n"
+                 "import phaseiso.cli\n"
+                 "after_cli = loaded()\n"
+                 "from phaseiso import NormSpec, is_w_star_exposed\n"
+                 f"space = NormSpec.polyhedral(3, {POLY3})\n"
+                 "dn = space.dual_norm_of([0.3, -1.2, 0.5])\n"
+                 "ex = is_w_star_exposed(space.functional([1.0, 1.0, 1.0]))\n"
+                 "print(json.dumps([after_package, after_cli, 'scipy.optimize' in sys.modules,\n"
+                 "                  dn, ex.exposed, ex.point.coords.tolist()]))\n")
+        after_package, after_cli, optimize, dn, exposed, point = json.loads(_fresh_python(probe))
+        assert after_package == [] and after_cli == []
+        assert optimize
+        space = NormSpec.polyhedral(3, POLY3)
+        assert dn == space.dual_norm_of([0.3, -1.2, 0.5])
+        ex = is_w_star_exposed(space.functional([1.0, 1.0, 1.0]))
+        assert exposed is ex.exposed is True
+        assert point == ex.point.coords.tolist()
+
+    @pytest.mark.parametrize("space", [
+        L1_3, '{"kind": "lp", "dim": 3, "p": 2}', LINF_4,
+        '{"kind": "weighted_lp", "dim": 3, "p": 1.5, "weights": [1, 2, 0.5]}',
+    ], ids=["l1_n3", "l2_n3", "linf_n4", "weighted_l1.5_n3"])
+    def test_theorem_routes_run_without_scipy(self, space, tmp_path, monkeypatch):
+        runs = [
+            ["gen", "--space", space, "--seed", "3", "--out", "s.jsonl", "--hidden", "t.json"],
+            ["decompose", "--space", space, "--samples", "s.jsonl", "--seed", "3",
+             "--declare-surjective", "--out", "c.json"],
+            ["check", "--space", space, "--samples", "s.jsonl", "--max-pairs", "300",
+             "--out", "r.json"],
+        ]
+        probe = ("import json, sys\n"
+                 "sys.modules['scipy'] = None\n"
+                 "from phaseiso.cli import main\n"
+                 "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+        blocked, free = tmp_path / "blocked", tmp_path / "free"
+        blocked.mkdir()
+        free.mkdir()
+        assert json.loads(_fresh_python(probe, json.dumps(runs), cwd=blocked)) == [0, 0, 0]
+        monkeypatch.chdir(free)
+        assert [main(argv) for argv in runs] == [0, 0, 0]
+        names = ["s.jsonl", "t.json", "c.json", "r.json"]
+        assert [(blocked / n).read_bytes() for n in names] == [(free / n).read_bytes() for n in names]
+
+
 class TestCachedParser:
     """``main`` parses with one parser per process, built on its first call, and
     runs each subcommand as the ``cmd_*`` it finds in the module at that call."""
 
     def test_not_built_at_import(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
         probe = ("import argparse\n"
                  "built = []\n"
                  "init = argparse.ArgumentParser.__init__\n"
@@ -653,9 +725,7 @@ class TestCachedParser:
                  "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
                  "import phaseiso.cli\n"
                  "print(len(built))\n")
-        proc = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src},
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "0"
+        assert _fresh_python(probe).strip() == "0"
 
     def test_same_runs_as_a_fresh_parser(self, tmp_path, capsys):
         samples = tmp_path / "s.jsonl"
