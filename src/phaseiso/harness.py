@@ -113,6 +113,11 @@ def trial_seed(campaign_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _nonzero_rows(points: list, dim: int) -> np.ndarray:
+    rows = np.array(points, dtype=float).reshape(-1, dim)
+    return rows[rows.any(axis=1)]
+
+
 def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) -> dict:
     """Compare a certificate against the oracle's hidden ground truth.
 
@@ -123,7 +128,10 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     are read back when the certificate keys its signs in that same space
     object, the oracle's domain (``NormSpec ==`` also equates spaces whose
     functionals differ in the sign of a zero).  Otherwise, or for a key the
-    record lacks, the signs are hashed again.
+    record lacks, the signs are hashed again.  The logged points are keyed
+    once: the ray keys the certificate's replay made are reused while the
+    oracle's ``query_log`` is the list it keyed, at the same length, and the
+    certificate's sign table keys in the space it was keyed in.
     """
     truth = oracle.hidden_truth
     if truth is None:
@@ -133,14 +141,20 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     err_plus = float(np.max(np.abs(t_hat - t_true)))
     err_minus = float(np.max(np.abs(t_hat + t_true)))
     s = 1 if err_plus <= err_minus else -1
-    logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
-    logged = logged[logged.any(axis=1)]
-    keys = ray_keys(logged, cert.sign_table.space)
+    log, space = oracle.query_log, cert.sign_table.space
+    logged = None  # the nonzero logged points, stacked only when needed
+    keyed = cert._logged_keys
+    if keyed is not None and keyed[0] is log and keyed[1] == len(log) and keyed[2] is space:
+        keys = keyed[3]
+    else:
+        logged = _nonzero_rows(log, oracle.domain.dim)
+        keys = ray_keys(logged, space)
     recovered = map(cert.sign_table.table.get, keys)
     hidden, wanted = truth["signs"], None
-    if truth["even"] and cert.sign_table.space is hidden.space:
+    if truth["even"] and space is hidden.space:
         wanted = list(map(hidden.table.get, keys))
     if wanted is None or None in wanted:
+        logged = _nonzero_rows(log, oracle.domain.dim) if logged is None else logged
         wanted = truth["signs_of"](logged).tolist()
     # a point outside the certificate's transcript (None) is not scored
     eps_ok = all(r is None or r * s == want for r, want in zip(recovered, wanted))

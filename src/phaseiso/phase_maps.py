@@ -161,6 +161,13 @@ class SignAssignment:
 # ---------------------------------------------------------------------------
 
 
+def _row_keys(X: np.ndarray) -> List[bytes]:
+    """The cache key of each row of an (m, dim) float64 array: the row's bytes
+    after ``+ 0.0``, which folds -0.0 into +0.0.  Two finite rows share a key
+    exactly when they are equal as tuples of floats."""
+    return np.ascontiguousarray(X + 0.0).view(f"V{8 * X.shape[1]}").ravel().tolist()
+
+
 def _stack_rows(rows: Sequence, dim: int) -> np.ndarray:
     """The rows as an (N, dim) array; the first row of another shape raises DimensionMismatch."""
     try:
@@ -217,7 +224,9 @@ class PhaseMapOracle:
     coordinate keys: ``table`` maps each x, as a tuple of floats, to its row
     of the (N, codomain dim) array ``table_images``.  Queries are cached, so
     repeated evaluation at the same point returns the identical vector, and
-    every distinct evaluated point is recorded in ``query_log``.
+    every distinct evaluated point is recorded in ``query_log``.  The cache
+    keys each point by its bytes after ``+ 0.0`` (:func:`_row_keys`), so
+    points that differ only in the sign of a zero share an entry.
     ``fn_batch``, when set, maps an (m, dim) array of points to their
     (m, codomain dim) images at once; it must agree with ``fn`` row by row.
     """
@@ -231,7 +240,7 @@ class PhaseMapOracle:
     hidden_truth: Optional[dict] = None
     fn_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     table_images: Optional[np.ndarray] = None
-    _cache: Dict[Tuple[float, ...], np.ndarray] = field(default_factory=dict)
+    _cache: Dict[bytes, np.ndarray] = field(default_factory=dict)  # keys from _row_keys
 
     @classmethod
     def from_callable(cls, domain: NormSpec, codomain: NormSpec,
@@ -258,16 +267,17 @@ class PhaseMapOracle:
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
         coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
-        key = tuple(coords.tolist())
+        U = coords.reshape(1, -1)
+        key = _row_keys(U)[0]
         hit = self._cache.get(key)
         if hit is not None:  # only finite points are ever stored
             return hit
         if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite")
-        self._fetch([key], np.array(coords, dtype=float).reshape(1, -1))
+        self._fetch([key], np.array(U, dtype=float))
         return self._cache[key]
 
-    def _fetch(self, keys: List[Tuple[float, ...]], U: np.ndarray):
+    def _fetch(self, keys: List[bytes], U: np.ndarray):
         """Compute, check and commit the images of the uncached points U, one per key, as a block.
 
         A table answers with one gather, ``fn_batch`` with one call and
@@ -281,9 +291,10 @@ class PhaseMapOracle:
         """
         cod_dim = self.codomain.dim
         if self.table is not None:
-            rows = [self.table.get(key) for key in keys]
+            points = [tuple(u) for u in U.tolist()]
+            rows = [self.table.get(p) for p in points]
             if None in rows:
-                raise MissingSamples([keys[rows.index(None)]])
+                raise MissingSamples([points[rows.index(None)]])
             V = self.table_images[rows]
         elif self.fn_batch is not None and (len(U) > 1 or self.fn is None):
             V = np.array(self.fn_batch(U), dtype=float)
@@ -317,9 +328,9 @@ class PhaseMapOracle:
                                     f"got shape {X.shape[1:]}")
         if not np.isfinite(X).all():
             raise ValueError("coordinates must be finite")
-        keys = [tuple(row) for row in X.tolist()]
+        keys = _row_keys(X)
         cache = self._cache
-        first: Dict[Tuple[float, ...], int] = {}  # uncached key -> its first row
+        first: Dict[bytes, int] = {}  # uncached key -> its first row
         for i, key in enumerate(keys):
             if key not in cache and key not in first:
                 first[key] = i

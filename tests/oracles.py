@@ -387,3 +387,98 @@ def rehashed_score(oracle, cert):
     eps_ok = all(r is None or r * s == want
                  for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
     return {"t_error": min(err_plus, err_minus), "global_sign": s, "eps_consistent": eps_ok}
+
+
+def rekeyed_score(oracle, cert):
+    """``score_certificate`` as it was before it reused the certificate's ray
+    keys (a frozen copy): every logged nonzero point is keyed again in the
+    certificate's space, the oracle's recorded signs are read when it is even
+    and the certificate keys in its domain object, and hashed again otherwise
+    or for a key the record lacks."""
+    from phaseiso.phase_maps import ray_keys
+
+    truth = oracle.hidden_truth
+    t_true, t_hat = truth["T"].matrix, cert.T.matrix
+    err_plus = float(np.max(np.abs(t_hat - t_true)))
+    err_minus = float(np.max(np.abs(t_hat + t_true)))
+    s = 1 if err_plus <= err_minus else -1
+    logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
+    logged = logged[logged.any(axis=1)]
+    keys = ray_keys(logged, cert.sign_table.space)
+    recovered = map(cert.sign_table.table.get, keys)
+    hidden, wanted = truth["signs"], None
+    if truth["even"] and cert.sign_table.space is hidden.space:
+        wanted = list(map(hidden.table.get, keys))
+    if wanted is None or None in wanted:
+        wanted = truth["signs_of"](logged).tolist()
+    eps_ok = all(r is None or r * s == want for r, want in zip(recovered, wanted))
+    return {"t_error": min(err_plus, err_minus), "global_sign": s,
+            "eps_consistent": eps_ok}
+
+
+def tuple_keyed(f):
+    """A fresh oracle with the callables, table and hidden truth of the unused
+    oracle f, whose cache keys each point by the tuple of its floats, as
+    ``PhaseMapOracle`` did before it keyed points by their bytes (frozen
+    copies of ``__call__``, ``_fetch`` and ``images``)."""
+    from phaseiso import DimensionMismatch, MissingSamples, PhaseMapOracle, Vector
+    from phaseiso.spaces import _coerce
+
+    class TupleKeyedOracle(PhaseMapOracle):
+        def __call__(self, x):
+            coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
+            key = tuple(coords.tolist())
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
+            if not np.isfinite(coords).all():
+                raise ValueError("coordinates must be finite")
+            self._fetch([key], np.array(coords, dtype=float).reshape(1, -1))
+            return self._cache[key]
+
+        def _fetch(self, keys, U):
+            cod_dim = self.codomain.dim
+            if self.table is not None:
+                rows = [self.table.get(key) for key in keys]
+                if None in rows:
+                    raise MissingSamples([keys[rows.index(None)]])
+                V = self.table_images[rows]
+            elif self.fn_batch is not None and (len(U) > 1 or self.fn is None):
+                V = np.array(self.fn_batch(U), dtype=float)
+            else:
+                rows = [np.asarray(self.fn(np.array(u)), dtype=float) for u in U]
+                V = np.array(rows) if len({r.shape for r in rows}) == 1 else None
+            if V is None or V.shape != (len(U), cod_dim):
+                raise DimensionMismatch("oracle returned a vector of the wrong dimension")
+            if not np.isfinite(V).all():
+                bad = np.argmin(np.isfinite(V).all(axis=1))
+                raise ValueError(f"oracle returned a non-finite vector at {list(U[bad])}")
+            V.setflags(write=False)
+            cache, log = self._cache, self.query_log
+            for key, u, v in zip(keys, U, V):
+                if cache.setdefault(key, v) is v:
+                    log.append(u)
+
+        def images(self, points):
+            dim, cod_dim = self.domain.dim, self.codomain.dim
+            X = np.asarray(points, dtype=float)
+            if X.ndim != 2 or X.shape[1] != dim:
+                raise DimensionMismatch(f"dimension mismatch: expected {dim} coordinates, "
+                                        f"got shape {X.shape[1:]}")
+            if not np.isfinite(X).all():
+                raise ValueError("coordinates must be finite")
+            keys = [tuple(row) for row in X.tolist()]
+            cache = self._cache
+            first = {}
+            for i, key in enumerate(keys):
+                if key not in cache and key not in first:
+                    first[key] = i
+            if first:
+                self._fetch(list(first), X[list(first.values())])
+            return np.array([cache[key] for key in keys], dtype=float).reshape(len(keys), cod_dim)
+
+    assert not f.query_log and not f._cache, "tuple_keyed needs an unused oracle"
+    return TupleKeyedOracle(f.domain, f.codomain, fn=f.fn, table=f.table,
+                            declared_surjective=f.declared_surjective,
+                            hidden_truth=f.hidden_truth, fn_batch=f.fn_batch,
+                            table_images=f.table_images)

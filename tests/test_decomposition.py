@@ -15,8 +15,10 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       recover_functional, recover_projective_linear, score_certificate,
                       Tolerances)
 from conftest import zoo_ids
+from phaseiso import harness
 from phaseiso.decomposition import (ROUTES, _TWO_DIM_GRID, _assemble_certificate,
                                     _expansion_coefficients, _seed_free_part, route_for)
+from phaseiso.phase_maps import _row_keys
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -596,7 +598,7 @@ class TestCertificateReplay:
         f = generate_phase_isometry(generate_isometry(space, 2), 2)
         cert = decompose(f, seed=2)
         logged = f.query_log[10]
-        f._cache[tuple(map(float, logged))] = np.full(3, np.nan)
+        f._cache[_row_keys(logged[None])[0]] = np.full(3, np.nan)
         plan = plan_queries(space, "smooth", 2)
         with pytest.raises(NotDecomposable, match="residual nan") as err:
             _assemble_certificate(f, cert.T.matrix, "smooth", plan, DEFAULT_TOL, {})
@@ -1171,3 +1173,88 @@ class TestScoringFromRecordedSigns:
         assert score_certificate(f, moved) == oracles.rehashed_score(f, moved)
         assert score_certificate(f, moved)["eps_consistent"]
         assert score_certificate(f, cert)["eps_consistent"] is False  # the record is read
+
+
+FUZZ_FAMILIES = [NormSpec.lp(3, 1), NormSpec.lp(8, 1), LINF_3, NormSpec.lp(8, math.inf), L2_2,
+                 NormSpec.lp(6, 2), NormSpec.lp(5, 1.5), NormSpec.lp(5, 3), POLY_3]
+
+
+class TestScoringReusesKeys:
+    """``score_certificate`` reuses the ray keys of the certificate's replay
+    while the oracle's log is the list it keyed, at the same length, keys the
+    log again otherwise, and equals the score that always keys it again."""
+
+    @pytest.fixture
+    def keyings(self, monkeypatch):
+        """The ray_keys calls that scoring makes."""
+        calls = []
+        real = harness.ray_keys
+        monkeypatch.setattr(harness, "ray_keys", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("space", FUZZ_FAMILIES, ids=repr)
+    def test_fuzz_families(self, space, keyings):
+        for seed in range(20):
+            f, cert = decomposed(space, seed, True)
+            assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+        assert keyings == []
+
+    @pytest.mark.parametrize("space", SCORE_SPACES, ids=repr)
+    def test_uneven_oracle(self, space, keyings):
+        for seed in range(3):
+            f, cert = decomposed(space, seed, False)
+            assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+        assert keyings == []
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    @pytest.mark.parametrize("space", [L1_3, LINF_3, L2_4, POLY_3], ids=repr)
+    def test_oracle_queried_after_decompose(self, space, even, keyings):
+        f, cert = decomposed(space, 3, even)
+        f(f.query_log[-1])  # a hit leaves the log as it was keyed
+        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+        assert keyings == []
+        f.images(np.random.default_rng(3).standard_normal((4, space.dim)))
+        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+        assert len(keyings) == 1
+        f.query_log = list(f.query_log)  # an equal log in another list
+        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+        assert len(keyings) == 2
+
+    SPACE = NormSpec.polyhedral(2, [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    TWIN = NormSpec.polyhedral(2, [[1.0, -0.0], [-0.0, 1.0], [1.0, -1.0]])  # == SPACE
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["same-space", "equal-space"])
+    def test_another_oracle(self, twin, keyings):
+        f, cert = decomposed(self.SPACE, 6, True)
+        g = generate_phase_isometry(generate_isometry(self.TWIN if twin else self.SPACE, 6), 6)
+        g.images(np.array(f.query_log))  # the same points, logged in g's own list
+        assert len(g.query_log) == len(f.query_log)
+        got = score_certificate(g, cert)
+        assert got == oracles.rekeyed_score(g, cert) and got["eps_consistent"]
+        assert len(keyings) == 1
+
+    def test_certificate_moved_to_an_equal_space(self, keyings):
+        f, cert = decomposed(self.SPACE, 6, True)
+        moved = dataclasses.replace(cert, sign_table=SignAssignment(self.TWIN, dict(cert.sign_table.table)))
+        assert moved._logged_keys is cert._logged_keys
+        assert score_certificate(f, moved) == oracles.rekeyed_score(f, moved)
+        assert len(keyings) == 1 and keyings[0][1] is self.TWIN
+
+    def test_keys_are_not_part_of_the_certificate(self):
+        f, cert = decomposed(L2_4, 1, True)
+        assert cert._logged_keys[0] is f.query_log
+        bare = dataclasses.replace(cert, _logged_keys=None)
+        assert bare == cert and repr(bare) == repr(cert) and bare.to_json() == cert.to_json()
+        assert score_certificate(f, bare) == score_certificate(f, cert)
+
+
+class TestHigherDimensions:
+    """Round trips above the benchmark's n = 8."""
+
+    @pytest.mark.parametrize("p", [1, math.inf, 2], ids=["l1", "linf", "l2"])
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_round_trip(self, dim, p):
+        for seed in range(3):
+            outcome = harness.run_trial(NormSpec.lp(dim, p), seed)
+            assert outcome.status == "success", outcome.message
+            assert outcome.t_error <= 1e-9 and outcome.eps_consistent

@@ -17,7 +17,7 @@ from phaseiso import (DimensionMismatch, LinearMap, MissingSamples, NormSpec, Ph
                       check_phase_invariants, make_sign_flip_oracle, multiset_match,
                       ray_key, ray_keys, read_samples, write_samples, Tolerances,
                       DEFAULT_TOL)
-from phaseiso.phase_maps import _hash_sign, _hash_signs, _rounded_rays
+from phaseiso.phase_maps import _hash_sign, _hash_signs, _rounded_rays, _row_keys
 
 L2_2 = NormSpec.lp(2, 2)
 LINE = NormSpec.lp(1, 2)
@@ -429,6 +429,100 @@ class TestTableOracle:
                                                      (np.eye(2)[0], np.eye(2)[0])])
         report = check_phase_equation(f, [(big, big), (big, -big), (big, np.eye(2)[0])])
         assert report.passed and math.isfinite(report.max_discrepancy)
+
+
+def signed_key_rows(dim, rng):
+    """Rows whose keys the sign of a zero must not split and the sign of a
+    denormal must: ±0 twins in several coordinates, ±5e-324 and repeats."""
+    X = 2.0 * rng.standard_normal((12, dim))
+    X[1] = X[0]  # a repeat within the batch
+    X[2] = 0.0
+    X[3] = -0.0  # the zero row's key again
+    X[4, ::2] = 0.0
+    X[5] = X[4]
+    X[5, ::2] = -0.0  # row 4's key again
+    X[6, 0] = 5e-324
+    X[7] = X[6]
+    X[7, 0] = -5e-324  # a key of its own
+    X[8] = X[7]  # a repeat of the negative denormal
+    X[9, -1] = -0.0
+    X[10] = X[9]
+    X[10, -1] = 0.0  # row 9's key again
+    return X
+
+
+class TestByteKeys:
+    """The cache keys each row by its bytes after ``+ 0.0`` and behaves as the
+    tuple-keyed cache did (``oracles.tuple_keyed``)."""
+
+    def test_keys_equal_exactly_when_tuples_equal(self, rng):
+        for dim in (1, 8, 64):
+            X = signed_key_rows(dim, rng)
+            keys, tuples = _row_keys(X), [tuple(row) for row in X.tolist()]
+            assert all(type(k) is bytes and len(k) == 8 * dim for k in keys)
+            assert [[a == b for b in keys] for a in keys] == [[a == b for b in tuples] for a in tuples]
+            assert keys[2] == keys[3] and keys[4] == keys[5] and keys[6] != keys[7]
+            assert keys[0] == (X[0] + 0.0).tobytes()
+
+    @staticmethod
+    def spied(f):
+        """f, recording the rows its fn and fn_batch are asked for."""
+        seen = []
+        fn, fn_batch = f.fn, f.fn_batch
+        if fn is not None:
+            f.fn = lambda c: (seen.append(("fn", c.tobytes())), fn(c))[1]
+        if fn_batch is not None:
+            f.fn_batch = lambda rows: (seen.append(("batch", rows.tobytes())), fn_batch(rows))[1]
+        return seen
+
+    @staticmethod
+    def steps(f, X, fresh):
+        """Points cached by a call then hit by images, and the reverse; the
+        answer and the log length after each step."""
+        twin = fresh + 0.0  # fresh has -0.0 in coordinate 0
+        calls = [lambda: f(X[5]), lambda: f.images(X), lambda: f(X[3]), lambda: f(X[7]),
+                 lambda: f(X[10]), lambda: f(fresh), lambda: f.images(np.vstack([twin, X[::-1]])),
+                 lambda: f.images(np.vstack([-X[0], -X[0], fresh])), lambda: f(-X[0])]
+        out = []
+        for call in calls:
+            v = call()
+            out.append((np.asarray(v).tobytes(), len(f.query_log)))
+        return out
+
+    @pytest.mark.parametrize("kind", ["even", "uneven", "callable", "table"])
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    def test_matches_tuple_keyed_cache(self, rng, dim, kind):
+        space = NormSpec.lp(dim, 2)
+        X = signed_key_rows(dim, rng)
+        fresh = rng.standard_normal(dim)
+        fresh[0] = -0.0
+        t = generate_isometry(space, 3)
+        pairs = [(x, np.sin(x)) for x in list(X) + [fresh, -X[0]]]
+        make = {
+            "even": lambda: generate_phase_isometry(t, 3),
+            "uneven": lambda: generate_phase_isometry(t, 3, even=False),
+            "callable": lambda: PhaseMapOracle.from_callable(space, space, lambda c: 2.0 * c[::-1]),
+            "table": lambda: PhaseMapOracle.from_table(space, space, pairs),
+        }[kind]
+        f, ref = make(), oracles.tuple_keyed(make())
+        seen_f, seen_ref = self.spied(f), self.spied(ref)
+        assert self.steps(f, X, fresh) == self.steps(ref, X, fresh)
+        assert seen_f == seen_ref
+        assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in ref.query_log]
+        assert list(f._cache) == _row_keys(np.array(list(ref._cache)).reshape(-1, dim))
+        assert [v.tobytes() for v in f._cache.values()] == [v.tobytes() for v in ref._cache.values()]
+        assert all(not v.flags.writeable for v in f._cache.values())
+        if f.hidden_truth is not None:
+            assert f.hidden_truth["signs"].to_dict() == ref.hidden_truth["signs"].to_dict()
+
+    def test_missing_table_row_names_the_point(self):
+        X = np.array([[1.0, -0.0], [5e-324, 2.0]])
+        f = PhaseMapOracle.from_table(L2_2, L2_2, [(X[0], X[0]), (np.array([-5e-324, 2.0]), X[1])])
+        assert f(np.array([1.0, 0.0])).tobytes() == X[0].tobytes()  # the -0.0 row's entry
+        with pytest.raises(MissingSamples) as err:
+            f.images(X)
+        assert err.value.points == [(5e-324, 2.0)]
+        assert [p.tobytes() for p in f.query_log] == [np.array([1.0, 0.0]).tobytes()]
 
 
 class TestPhaseEquation:
