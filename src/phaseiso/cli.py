@@ -24,14 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import (ROUTES, NoStabilization, NotDecomposable, NotExposed,
-                            RouteUnsupported, SmoothnessFailure, decompose, plan_queries,
-                            recover_functional)
+from .decomposition import (ROUTES, DecompositionError, NotDecomposable, NotExposed, decompose,
+                            plan_queries, recover_functional)
 from .harness import CampaignConfig, run_campaign
 from .orthogonality import birkhoff_verdict
-from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError,
+from .phase_maps import (MissingSamples, PhaseMapOracle, SampleFormatError, SignAssignment,
                          check_phase_equation_batch, generate_isometry,
-                         generate_phase_isometry, read_table, validate_table,
+                         generate_phase_isometry, ray_keys, read_table, validate_table,
                          write_samples)
 from .settings import Tolerances, tolerances_from_env
 from .spaces import DimensionMismatch, NormSpec
@@ -186,6 +185,9 @@ def cmd_lemma(args) -> int:
     if args.normalize:
         if dn == 0.0:
             raise ValueError("the functional is zero and cannot be normalized")
+        if dn < 0.0:  # HiGHS can return one for a polyhedral functional below about 1e-7
+            raise ValueError(f"the dual norm of the functional came out negative ({dn}); "
+                             "it cannot be normalized")
         coords = coords / dn
     elif abs(dn - 1.0) > 1e-6:
         raise DimensionMismatch(f"functional must be unit in the dual norm (got {dn}); "
@@ -214,11 +216,15 @@ def cmd_gen(args) -> int:
     _log(f"wrote {len(points) + len(extras)} samples to {args.out}")
     if args.hidden:
         truth = oracle.hidden_truth
-        signs = truth["signs"].to_dict()
+        signs = SignAssignment(space)  # left empty for an uneven oracle, whose signs are per ray
+        if not args.uneven:
+            rows = np.array(points + extras, dtype=float).reshape(-1, space.dim)
+            rows = rows[rows.any(axis=1)]
+            signs.table.update(zip(ray_keys(rows, space), truth["signs_of"](rows).tolist()))
         data = {"space": space.to_json(), "seed": args.seed,
                 "even": not args.uneven, "route": plan.route,
                 "T": [list(row) for row in truth["T"].matrix],
-                "signs": signs}
+                "signs": signs.to_dict()}
         with open(args.hidden, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
         _log(f"wrote hidden truth to {args.hidden}")
@@ -331,9 +337,7 @@ _FAILURES = (
     (NotExposed, EXIT_NOT_EXPOSED, "not exposed", None),
     (NotDecomposable, EXIT_NOT_DECOMPOSABLE, "not decomposable",
      lambda exc: {"not_decomposable": str(exc), "witness": exc.witness}),
-    (RouteUnsupported, EXIT_ROUTE_ERROR, "route error", None),
-    (NoStabilization, EXIT_ROUTE_ERROR, "route error", None),
-    (SmoothnessFailure, EXIT_ROUTE_ERROR, "route error", None),
+    (DecompositionError, EXIT_ROUTE_ERROR, "route error", None),  # route, schedule, smoothness
     (ValueError, EXIT_BAD_INPUT, "error", None),
     (ArithmeticError, EXIT_BAD_INPUT, "numerical error", None),  # a dual-norm LP the solver rejects
     (OSError, EXIT_BAD_INPUT, "cannot write output", None),  # every read is a SampleFormatError

@@ -617,9 +617,6 @@ class DecompositionCertificate:
     queried_points: int
     tolerances: Tolerances
     diagnostics: dict = field(default_factory=dict)
-    # (query_log, its length, space, ray keys of its nonzero rows) as the
-    # replay keyed them; not serialized, and read by scoring while still current
-    _logged_keys: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def reconstruct(self, x) -> np.ndarray:
         """eps(x) * T x from the recorded sign table."""
@@ -683,9 +680,8 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
             f"logged query is not reproduced by the factorization "
             f"(residual {residuals[k]:.3e})", witness=list(q[k]))
     residual_max = float(np.max(residuals, initial=0.0))
-    keys = ray_keys(q, space)
     sign_table = SignAssignment(space)
-    sign_table.table.update(zip(keys, signs.tolist()))
+    sign_table.table.update(zip(ray_keys(q, space), signs.tolist()))
 
     return DecompositionCertificate(
         T=t_map,
@@ -698,7 +694,6 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
         queried_points=len(f.query_log),
         tolerances=tol,
         diagnostics=diagnostics,
-        _logged_keys=(f.query_log, len(f.query_log), space, keys),
     )
 
 

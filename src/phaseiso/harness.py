@@ -16,7 +16,8 @@ import numpy as np
 
 from .decomposition import (DecompositionCertificate, DecompositionError,
                             NotDecomposable, decompose)
-from .phase_maps import PhaseMapOracle, generate_isometry, generate_phase_isometry, ray_keys
+from .phase_maps import (PhaseMapOracle, _hash_signs, generate_isometry, generate_phase_isometry,
+                         ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import NormSpec
 
@@ -113,25 +114,17 @@ def trial_seed(campaign_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _nonzero_rows(points: list, dim: int) -> np.ndarray:
-    rows = np.array(points, dtype=float).reshape(-1, dim)
-    return rows[rows.any(axis=1)]
-
-
 def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) -> dict:
     """Compare a certificate against the oracle's hidden ground truth.
 
     The global sign of T is unidentifiable, so the matrix is matched up to a
-    single sign s and the recovered phase must equal s times the hidden one
-    at every logged point.  An even generated oracle recorded the hidden
-    sign of each point it answered under the point's ray key, so those signs
-    are read back when the certificate keys its signs in that same space
-    object, the oracle's domain (``NormSpec ==`` also equates spaces whose
-    functionals differ in the sign of a zero).  Otherwise, or for a key the
-    record lacks, the signs are hashed again.  The logged points are keyed
-    once: the ray keys the certificate's replay made are reused while the
-    oracle's ``query_log`` is the list it keyed, at the same length, and the
-    certificate's sign table keys in the space it was keyed in.
+    single sign s and each recovered phase must equal s times the hidden one.
+    For an even generated oracle whose domain equals (``==``) the space the
+    certificate keys its signs in, every key of the sign table is a rounded
+    ray whose bytes the oracle hashed, so each key's sign is hashed again
+    from the key itself.  For any other oracle each logged nonzero point is
+    keyed in the certificate's space and compared with the hidden sign of the
+    point; a point outside the certificate's transcript is not scored.
     """
     truth = oracle.hidden_truth
     if truth is None:
@@ -141,23 +134,17 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     err_plus = float(np.max(np.abs(t_hat - t_true)))
     err_minus = float(np.max(np.abs(t_hat + t_true)))
     s = 1 if err_plus <= err_minus else -1
-    log, space = oracle.query_log, cert.sign_table.space
-    logged = None  # the nonzero logged points, stacked only when needed
-    keyed = cert._logged_keys
-    if keyed is not None and keyed[0] is log and keyed[1] == len(log) and keyed[2] is space:
-        keys = keyed[3]
+    table, space = cert.sign_table.table, cert.sign_table.space
+    if truth["even"] and oracle.domain == space:
+        keys = np.array(list(table), dtype=float).reshape(-1, space.dim)
+        recovered = np.fromiter(table.values(), dtype=int, count=len(table))
+        eps_ok = bool(np.all(recovered * s == _hash_signs(truth["seed"], keys, keys.any(axis=1))))
     else:
-        logged = _nonzero_rows(log, oracle.domain.dim)
-        keys = ray_keys(logged, space)
-    recovered = map(cert.sign_table.table.get, keys)
-    hidden, wanted = truth["signs"], None
-    if truth["even"] and space is hidden.space:
-        wanted = list(map(hidden.table.get, keys))
-    if wanted is None or None in wanted:
-        logged = _nonzero_rows(log, oracle.domain.dim) if logged is None else logged
-        wanted = truth["signs_of"](logged).tolist()
-    # a point outside the certificate's transcript (None) is not scored
-    eps_ok = all(r is None or r * s == want for r, want in zip(recovered, wanted))
+        logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
+        logged = logged[logged.any(axis=1)]
+        recovered = map(table.get, ray_keys(logged, space))
+        eps_ok = all(r is None or r * s == want
+                     for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
     return {"t_error": min(err_plus, err_minus), "global_sign": s,
             "eps_consistent": eps_ok}
 

@@ -649,47 +649,34 @@ def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> P
 
     ``even`` makes eps constant on each line through the origin, so the
     oracle is odd and onto; with ``even=False`` the two rays of a line draw
-    independent signs and oddness generically fails.
+    independent signs and oddness generically fails.  The oracle answers as
+    a pure function of ``(t, seed, even)``, and ``hidden_truth`` holds those
+    three and the hidden ``sign_of`` and ``signs_of``.
     """
     if not t.isometric:
         raise ValueError("generate_phase_isometry requires an isometric map")
     space = t.domain
-    hidden = SignAssignment(space)
-
-    def keyed_signs(rows: np.ndarray):
-        """Rounded rays, nonzero mask and hidden signs of the rows; zero rows carry +1."""
-        rounded = _rounded_rays(rows, space, oriented=not even)
-        nonzero = rows.any(axis=1)
-        return rounded, nonzero, _hash_signs(seed, rounded, nonzero)
 
     def signs_of(rows: np.ndarray) -> np.ndarray:
         """Hidden signs of the rows of an (m, dim) array; zero rows carry +1."""
-        return keyed_signs(np.asarray(rows, dtype=float).reshape(-1, space.dim))[2]
+        rows = np.asarray(rows, dtype=float).reshape(-1, space.dim)
+        return _hash_signs(seed, _rounded_rays(rows, space, oriented=not even), rows.any(axis=1))
 
     def sign_of(coords: np.ndarray) -> int:
         return int(signs_of(coords)[0])
 
     def fn(coords: np.ndarray) -> np.ndarray:
-        s = 1
-        if coords.any():
-            key = ray_key(coords, space, oriented=not even)
-            s = _hash_sign(seed, key)
-            if even:  # the unoriented key is the recorded one
-                hidden.table[key] = s
+        s = _hash_sign(seed, ray_key(coords, space, oriented=not even)) if coords.any() else 1
         return s * (t.matrix @ coords)
 
     def fn_batch(rows: np.ndarray) -> np.ndarray:
-        rounded, nonzero, s = keyed_signs(rows)
-        if even:
-            hidden.table.update((tuple(k), v) for k, v in
-                                zip(rounded[nonzero].tolist(), s[nonzero].tolist()))
-        return s[:, None] * _row_products(t.matrix, rows)
+        return signs_of(rows)[:, None] * _row_products(t.matrix, rows)
 
     oracle = PhaseMapOracle.from_callable(space, t.codomain, fn,
                                           declared_surjective=even)
     oracle.fn_batch = fn_batch
     oracle.hidden_truth = {"T": t, "seed": seed, "even": even, "sign_of": sign_of,
-                           "signs_of": signs_of, "signs": hidden}
+                           "signs_of": signs_of}
     return oracle
 
 

@@ -369,10 +369,10 @@ def row_stacked_table(domain, codomain, pairs):
 
 
 def rehashed_score(oracle, cert):
-    """``score_certificate`` as it was before it read the oracle's recorded
-    signs (a frozen copy): each wanted sign is hashed again by the hidden
-    ``signs_of`` and compared, up to the global sign of T, with the
-    certificate's sign at every logged nonzero point it holds."""
+    """``score_certificate`` as a walk of the oracle's log (a frozen copy): each
+    wanted sign is hashed again by the hidden ``signs_of`` and compared, up to
+    the global sign of T, with the certificate's sign at every logged nonzero
+    point it holds."""
     from phaseiso.phase_maps import ray_keys
 
     truth = oracle.hidden_truth
@@ -387,33 +387,6 @@ def rehashed_score(oracle, cert):
     eps_ok = all(r is None or r * s == want
                  for r, want in zip(recovered, truth["signs_of"](logged).tolist()))
     return {"t_error": min(err_plus, err_minus), "global_sign": s, "eps_consistent": eps_ok}
-
-
-def rekeyed_score(oracle, cert):
-    """``score_certificate`` as it was before it reused the certificate's ray
-    keys (a frozen copy): every logged nonzero point is keyed again in the
-    certificate's space, the oracle's recorded signs are read when it is even
-    and the certificate keys in its domain object, and hashed again otherwise
-    or for a key the record lacks."""
-    from phaseiso.phase_maps import ray_keys
-
-    truth = oracle.hidden_truth
-    t_true, t_hat = truth["T"].matrix, cert.T.matrix
-    err_plus = float(np.max(np.abs(t_hat - t_true)))
-    err_minus = float(np.max(np.abs(t_hat + t_true)))
-    s = 1 if err_plus <= err_minus else -1
-    logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
-    logged = logged[logged.any(axis=1)]
-    keys = ray_keys(logged, cert.sign_table.space)
-    recovered = map(cert.sign_table.table.get, keys)
-    hidden, wanted = truth["signs"], None
-    if truth["even"] and cert.sign_table.space is hidden.space:
-        wanted = list(map(hidden.table.get, keys))
-    if wanted is None or None in wanted:
-        wanted = truth["signs_of"](logged).tolist()
-    eps_ok = all(r is None or r * s == want for r, want in zip(recovered, wanted))
-    return {"t_error": min(err_plus, err_minus), "global_sign": s,
-            "eps_consistent": eps_ok}
 
 
 def tuple_keyed(f):

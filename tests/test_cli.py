@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,10 +13,11 @@ import pytest
 
 import oracles
 from phaseiso import (DimensionMismatch, NormSpec, PhaseMapOracle, is_w_star_exposed, plan_queries,
-                      read_samples)
+                      ray_key, read_samples)
 from phaseiso import cli
 from phaseiso.cli import _sample_pairs, build_parser, cmd_check, main
-from phaseiso.decomposition import ROUTES
+from phaseiso.phase_maps import key_string
+from phaseiso.decomposition import ROUTES, NoStabilization, RouteUnsupported, SmoothnessFailure
 
 L1_3 = '{"kind": "lp", "dim": 3, "p": 1}'
 L2_2 = '{"kind": "lp", "dim": 2, "p": 2}'
@@ -49,6 +51,44 @@ class TestGen:
         assert truth["seed"] == 42
         assert len(truth["T"]) == 3
         assert all(v in (-1, 1) for v in truth["signs"].values())
+
+    def test_hidden_signs_are_the_signs_of_the_written_rays(self, generated):
+        """Each written nonzero row's image is its ray's hidden sign times T x."""
+        samples, hidden = generated
+        truth = json.loads(hidden.read_text())
+        space, T = NormSpec.lp(3, 1), np.array(truth["T"])
+        seen = set()
+        for x, fx in read_samples(str(samples)):
+            if x.any():
+                key = key_string(ray_key(x, space))
+                seen.add(key)
+                assert np.array_equal(fx, truth["signs"][key] * (T @ x))
+        assert seen == set(truth["signs"])
+
+    # SHA-256 of the exit code, the table and the hidden truth of `gen --uneven --hidden`
+    # with --extra 20; an uneven oracle's signs are written as {}
+    UNEVEN_GEN = {
+        ("l1_n3", 0): "20911dd4862848f0ae61e8e69e7f3384c94350bb09351c1e22cb4978e037cfaf",
+        ("l1_n3", 1): "f870afc0a09e55dd3b5cb9c07fbd40f5190f9f83c7e3f66a1552461e06843c86",
+        ("l2_n6", 0): "51c747ae69a4599a1291d3db2804c19b348586e86627b111421bec63422995f5",
+        ("l2_n6", 1): "aa8726b3ae75bbf6980da993c0825b46e567573f46f15ad0ad50069549ba0917",
+        ("linf_n8", 0): "e72d48e911d5d5be93c0aac12ec1ca197461b5e938b73d9fff1fd825f4239162",
+        ("linf_n8", 1): "9d7ae86dc644fa57967daf235458daa04f828e93ea8aadab2703fe800a040021",
+        ("poly_n3", 0): "fbf910e930c92cd8e860a64a2e3fe13f0ddbe12206b6e8e2f8939d83ef5b2567",
+        ("poly_n3", 1): "11c0d75055b821aef68b9fe28964d5c27668a2d3c9f824393963c9be735c527a",
+    }
+    UNEVEN_SPACES = {"l1_n3": NormSpec.lp(3, 1), "l2_n6": NormSpec.lp(6, 2),
+                     "linf_n8": NormSpec.lp(8, math.inf), "poly_n3": NormSpec.polyhedral(3, POLY3)}
+
+    @pytest.mark.parametrize("name,seed", list(UNEVEN_GEN), ids=lambda v: str(v))
+    def test_uneven_hidden_bytes(self, name, seed, tmp_path):
+        table, hidden = tmp_path / "s.jsonl", tmp_path / "h.json"
+        code = run(["gen", "--space", json.dumps(self.UNEVEN_SPACES[name].to_json()),
+                    "--seed", str(seed), "--uneven", "--out", str(table), "--extra", "20",
+                    "--hidden", str(hidden)])
+        data = f"exit={code}\n".encode() + table.read_bytes() + hidden.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.UNEVEN_GEN[name, seed]
+        assert json.loads(hidden.read_text())["signs"] == {}
 
 
 class TestCheck:
@@ -391,6 +431,19 @@ class TestLemma:
         assert capsys.readouterr().err.strip() == \
             "error: the functional is zero and cannot be normalized"
 
+    def test_negative_dual_norm_cannot_be_normalized(self, capsys):
+        """The polyhedral LP gives a tiny functional a negative dual norm; dividing by
+        it would flip the functional's sign."""
+        functional = [1e-12, 0.0, 0.0]
+        dn = NormSpec.polyhedral(3, POLY3).dual_norm_of(functional)
+        assert dn < 0.0
+        code = run(["lemma", "--space", POLY3_SPACE, "--functional", json.dumps(functional),
+                    "--normalize", "--oracle-seed", "5"])
+        assert code == 64
+        assert capsys.readouterr().err.strip() == (
+            f"error: the dual norm of the functional came out negative ({dn}); "
+            "it cannot be normalized")
+
 
 class TestFuzz:
     def test_small_campaign_succeeds(self, tmp_path):
@@ -651,6 +704,18 @@ class TestFailureTable:
             r"`(\d+)`", readme.split("Exit codes:")[1].split("dimension\nmismatch.")[0])}
         codes = {code for _, code, _, _ in cli._FAILURES} | {cli.EXIT_OK, cli.EXIT_CHECK_FAILED}
         assert codes == documented == in_readme
+
+    @pytest.mark.parametrize("exc", [
+        RouteUnsupported("no route for this space"),
+        NoStabilization("the schedule did not settle"),
+        SmoothnessFailure("a kink at t = 4", 4.0),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_route_errors_share_one_row(self, exc, monkeypatch, capsys):
+        def cmd(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_decompose", cmd)
+        assert run(["decompose", "--space", L2_2, "--oracle-seed", "1"]) == 3
+        assert capsys.readouterr().err == f"route error: {exc}\n"
 
 
 def _fresh_python(probe: str, *argv: str, cwd=None) -> str:

@@ -1124,8 +1124,9 @@ def decomposed(space, seed, even):
 
 
 class TestScoringFromRecordedSigns:
-    """``score_certificate`` reads the signs an even oracle recorded, and
-    equals the score that hashes every sign again."""
+    """``score_certificate`` reads only the certificate's recorded signs and the
+    oracle's hidden truth, and equals the score that walks the log and hashes
+    the sign of every logged point again."""
 
     @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
     @pytest.mark.parametrize("space", SCORE_SPACES, ids=repr)
@@ -1148,18 +1149,9 @@ class TestScoringFromRecordedSigns:
         if space.dim >= 2:
             assert got["eps_consistent"] is False  # the two oracles' signs differ somewhere
 
-    def test_missing_record_rehashes(self):
-        f, cert = decomposed(L2_4, 4, True)
-        want = oracles.rehashed_score(f, cert)
-        assert want["eps_consistent"]
-        recorded = f.hidden_truth["signs"].table
-        for key in list(recorded)[::3]:
-            del recorded[key]
-        assert score_certificate(f, cert) == want
-
     def test_certificate_in_an_equal_space(self):
-        """The signs of a certificate keyed in another space object, equal by
-        ``==``, are hashed again, never looked up in the oracle's record."""
+        """A certificate keyed in another space object, equal by ``==``, is scored
+        by its keys, as one keyed in the oracle's own domain is."""
         space = NormSpec.polyhedral(2, [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
         twin = NormSpec.polyhedral(2, [[1.0, -0.0], [-0.0, 1.0], [1.0, -1.0]])
         assert twin == space and twin is not space
@@ -1168,11 +1160,12 @@ class TestScoringFromRecordedSigns:
             cert.T, SignAssignment(twin, dict(cert.sign_table.table)), cert.route,
             cert.residual_max, cert.verified_pairs, cert.max_equation_discrepancy,
             cert.surjectivity, cert.queried_points, cert.tolerances)
-        recorded = f.hidden_truth["signs"].table
-        recorded.update((key, -sign) for key, sign in recorded.items())  # a lookup would disagree
         assert score_certificate(f, moved) == oracles.rehashed_score(f, moved)
         assert score_certificate(f, moved)["eps_consistent"]
-        assert score_certificate(f, cert)["eps_consistent"] is False  # the record is read
+        key = next(iter(moved.sign_table.table))
+        moved.sign_table.table[key] *= -1
+        assert score_certificate(f, moved) == oracles.rehashed_score(f, moved)
+        assert score_certificate(f, moved)["eps_consistent"] is False
 
 
 FUZZ_FAMILIES = [NormSpec.lp(3, 1), NormSpec.lp(8, 1), LINF_3, NormSpec.lp(8, math.inf), L2_2,
@@ -1180,9 +1173,10 @@ FUZZ_FAMILIES = [NormSpec.lp(3, 1), NormSpec.lp(8, 1), LINF_3, NormSpec.lp(8, ma
 
 
 class TestScoringReusesKeys:
-    """``score_certificate`` reuses the ray keys of the certificate's replay
-    while the oracle's log is the list it keyed, at the same length, keys the
-    log again otherwise, and equals the score that always keys it again."""
+    """The two rules of ``score_certificate``.  For an even generated oracle
+    whose domain equals the certificate's space, the keys of the sign table
+    are the rows it hashes, and no logged point is keyed; for any other oracle
+    the logged points are keyed once.  Both equal ``oracles.rehashed_score``."""
 
     @pytest.fixture
     def keyings(self, monkeypatch):
@@ -1196,56 +1190,66 @@ class TestScoringReusesKeys:
     def test_fuzz_families(self, space, keyings):
         for seed in range(20):
             f, cert = decomposed(space, seed, True)
-            assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
+            assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
         assert keyings == []
 
     @pytest.mark.parametrize("space", SCORE_SPACES, ids=repr)
     def test_uneven_oracle(self, space, keyings):
         for seed in range(3):
             f, cert = decomposed(space, seed, False)
-            assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
-        assert keyings == []
+            assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
+        assert len(keyings) == 3
 
     @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
     @pytest.mark.parametrize("space", [L1_3, LINF_3, L2_4, POLY_3], ids=repr)
     def test_oracle_queried_after_decompose(self, space, even, keyings):
         f, cert = decomposed(space, 3, even)
-        f(f.query_log[-1])  # a hit leaves the log as it was keyed
-        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
-        assert keyings == []
-        f.images(np.random.default_rng(3).standard_normal((4, space.dim)))
-        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
-        assert len(keyings) == 1
-        f.query_log = list(f.query_log)  # an equal log in another list
-        assert score_certificate(f, cert) == oracles.rekeyed_score(f, cert)
-        assert len(keyings) == 2
+        logged = np.array(f.query_log)
+        f(f.query_log[-1])  # a hit
+        f.images(np.random.default_rng(3).standard_normal((4, space.dim)))  # new rays
+        assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
+        f.images(-2.5 * logged)  # new points on the transcript's lines
+        assert len(f.query_log) > len(logged)
+        assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
+        assert len(keyings) == (0 if even else 2)
 
     SPACE = NormSpec.polyhedral(2, [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     TWIN = NormSpec.polyhedral(2, [[1.0, -0.0], [-0.0, 1.0], [1.0, -1.0]])  # == SPACE
 
     @pytest.mark.parametrize("twin", [False, True], ids=["same-space", "equal-space"])
     def test_another_oracle(self, twin, keyings):
+        """Another oracle that answered the certificate's points, with the same seed
+        (it agrees) and with another (it does not)."""
         f, cert = decomposed(self.SPACE, 6, True)
-        g = generate_phase_isometry(generate_isometry(self.TWIN if twin else self.SPACE, 6), 6)
-        g.images(np.array(f.query_log))  # the same points, logged in g's own list
-        assert len(g.query_log) == len(f.query_log)
-        got = score_certificate(g, cert)
-        assert got == oracles.rekeyed_score(g, cert) and got["eps_consistent"]
-        assert len(keyings) == 1
+        for seed, agrees in ((6, True), (7, False)):
+            g = generate_phase_isometry(
+                generate_isometry(self.TWIN if twin else self.SPACE, seed), seed)
+            g.images(np.array(f.query_log))  # the same points, logged in g's own list
+            got = score_certificate(g, cert)
+            assert got == oracles.rehashed_score(g, cert) and got["eps_consistent"] is agrees
+        assert keyings == []
 
     def test_certificate_moved_to_an_equal_space(self, keyings):
         f, cert = decomposed(self.SPACE, 6, True)
         moved = dataclasses.replace(cert, sign_table=SignAssignment(self.TWIN, dict(cert.sign_table.table)))
-        assert moved._logged_keys is cert._logged_keys
-        assert score_certificate(f, moved) == oracles.rekeyed_score(f, moved)
-        assert len(keyings) == 1 and keyings[0][1] is self.TWIN
+        assert score_certificate(f, moved) == oracles.rehashed_score(f, moved)
+        assert score_certificate(f, moved)["eps_consistent"] and keyings == []
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+    def test_empty_sign_table(self, even, keyings):
+        f, cert = decomposed(L2_4, 2, even)
+        bare = dataclasses.replace(cert, sign_table=SignAssignment(L2_4))
+        got = score_certificate(f, bare)
+        assert got == oracles.rehashed_score(f, bare) and got["eps_consistent"]
+        assert len(keyings) == (0 if even else 1)
 
     def test_keys_are_not_part_of_the_certificate(self):
+        """A certificate holds what it serializes and nothing more: scoring gets
+        no state from the replay that made it."""
         f, cert = decomposed(L2_4, 1, True)
-        assert cert._logged_keys[0] is f.query_log
-        bare = dataclasses.replace(cert, _logged_keys=None)
-        assert bare == cert and repr(bare) == repr(cert) and bare.to_json() == cert.to_json()
-        assert score_certificate(f, bare) == score_certificate(f, cert)
+        assert {field.name for field in dataclasses.fields(cert)} == set(cert.to_json())
+        copy = dataclasses.replace(cert)
+        assert copy == cert and score_certificate(f, copy) == score_certificate(f, cert)
 
 
 class TestHigherDimensions:
