@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment, _interleaved,
-                         _row_dots, canonical_rays, check_phase_equation_batch, ray_keys)
+                         _row_dots, _row_keys, canonical_rays, check_phase_equation_batch, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import (Functional, NormSpec, Vector, _row_products, is_w_star_exposed,
                      support_set)
@@ -160,9 +160,9 @@ def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
 
     Per row, the residuals of the four sign pairs are taken in the order of
     ``_SIGN_PAIRS`` and the first smallest wins; when another pair comes
-    within ``tol.tie`` of it the row is tied, and a tie that (+1, +1) is part
-    of resolves to (+1, +1).  Returns (index into ``_SIGN_PAIRS``, residual,
-    tied, failed), where a row fails when its residual exceeds
+    within ``tol.tie * scale`` of it the row is tied, and a tie that (+1, +1)
+    is part of resolves to (+1, +1).  Returns (index into ``_SIGN_PAIRS``,
+    residual, tied, failed), where a row fails when its residual exceeds
     ``tol.scaled(scale)``.
     """
     R = np.column_stack([cod.norms_of(FXY - (a * FX + b * FY)) for a, b in _SIGN_PAIRS])
@@ -172,7 +172,7 @@ def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
         lower = R[:, c] < r_best  # as min() compares, so a NaN first residual stays
         best = np.where(lower, c, best)
         r_best = np.where(lower, R[:, c], r_best)
-    near = R <= (r_best + tol.tie)[:, None]
+    near = R <= (r_best + tol.tie * scale)[:, None]
     tied = near.sum(axis=1) > 1
     plus = tied & near[:, 0]
     best = np.where(plus, 0, best)
@@ -261,10 +261,10 @@ class QueryPlan:
 
     def all_points(self) -> List[np.ndarray]:
         """Every point the run may query, deduplicated by exact coordinates."""
+        P = np.vstack([group.reshape(-1, self.space.dim) for group in self.probes.values()])
         seen = {}
-        for group in self.probes.values():
-            for p in group.reshape(-1, self.space.dim):
-                seen.setdefault(tuple(p.tolist()), p)
+        for key, p in zip(_row_keys(P), P):
+            seen.setdefault(key, p)
         return list(seen.values())
 
 
@@ -881,31 +881,20 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
     return matrix
 
 
-def _expansion_coefficients(v: np.ndarray, FX: np.ndarray) -> np.ndarray:
-    """The rows b with v b = fx, one for each row fx of FX.
-
-    A square v takes one stacked solve with a single right-hand side per row,
-    bit for bit ``np.linalg.solve(v, fx)`` row by row (the multi-column
-    ``solve(v, FX.T)`` is not); any other v takes least squares row by row.
-    """
-    if v.shape[0] == v.shape[1]:
-        return np.linalg.solve(np.broadcast_to(v, (len(FX),) + v.shape), FX[:, :, None])[:, :, 0]
-    return np.array([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX]).reshape(-1, v.shape[1])
-
-
 def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.ndarray,
                      tol: Tolerances):
     """Expand f(x) in the basis images v for every row x of X and check it.
 
-    The coefficients b solve v b = f(x).  For each probe in row order the
-    checks are: f(x) lies in the span of v; |b| matches |x| coordinatewise;
-    sign(b) sign(x) sigma is constant on the support of x; and on its first
-    four support coordinates m, |f(x) + b_m v_m| + |f(x) - b_m v_m| = 2|x|.
+    The coefficients b solve v b = f(x) by one least-squares call for all
+    rows.  For each probe in row order the checks are: f(x) lies in the span
+    of v; |b| matches |x| coordinatewise; sign(b) sign(x) sigma is constant
+    on the support of x; and on its first four support coordinates m,
+    |f(x) + b_m v_m| + |f(x) - b_m v_m| = 2|x|.
     The first failing probe, at its first failing check, is the witness.
     """
     space, cod = f.domain, f.codomain
     FX = f.images(X)
-    B = _expansion_coefficients(v, FX)
+    B = np.linalg.lstsq(v, FX.T, rcond=None)[0].T
     nx = space.norms_of(X)
     bound = tol.scaled(nx)
     outside = cod.norms_of(_row_products(v, B) - FX) > bound

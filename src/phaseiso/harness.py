@@ -120,8 +120,8 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     The global sign of T is unidentifiable, so the matrix is matched up to a
     single sign s and each recovered phase must equal s times the hidden one.
     For an even generated oracle whose domain equals (``==``) the space the
-    certificate keys its signs in, every key of the sign table is a rounded
-    ray whose bytes the oracle hashed, so each key's sign is hashed again
+    certificate keys its signs in, every key of the sign table, all-zero or
+    not, is a rounded ray the oracle hashed, so its sign is hashed again
     from the key itself.  For any other oracle each logged nonzero point is
     keyed in the certificate's space and compared with the hidden sign of the
     point; a point outside the certificate's transcript is not scored.
@@ -138,7 +138,8 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     if truth["even"] and oracle.domain == space:
         keys = np.array(list(table), dtype=float).reshape(-1, space.dim)
         recovered = np.fromiter(table.values(), dtype=int, count=len(table))
-        eps_ok = bool(np.all(recovered * s == _hash_signs(truth["seed"], keys, keys.any(axis=1))))
+        hashed = _hash_signs(truth["seed"], keys, np.ones(len(keys), dtype=bool))
+        eps_ok = bool(np.all(recovered * s == hashed))
     else:
         logged = np.array(oracle.query_log, dtype=float).reshape(-1, oracle.domain.dim)
         logged = logged[logged.any(axis=1)]

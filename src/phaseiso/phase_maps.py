@@ -187,7 +187,7 @@ def validate_table(domain: NormSpec, codomain: NormSpec,
                    pairs: Sequence[Tuple[np.ndarray, np.ndarray]] = (), *,
                    columns: Optional[Tuple[Sequence, Sequence]] = None):
     """A sample table of (x, fx) rows as arrays X and read-only FX, and the
-    ``table`` that maps each x, as a tuple of floats, to its last row.
+    ``table`` that maps each x, keyed by :func:`_row_keys`, to its last row.
 
     ``columns``, the (X, FX) that :func:`read_table` returns, stands in for
     ``pairs`` and is not stacked again.  Every x must have shape (domain
@@ -199,18 +199,18 @@ def validate_table(domain: NormSpec, codomain: NormSpec,
     xs, fxs = columns if columns is not None else ([x for x, _ in pairs], [fx for _, fx in pairs])
     X = _stack_rows(xs, domain.dim)
     FX = _stack_rows(fxs, codomain.dim)
-    keys = [tuple(row) for row in X.tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(domain.norms_of(2.0 * X)) & np.isfinite(codomain.norms_of(2.0 * FX))
     if not finite.all():
-        raise ValueError(f"sample at x = {list(keys[np.argmin(finite)])} is too large: "
+        raise ValueError(f"sample at x = {X[np.argmin(finite)].tolist()} is too large: "
                          f"|2x| or |2fx| is not finite")
+    keys = _row_keys(X)
     table = dict(zip(keys, range(len(keys))))
     if len(table) < len(keys):  # compare each repeat with the first row of its x
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         differs = (FX[[first[k] for k in keys]] != FX).any(axis=1)
         if differs.any():
-            raise ValueError(f"sample table maps x = {list(keys[np.argmax(differs)])} "
+            raise ValueError(f"sample table maps x = {X[np.argmax(differs)].tolist()} "
                              f"to two different fx")
     FX.setflags(write=False)
     return X, FX, table
@@ -221,11 +221,11 @@ class PhaseMapOracle:
     """Query interface to the map under study.
 
     Backed either by a callable or by a finite sample table with exact
-    coordinate keys: ``table`` maps each x, as a tuple of floats, to its row
-    of the (N, codomain dim) array ``table_images``.  Queries are cached, so
-    repeated evaluation at the same point returns the identical vector, and
-    every distinct evaluated point is recorded in ``query_log``.  The cache
-    keys each point by its bytes after ``+ 0.0`` (:func:`_row_keys`), so
+    coordinate keys: ``table`` maps each x to its row of the (N, codomain
+    dim) array ``table_images``.  Queries are cached, so repeated evaluation
+    at the same point returns the identical vector, and every distinct
+    evaluated point is recorded in ``query_log``.  ``table`` and the cache
+    key each point by its bytes after ``+ 0.0`` (:func:`_row_keys`), so
     points that differ only in the sign of a zero share an entry.
     ``fn_batch``, when set, maps an (m, dim) array of points to their
     (m, codomain dim) images at once; it must agree with ``fn`` row by row.
@@ -234,7 +234,7 @@ class PhaseMapOracle:
     domain: NormSpec
     codomain: NormSpec
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    table: Optional[Dict[Tuple[float, ...], int]] = None
+    table: Optional[Dict[bytes, int]] = None  # keys from _row_keys
     declared_surjective: bool = False
     query_log: List[np.ndarray] = field(default_factory=list)
     hidden_truth: Optional[dict] = None
@@ -262,8 +262,8 @@ class PhaseMapOracle:
     def missing_points(self, points: Sequence[np.ndarray]) -> List[Tuple[float, ...]]:
         if self.table is None:
             return []
-        keys = map(tuple, np.asarray(points, dtype=float).tolist())
-        return [key for key in keys if key not in self.table]
+        P = np.asarray(points, dtype=float).reshape(-1, self.domain.dim)
+        return [tuple(p) for p, key in zip(P.tolist(), _row_keys(P)) if key not in self.table]
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
         coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
@@ -291,10 +291,9 @@ class PhaseMapOracle:
         """
         cod_dim = self.codomain.dim
         if self.table is not None:
-            points = [tuple(u) for u in U.tolist()]
-            rows = [self.table.get(p) for p in points]
+            rows = [self.table.get(key) for key in keys]
             if None in rows:
-                raise MissingSamples([points[rows.index(None)]])
+                raise MissingSamples([tuple(U[rows.index(None)].tolist())])
             V = self.table_images[rows]
         elif self.fn_batch is not None and (len(U) > 1 or self.fn is None):
             V = np.array(self.fn_batch(U), dtype=float)

@@ -24,7 +24,7 @@ class Tolerances:
     collinearity   sine-of-angle bound for projective consistency checks
     stabilization  dual-norm agreement required between successive functional
                    estimates on the t-schedule
-    tie            residual spread below which sign pinning is treated as tied
+    tie            residual spread, per unit |x + y|, below which pins are tied
     functional     relative bound for |x*(x)| vs |phi(f(x))| agreement
     """
 

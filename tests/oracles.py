@@ -389,6 +389,12 @@ def rehashed_score(oracle, cert):
     return {"t_error": min(err_plus, err_minus), "global_sign": s, "eps_consistent": eps_ok}
 
 
+def tuple_keyed_table(table):
+    """A sample ``table`` keyed by row bytes (``_row_keys``) with each key as the
+    tuple of its floats, as ``validate_table`` keyed it before."""
+    return {tuple(np.frombuffer(key).tolist()): row for key, row in table.items()}
+
+
 def tuple_keyed(f):
     """A fresh oracle with the callables, table and hidden truth of the unused
     oracle f, whose cache keys each point by the tuple of its floats, as

@@ -17,7 +17,7 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
 from conftest import zoo_ids
 from phaseiso import harness
 from phaseiso.decomposition import (ROUTES, _TWO_DIM_GRID, _assemble_certificate,
-                                    _expansion_coefficients, _seed_free_part, route_for)
+                                    _check_expansion, _seed_free_part, route_for)
 from phaseiso.phase_maps import _row_keys
 
 L2_2 = NormSpec.lp(2, 2)
@@ -201,24 +201,64 @@ class TestPinSignsBatch:
         assert calls == [] and f.query_log == []
 
 
+def expand(monkeypatch, v, X):
+    """Run ``_check_expansion`` for f(x) = v x on the rows of X, with column signs
+    +1; return the coefficients of each least-squares call it makes, the images
+    of X and the verdict (None when it passed)."""
+    calls, real = [], np.linalg.lstsq
+
+    def lstsq(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out[0])
+        return out
+
+    f = PhaseMapOracle.from_callable(NormSpec.lp(v.shape[1], 1), NormSpec.lp(v.shape[0], 1),
+                                     lambda c: v @ c)
+    verdict = None
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "lstsq", lstsq)
+        try:
+            _check_expansion(f, v, np.ones(v.shape[1]), X, DEFAULT_TOL)
+        except NotDecomposable as exc:
+            verdict = str(exc)
+    return calls, f.images(X), verdict
+
+
 class TestExpansion:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
     @pytest.mark.parametrize("kind", ["generic", "signed-permutation"])
-    def test_stacked_solve_equals_per_row_solve(self, n, kind, rng):
-        for _ in range(20):
+    def test_one_solve_fits_every_row(self, n, kind, rng, monkeypatch):
+        """One least-squares call expands every row: B v^T = FX to within
+        1e-12 cond(v) (1 + max|FX|), whatever the shape of the batch."""
+        for _ in range(5):
             if kind == "generic":
                 v = rng.standard_normal((n, n))
             else:
                 v = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
-            FX = rng.standard_normal((30, n))
-            want = np.array([np.linalg.solve(v, fx) for fx in FX])
-            assert _expansion_coefficients(v, FX).tobytes() == want.tobytes()
+            X = rng.standard_normal((30, n))
+            calls, FX, verdict = expand(monkeypatch, v, X)
+            assert len(calls) == 1 and calls[0].shape == (n, len(X))
+            B = calls[0].T
+            bound = 1e-12 * np.linalg.cond(v) * (1.0 + np.max(np.abs(FX)))
+            assert np.max(np.abs(B @ v.T - FX)) <= bound
+            if kind == "signed-permutation":  # an l1 isometry expands with coefficients x
+                assert verdict is None
 
-    def test_non_square_basis_images_use_least_squares(self, rng):
-        v = rng.standard_normal((5, 3))
-        FX = rng.standard_normal((7, 5))
+    def test_non_square_basis_images_use_least_squares(self, rng, monkeypatch):
+        # l1^3 embedded in l1^5: the basis images are a 5 x 3 frame
+        v = np.zeros((5, 3))
+        v[[4, 0, 2], [0, 1, 2]] = [1.0, -1.0, 1.0]
+        X = rng.standard_normal((7, 3))
+        calls, FX, verdict = expand(monkeypatch, v, X)
+        assert len(calls) == 1 and verdict is None
         want = np.array([np.linalg.lstsq(v, fx, rcond=None)[0] for fx in FX])
-        assert _expansion_coefficients(v, FX).tobytes() == want.tobytes()
+        assert np.max(np.abs(calls[0].T - want)) <= 1e-15 * (1.0 + np.max(np.abs(X)))
+        off = np.zeros(5)
+        off[1] = 1e-3  # a direction outside the frame
+        f = PhaseMapOracle.from_callable(NormSpec.lp(3, 1), NormSpec.lp(5, 1),
+                                         lambda c: v @ c + off)
+        with pytest.raises(NotDecomposable, match="outside the span"):
+            _check_expansion(f, v, np.ones(3), X, DEFAULT_TOL)
 
     def test_earlier_failing_probe_is_the_witness(self):
         probes = plan_queries(L1_3, "l1", 2).probes["randoms"]
@@ -1023,7 +1063,7 @@ class TestTableMode:
     def test_missing_probe_reported(self):
         oracle, plan, table = self.build_table(L1_3, 12)
         victim = tuple(map(float, plan.probes["basis"][1]))
-        del table.table[victim]
+        del table.table[_row_keys(np.array([victim]))[0]]
         missing = table.missing_points(plan.all_points())
         assert victim in missing
         with pytest.raises(MissingSamples):
@@ -1033,12 +1073,21 @@ class TestTableMode:
         oracle, plan, table = self.build_table(L1_3, 12)
         # e_1 is fetched by the first stage, the fresh pairs only by the last
         for victim in (plan.probes["basis"][1], plan.probes["fresh_pairs"][4, 1]):
-            del table.table[tuple(map(float, victim))]
+            del table.table[_row_keys(victim[None])[0]]
         with pytest.raises(MissingSamples) as err:
             decompose(table, seed=12)
         assert err.value.points == table.missing_points(plan.all_points())
         assert len(err.value.points) == 2
         assert table.query_log == []
+
+    @pytest.mark.parametrize("p", [1, math.inf, 2], ids=["l1", "linf", "l2"])
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_higher_dimensions_match_the_callable_oracle(self, dim, p):
+        space = NormSpec.lp(dim, p)
+        for seed in range(2):
+            _, _, table = self.build_table(space, seed)
+            f = generate_phase_isometry(generate_isometry(space, seed), seed)
+            assert decompose(table, seed=seed).to_json() == decompose(f, seed=seed).to_json()
 
     def test_plan_is_deterministic(self):
         p1 = plan_queries(L1_3, "l1", 77)
@@ -1262,3 +1311,43 @@ class TestHigherDimensions:
             outcome = harness.run_trial(NormSpec.lp(dim, p), seed)
             assert outcome.status == "success", outcome.message
             assert outcome.t_error <= 1e-9 and outcome.eps_consistent
+
+
+W4 = np.array([1.0, 2.0, 0.5, 3.0])
+SCALED_FAMILIES = {  # each family's norm times c
+    "weighted-l1": lambda c: NormSpec.weighted_lp(4, 1, W4 * c),
+    "weighted-linf": lambda c: NormSpec.weighted_lp(4, math.inf, W4 * c),
+    "poly3": lambda c: NormSpec.polyhedral(3, np.array(POLY_3.functionals) * c),
+    "weighted-l2": lambda c: NormSpec.weighted_lp(3, 2, W4[:3] * c),
+}
+SCALE_KS = (-40, -34, -32, -31, -30, -28, 0, 30, 34, 38, 39, 40)
+
+
+def scaled_round_trip(family, k, seed):
+    space = SCALED_FAMILIES[family](2.0 ** k)
+    f = generate_phase_isometry(generate_isometry(space, seed), seed)
+    return space, f, decompose(f, seed=seed)
+
+
+class TestScaleCovariance:
+    """Scaling a norm by c > 0 keeps every phase-isometry one, with the same eps
+    and T, so a round trip must not depend on c.  For these families the norms
+    scale exactly by powers of two, so T keeps its bytes."""
+
+    @pytest.mark.parametrize("family", list(SCALED_FAMILIES))
+    def test_sweep(self, family):
+        for seed in range(10):
+            want = scaled_round_trip(family, 0, seed)[2].T.matrix.tobytes()
+            for k in SCALE_KS:
+                space, f, cert = scaled_round_trip(family, k, seed)
+                outcome = harness.run_trial(space, seed)
+                assert outcome.status == "success", (k, seed, outcome.message)
+                assert cert.T.matrix.tobytes() == want, (k, seed)
+                assert score_certificate(f, cert) == oracles.rehashed_score(f, cert), (k, seed)
+
+    def test_all_zero_key_is_scored_by_its_hash(self):
+        """At 2^39 a nonzero logged point can round to an all-zero ray key; the
+        oracle hashed that key, so scoring hashes it too."""
+        _, f, cert = scaled_round_trip("weighted-l1", 39, 0)
+        assert sum(not any(key) for key in cert.sign_table.table) == 1
+        assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)

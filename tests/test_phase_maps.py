@@ -504,6 +504,8 @@ class TestByteKeys:
             "table": lambda: PhaseMapOracle.from_table(space, space, pairs),
         }[kind]
         f, ref = make(), oracles.tuple_keyed(make())
+        if kind == "table":
+            ref.table = oracles.tuple_keyed_table(ref.table)
         seen_f, seen_ref = self.spied(f), self.spied(ref)
         assert self.steps(f, X, fresh) == self.steps(ref, X, fresh)
         assert seen_f == seen_ref
