@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .settings import DEFAULT_TOL, Tolerances
-from .spaces import (Functional, NormSpec, Vector, _extreme_support_values,
-                     directional_derivative, support_set)
+from .spaces import (Functional, NormSpec, Vector, _extreme_support_values, _face, _slope,
+                     _unit_coords, support_set)
 
 __all__ = [
     "Hyperplane",
@@ -93,18 +93,23 @@ class L1OrthogonalityTriple(NamedTuple):
 
 def birkhoff_verdict(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) -> OrthogonalityVerdict:
     """Full Birkhoff test: verdict, slopes, and a supporting functional that
-    annihilates ``y`` when one exists."""
+    annihilates ``y`` when one exists.
+
+    One norm of the unit point and one face serve both slopes and the witness.
+    """
     x._check_space(y)
     if x.is_zero or y.is_zero:
-        witness = None if x.is_zero else support_set(x, tol).witness
+        witness = None if x.is_zero else _supporting_functional(x, tol)
         return OrthogonalityVerdict(True, 0.0, 0.0, 0.0, False, witness)
-    xu = x.unit()
-    fwd = directional_derivative(xu, y, tol)
-    bwd = directional_derivative(xu, -1.0 * y, tol)
+    space = x.space
+    u, un, _ = _unit_coords(space, x.coords)
+    face = _face(space, u, un, tol)
+    fwd = _slope(space, u, face, y.coords)
+    bwd = _slope(space, u, face, y.coords * -1.0)
     margin = min(fwd, bwd)
     orthogonal = margin >= -tol.boundary
     near_tie = abs(margin) <= tol.boundary
-    witness = _annihilating_witness(xu, y, tol) if orthogonal else None
+    witness = _annihilating_witness(space, u, face, y.coords, tol) if orthogonal else None
     return OrthogonalityVerdict(orthogonal, fwd, bwd, margin, near_tie, witness)
 
 
@@ -113,10 +118,11 @@ def is_birkhoff_orthogonal(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) 
     return birkhoff_verdict(x, y, tol).orthogonal
 
 
-def _annihilating_witness(xu: Vector, y: Vector, tol: Tolerances) -> Optional[Functional]:
-    """A supporting functional at xu vanishing on y, built as the convex
-    combination of the extreme supporting functionals that brackets zero."""
-    (g_hi, v_hi), (g_lo, v_lo) = _extreme_support_values(xu, y, tol)
+def _annihilating_witness(space: NormSpec, u: np.ndarray, face, y: np.ndarray,
+                          tol: Tolerances) -> Optional[Functional]:
+    """A supporting functional at the unit point u vanishing on y, built as the
+    convex combination of the extreme supporting functionals that brackets zero."""
+    (g_hi, v_hi), (g_lo, v_lo) = _extreme_support_values(space, u, face, y)
     if v_hi < -tol.boundary or v_lo > tol.boundary:
         return None
     if abs(v_hi - v_lo) <= tol.scaled(abs(v_hi) + abs(v_lo)):
@@ -125,7 +131,7 @@ def _annihilating_witness(xu: Vector, y: Vector, tol: Tolerances) -> Optional[Fu
         lam = v_hi / (v_hi - v_lo)
     lam = min(max(lam, 0.0), 1.0)
     g = (1.0 - lam) * g_hi + lam * g_lo
-    return Functional(g, xu.space)
+    return Functional(g, space)
 
 
 def orthogonal_hyperplane(x: Vector, tol: Tolerances = DEFAULT_TOL) -> Hyperplane:
@@ -136,7 +142,22 @@ def orthogonal_hyperplane(x: Vector, tol: Tolerances = DEFAULT_TOL) -> Hyperplan
     """
     if x.is_zero:
         raise ValueError("orthogonal_hyperplane is undefined at x = 0")
-    return Hyperplane(support_set(x, tol).witness)
+    return Hyperplane(_supporting_functional(x, tol))
+
+
+def _supporting_functional(x: Vector, tol: Tolerances) -> Functional:
+    """``support_set(x).witness``, read where the norm of ``x`` is in range.
+
+    lp with p < inf reads it at ``x``, or at the power-of-two multiple of
+    ``x`` that ``_unit_coords`` settles on: its formulas are exact under such
+    a scaling.  linf and polyhedral read it at the unit point, since the
+    tolerance that finds their tied maxima has an absolute floor.
+    """
+    space = x.space
+    u, _, c = _unit_coords(space, x.coords)
+    if not space.is_smooth_space and space.p != 1.0:
+        c = u
+    return support_set(x if c is x.coords else Vector(c, space), tol).witness
 
 
 def l1_orthogonality_triple(x: Vector, y: Vector,

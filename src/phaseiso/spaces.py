@@ -93,6 +93,7 @@ class NormSpec:
     weights: Optional[np.ndarray] = None
     functionals: Optional[np.ndarray] = None
     _w: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _key: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -110,6 +111,8 @@ class NormSpec:
                 raise ValueError("polyhedral functionals must span the dual space")
             object.__setattr__(self, "functionals", _frozen(a))
             object.__setattr__(self, "p", None)
+            object.__setattr__(self, "_key", ("polyhedral", self.dim,
+                                              tuple(map(tuple, self.functionals))))
             return
         if self.p is None or math.isnan(self.p) or (self.p < 1.0 and not math.isinf(self.p)):
             raise ValueError("p must satisfy p >= 1 or p = inf")
@@ -120,6 +123,8 @@ class NormSpec:
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "weights", None if plain else w)
         object.__setattr__(self, "functionals", None)
+        key = (self.kind, self.dim, self.p)
+        object.__setattr__(self, "_key", key if plain else key + (tuple(w),))
 
     # -- constructors ------------------------------------------------------
 
@@ -138,16 +143,15 @@ class NormSpec:
     # -- identity ----------------------------------------------------------
 
     def spec_key(self) -> tuple:
-        if self.functionals is not None:
-            return ("polyhedral", self.dim, tuple(map(tuple, self.functionals)))
-        key = (self.kind, self.dim, self.p)
-        return key if self.weights is None else key + (tuple(self.weights),)
+        """The space's identity: kind, dim, p and weights, or the functionals.
+        Built once, in ``__post_init__``; ``==`` and ``hash`` read it."""
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, NormSpec) and self.spec_key() == other.spec_key()
+        return other is self or isinstance(other, NormSpec) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.spec_key())
+        return hash(self._key)
 
     def __repr__(self):
         if self.functionals is not None:
@@ -299,10 +303,7 @@ class Vector:
         return not self.coords.any()
 
     def unit(self) -> "Vector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vector(self.coords / n, self.space)
+        return Vector(_unit_coords(self.space, self.coords)[0], self.space)
 
     def _check_space(self, other: "Vector"):
         if self.space != other.space:
@@ -385,17 +386,93 @@ def norm(x: Vector) -> float:
     return x.norm
 
 
+_UNIT_TOL = 1e-6  # how far from 1 the computed norm of a unit vector may be
+
+
+def _unit_coords(space: NormSpec, c: np.ndarray):
+    """``(u, |u|, c')`` with ``u = c' / |c'|`` a unit vector on the ray of ``c``.
+
+    ``c'`` is ``c`` when its norm is positive, finite and exact enough for
+    ``c / |c|`` to have norm one; otherwise ``c`` times the power of two that
+    brings its largest weighted magnitude into [1/4, 1).  The rescale is exact
+    unless a coordinate lands in the subnormal range; one flushed to zero
+    raises, as does a norm still out of range.
+    """
+    n = space.norm_of(c)
+    if 0.0 < n < np.inf:
+        u = c / n
+        un = space.norm_of(u)
+        if abs(un - 1.0) <= _UNIT_TOL:
+            return u, un, c
+    if not c.any():
+        raise ValueError("cannot normalize the zero vector")
+    s = np.ldexp(c, -_magnitude_exponent(space, c))
+    n = space.norm_of(s)
+    if 0.0 < n < np.inf:
+        u = s / n
+        un = space.norm_of(u)
+        if np.count_nonzero(u) < np.count_nonzero(c):
+            raise ValueError(f"cannot normalize {c.tolist()}: its coordinates span more "
+                             "binary orders than a float holds")
+        if abs(un - 1.0) <= _UNIT_TOL:
+            return u, un, s
+    raise ValueError(f"cannot normalize {c.tolist()}: its norm evaluates to {n} "
+                     "after rescaling")
+
+
+def _magnitude_exponent(space: NormSpec, c: np.ndarray) -> int:
+    """The binary exponent e with the largest term of the norm of ``c`` in
+    [2^(e-2), 2^e): ``|a_ij c_j|`` for polyhedral, ``w_i^(1/p) |c_i|`` (``w_i |c_i|``
+    for p = inf) for lp.  Computed from exponents alone, so it cannot overflow."""
+    on = c != 0.0
+    ec = np.frexp(c[on])[1]
+    if space.functionals is not None:
+        a = space.functionals[:, on]
+        return int(np.max(np.where(a != 0.0, np.frexp(a)[1] + ec, np.iinfo(np.int32).min)))
+    w = space._w[on]
+    r = w if math.isinf(space.p) else w ** (1.0 / space.p)
+    return int(np.max(np.frexp(r)[1] + ec))
+
+
 def _active_sets(space: NormSpec, u: np.ndarray, tol: Tolerances):
     """Indices where the max defining the norm is attained (linf/polyhedral)."""
     if space.functionals is not None:
         vals = space.functionals @ u
-        m = np.max(np.abs(vals))
+        m = np.maximum.reduce(np.abs(vals))
         active = np.nonzero(np.abs(vals) >= m - tol.scaled(m))[0]
         return vals, active
     vals = space._w * np.abs(u)
-    m = np.max(vals)
+    m = np.maximum.reduce(vals)
     active = np.nonzero(vals >= m - tol.scaled(m))[0]
     return vals, active
+
+
+def _face(space: NormSpec, u: np.ndarray, un: float, tol: Tolerances):
+    """What the slopes and supporting functionals at ``u`` (norm ``un``) read:
+    the norm gradient for smooth lp, None for l1 (the signs of ``u`` are the
+    face), the values and active indices of the max for linf/polyhedral."""
+    if space.is_smooth_space:
+        w, p = space._w, space.p
+        return w * np.sign(u) * np.abs(u) ** (p - 1.0) / un ** (p - 1.0)
+    if space.p == 1.0:
+        return None
+    return _active_sets(space, u, tol)
+
+
+def _slope(space: NormSpec, u: np.ndarray, face, x: np.ndarray) -> float:
+    """One-sided derivative of the norm at the unit point ``u`` toward ``x``,
+    given ``face = _face(space, u, |u|, tol)``."""
+    if space.is_smooth_space:
+        return float(np.dot(face, x))
+    w = space._w
+    if space.p == 1.0:
+        on = u != 0.0
+        return float(np.dot(w[on] * np.sign(u[on]), x[on])
+                     + np.add.reduce(w[~on] * np.abs(x[~on])))
+    vals, active = face
+    if space.functionals is None:  # p = inf
+        return float(np.maximum.reduce(w[active] * np.sign(u[active]) * x[active]))
+    return float(np.maximum.reduce(np.sign(vals[active]) * (space.functionals[active] @ x)))
 
 
 def directional_derivative(u: Vector, x: Vector, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -408,21 +485,9 @@ def directional_derivative(u: Vector, x: Vector, tol: Tolerances = DEFAULT_TOL) 
     space = u.space
     u._check_space(x)
     un = u.norm
-    if abs(un - 1.0) > 1e-6:
+    if abs(un - 1.0) > _UNIT_TOL:
         raise ValueError(f"u must be a unit vector (norm {un})")
-    uc, xc = u.coords, x.coords
-    w, p = space._w, space.p
-
-    if space.is_smooth_space:
-        g = w * np.sign(uc) * np.abs(uc) ** (p - 1.0) / un ** (p - 1.0)
-        return float(np.dot(g, xc))
-    if p == 1.0:
-        on = uc != 0.0
-        return float(np.dot(w[on] * np.sign(uc[on]), xc[on]) + np.sum(w[~on] * np.abs(xc[~on])))
-    vals, active = _active_sets(space, uc, tol)
-    if space.functionals is None:  # p = inf
-        return float(np.max(w[active] * np.sign(uc[active]) * xc[active]))
-    return float(np.max(np.sign(vals[active]) * (space.functionals[active] @ xc)))
+    return _slope(space, u.coords, _face(space, u.coords, un, tol), x.coords)
 
 
 def finite_difference_directional(u: Vector, x: Vector, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -455,21 +520,20 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
         raise ValueError("support_set is undefined at x = 0")
     space = x.space
     xc = x.coords
-    xn = x.norm
-    w, p = space._w, space.p
+    w = space._w
+    face = _face(space, xc, x.norm, tol)
 
     if space.is_smooth_space:
-        g = w * np.sign(xc) * np.abs(xc) ** (p - 1.0) / xn ** (p - 1.0)
-        return SupportDescription(x, "singleton", Functional(g, space), True)
+        return SupportDescription(x, "singleton", Functional(face, space), True)
 
-    if p == 1.0:
+    if space.p == 1.0:
         on = xc != 0.0
         g = np.where(on, w * np.sign(xc), 0.0)
         smooth = bool(np.all(on))
         return SupportDescription(x, "singleton" if smooth else "face",
                                   Functional(g, space), smooth)
 
-    vals, active = _active_sets(space, xc, tol)
+    vals, active = face
     if space.functionals is None:  # p = inf
         i = int(active[0])
         g = np.zeros(space.dim)
@@ -489,29 +553,27 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
                               Functional(distinct[0], space), smooth)
 
 
-def _extreme_support_values(xu: Vector, y: Vector, tol: Tolerances):
-    """Supporting functionals at xu maximizing / minimizing the value on y."""
-    space = xu.space
-    u, yc = xu.coords, y.coords
-    w = space._w
-
+def _extreme_support_values(space: NormSpec, u: np.ndarray, face, y: np.ndarray):
+    """Supporting functionals at the unit point ``u`` maximizing / minimizing
+    the value on ``y``, given ``face = _face(space, u, |u|, tol)``."""
     if space.is_smooth_space:
-        g = support_set(xu, tol).witness.coords
-        return (g, float(np.dot(g, yc))), (g, float(np.dot(g, yc)))
+        v = float(np.dot(face, y))
+        return (face, v), (face, v)
+    w = space._w
     if space.p == 1.0:
         on = u != 0.0
         base = np.where(on, w * np.sign(u), 0.0)
-        hi = np.where(on, base, w * np.sign(yc))
-        lo = np.where(on, base, -w * np.sign(yc))
-        return (hi, float(np.dot(hi, yc))), (lo, float(np.dot(lo, yc)))
+        hi = np.where(on, base, w * np.sign(y))
+        lo = np.where(on, base, -w * np.sign(y))
+        return (hi, float(np.dot(hi, y))), (lo, float(np.dot(lo, y)))
     # the face is spanned by the active signed coordinate (linf) or defining functionals
-    vals, active = _active_sets(space, u, tol)
+    vals, active = face
     if space.functionals is None:  # p = inf
         rows = np.zeros((len(active), space.dim))
         rows[np.arange(len(active)), active] = w[active] * np.sign(u[active])
     else:
         rows = np.sign(vals[active])[:, None] * space.functionals[active]
-    cand = [(g, float(np.dot(g, yc))) for g in rows]
+    cand = [(g, float(np.dot(g, y))) for g in rows]
     return max(cand, key=lambda t: t[1]), min(cand, key=lambda t: t[1])
 
 

@@ -4,7 +4,9 @@ Deliberately written from the definitions, not from the library's formulas:
 finite differences for directional derivatives, golden-section search for
 one-dimensional norm minimization, and exhaustive enumeration for polyhedral
 quantities.  The scalar loops and the line-by-line sample reader are frozen
-copies of earlier library code, kept as references for the array versions.
+copies of earlier library code, kept as references for the array versions;
+so are the per-call spec key and the Birkhoff verdict that computed its face
+once per slope.
 """
 
 import json
@@ -461,3 +463,105 @@ def tuple_keyed(f):
                             declared_surjective=f.declared_surjective,
                             hidden_truth=f.hidden_truth, fn_batch=f.fn_batch,
                             table_images=f.table_images)
+
+
+def frozen_spec_key(space):
+    """``NormSpec.spec_key()`` as it was computed on every call (a frozen copy)."""
+    if space.functionals is not None:
+        return ("polyhedral", space.dim, tuple(map(tuple, space.functionals)))
+    key = (space.kind, space.dim, space.p)
+    return key if space.weights is None else key + (tuple(space.weights),)
+
+
+def _frozen_active_sets(space, u, tol):
+    if space.functionals is not None:
+        vals = space.functionals @ u
+        m = np.max(np.abs(vals))
+        active = np.nonzero(np.abs(vals) >= m - tol.scaled(m))[0]
+        return vals, active
+    vals = space._w * np.abs(u)
+    m = np.max(vals)
+    active = np.nonzero(vals >= m - tol.scaled(m))[0]
+    return vals, active
+
+
+def frozen_directional_derivative(u, x, tol=None):
+    """``spaces.directional_derivative`` before the verdict shared its face (a
+    frozen copy): the norm of ``u`` and the active face are computed per call."""
+    from phaseiso.settings import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
+    space = u.space
+    u._check_space(x)
+    un = u.norm
+    if abs(un - 1.0) > 1e-6:
+        raise ValueError(f"u must be a unit vector (norm {un})")
+    uc, xc = u.coords, x.coords
+    w, p = space._w, space.p
+    if space.is_smooth_space:
+        g = w * np.sign(uc) * np.abs(uc) ** (p - 1.0) / un ** (p - 1.0)
+        return float(np.dot(g, xc))
+    if p == 1.0:
+        on = uc != 0.0
+        return float(np.dot(w[on] * np.sign(uc[on]), xc[on]) + np.sum(w[~on] * np.abs(xc[~on])))
+    vals, active = _frozen_active_sets(space, uc, tol)
+    if space.functionals is None:  # p = inf
+        return float(np.max(w[active] * np.sign(uc[active]) * xc[active]))
+    return float(np.max(np.sign(vals[active]) * (space.functionals[active] @ xc)))
+
+
+def _frozen_extreme_support_values(xu, y, tol):
+    from phaseiso import Functional
+
+    space = xu.space
+    u, yc = xu.coords, y.coords
+    w, p = space._w, space.p
+    if space.is_smooth_space:
+        xn = xu.norm  # support_set's witness at xu
+        g = Functional(w * np.sign(u) * np.abs(u) ** (p - 1.0) / xn ** (p - 1.0), space).coords
+        return (g, float(np.dot(g, yc))), (g, float(np.dot(g, yc)))
+    if p == 1.0:
+        on = u != 0.0
+        base = np.where(on, w * np.sign(u), 0.0)
+        hi = np.where(on, base, w * np.sign(yc))
+        lo = np.where(on, base, -w * np.sign(yc))
+        return (hi, float(np.dot(hi, yc))), (lo, float(np.dot(lo, yc)))
+    vals, active = _frozen_active_sets(space, u, tol)
+    if space.functionals is None:  # p = inf
+        rows = np.zeros((len(active), space.dim))
+        rows[np.arange(len(active)), active] = w[active] * np.sign(u[active])
+    else:
+        rows = np.sign(vals[active])[:, None] * space.functionals[active]
+    cand = [(g, float(np.dot(g, yc))) for g in rows]
+    return max(cand, key=lambda t: t[1]), min(cand, key=lambda t: t[1])
+
+
+def frozen_birkhoff_verdict(x, y, tol=None):
+    """``orthogonality.birkhoff_verdict`` before it shared one face between its
+    slopes and witness (a frozen copy): two ``directional_derivative`` calls, the
+    second on ``-1.0 * y``, and ``_extreme_support_values`` on its own face."""
+    from phaseiso import Functional, OrthogonalityVerdict, support_set
+    from phaseiso.settings import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
+    x._check_space(y)
+    if x.is_zero or y.is_zero:
+        witness = None if x.is_zero else support_set(x, tol).witness
+        return OrthogonalityVerdict(True, 0.0, 0.0, 0.0, False, witness)
+    xu = x.unit()
+    fwd = frozen_directional_derivative(xu, y, tol)
+    bwd = frozen_directional_derivative(xu, -1.0 * y, tol)
+    margin = min(fwd, bwd)
+    orthogonal = margin >= -tol.boundary
+    near_tie = abs(margin) <= tol.boundary
+    witness = None
+    if orthogonal:
+        (g_hi, v_hi), (g_lo, v_lo) = _frozen_extreme_support_values(xu, y, tol)
+        if not (v_hi < -tol.boundary or v_lo > tol.boundary):
+            if abs(v_hi - v_lo) <= tol.scaled(abs(v_hi) + abs(v_lo)):
+                lam = 0.0
+            else:
+                lam = v_hi / (v_hi - v_lo)
+            lam = min(max(lam, 0.0), 1.0)
+            witness = Functional((1.0 - lam) * g_hi + lam * g_lo, xu.space)
+    return OrthogonalityVerdict(orthogonal, fwd, bwd, margin, near_tie, witness)

@@ -316,6 +316,45 @@ class TestOrtho:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["orthogonal"] is False
 
+    @pytest.mark.parametrize("space, x, y, slope", [
+        (L2_2, "[1e-170, 1e-170]", "[0, 1]", 2 ** -0.5),
+        (L2_2, "[1e200, 1e200]", "[0, 1]", 2 ** -0.5),
+        (L2_2, "[3e-162, 4e-162]", "[0, 1]", 0.8),
+        (POLY3_SPACE, "[1e308, 1e308, 1e308]", "[0, 1, 0]", 1.0),
+    ], ids=["underflow", "overflow", "subnormal-squares", "poly-overflow"])
+    def test_norm_out_of_range(self, capsys, space, x, y, slope):
+        with np.errstate(over="ignore", under="ignore"):
+            code = run(["ortho", "--space", space, "--x", x, "--y", y])
+        assert code == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["forward_slope"] == pytest.approx(slope, rel=1e-12)
+
+    @pytest.mark.parametrize("space, x", [
+        (L2_2, "[1e-170, 1e-170]"),
+        (L2_2, "[1e200, 1e200]"),
+    ], ids=["underflow", "overflow"])
+    def test_zero_y_witness_out_of_range(self, capsys, space, x):
+        with np.errstate(over="ignore", under="ignore"):
+            code = run(["ortho", "--space", space, "--x", x, "--y", "[0, 0]"])
+        assert code == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["witness"] == pytest.approx([2 ** -0.5] * 2, rel=1e-12)
+
+    def test_weights_out_of_range(self, capsys):
+        space = json.dumps({"kind": "weighted_lp", "dim": 3, "p": 2, "weights": [1e308] * 3})
+        with np.errstate(over="ignore"):
+            code = run(["ortho", "--space", space, "--x", "[0.9, 0.9, 0.9]", "--y", "[0, 1, 0]"])
+        assert code == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["forward_slope"] == pytest.approx((1e308 / 3) ** 0.5, rel=1e-12)
+
+    def test_coordinates_beyond_float_range(self, capsys):
+        with np.errstate(over="ignore"):
+            code = run(["ortho", "--space", '{"kind": "lp", "dim": 3, "p": 1}',
+                        "--x", "[1e308, 1e308, 1e-300]", "--y", "[1, -1, 1]"])
+        assert code == 64
+        assert "cannot normalize" in capsys.readouterr().err
+
 
 class TestConflictingRows:
     """A table row that repeats an x with another fx is not a function: exit 64."""

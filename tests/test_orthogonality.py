@@ -1,16 +1,22 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import space_zoo, zoo_ids
-from phaseiso import (NormSpec, birkhoff_verdict, is_birkhoff_orthogonal,
-                      l1_orthogonality_triple, orthogonal_hyperplane, support_set)
+from phaseiso import (NormSpec, Tolerances, birkhoff_verdict, directional_derivative,
+                      is_birkhoff_orthogonal, l1_orthogonality_triple, orthogonal_hyperplane,
+                      support_set)
 
 L1_2 = NormSpec.lp(2, 1)
 L2_2 = NormSpec.lp(2, 2)
 LINF_2 = NormSpec.lp(2, float("inf"))
 LINF_3 = NormSpec.lp(3, float("inf"))
 L1_3 = NormSpec.lp(3, 1)
+POLY3 = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+HEXAGON = NormSpec.polyhedral(2, [[1, 0], [0, 1], [1, -1]])
 
 
 class TestBirkhoffBasics:
@@ -103,6 +109,134 @@ class TestBirkhoffBasics:
         assert v.orthogonal
         assert np.allclose(v.witness.coords, [0.5, 0.5])
         assert v.witness.dual_norm == pytest.approx(1.0)
+
+
+def _verdict_cases(space, seed):
+    """(x, y) coordinate pairs: random, orthogonal by construction, tied maxima
+    and zero coordinates (the points of {-1, 0, 1}^n, divided by the weights),
+    y = +-x, and zero vectors."""
+    rng = np.random.default_rng(seed)
+    n = space.dim
+    cases = []
+    for _ in range(30):
+        cases.append((rng.standard_normal(n), rng.standard_normal(n)))
+        x = rng.standard_normal(n)
+        cases.append((x, orthogonal_hyperplane(space.vector(x)).sample(rng, 1)[0].coords))
+    w = np.ones(n) if space.functionals is not None else space._w
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) / w
+    for x in grid:
+        for y in grid[rng.choice(len(grid), 4)]:
+            cases.append((x, y))
+        cases += [(x, x), (x, -x), (x, 2.0 * rng.standard_normal(n) * (x != 0))]
+    cases += [(np.zeros(n), np.zeros(n)), (rng.standard_normal(n), np.zeros(n))]
+    return cases
+
+
+def _verdict_text(verdict):
+    """The verdict as JSON text, so a signed zero differs from an unsigned one,
+    and the witness bytes."""
+    witness = None if verdict.witness is None else verdict.witness.coords.tobytes()
+    return json.dumps(verdict.to_dict()), witness
+
+
+class TestVerdictBytes:
+    """One norm and one face per verdict give the bytes of the old path, which
+    computed both once per slope."""
+
+    SPACES = space_zoo() + [HEXAGON]
+    IDS = zoo_ids() + ["poly2"]
+
+    @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(rel=1e-3)], ids=["rel1e-9", "rel1e-3"])
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_verdicts(self, space, tol):
+        kinds = set()
+        for x, y in _verdict_cases(space, seed=21):
+            xv, yv = space.vector(x), space.vector(y)
+            got = birkhoff_verdict(xv, yv, tol)
+            assert _verdict_text(got) == _verdict_text(oracles.frozen_birkhoff_verdict(xv, yv, tol))
+            kinds.add((got.orthogonal, got.near_tie, got.witness is None))
+        # orthogonal with a witness, near ties, and plainly not orthogonal all occur
+        assert {(True, False, False), (True, True, False), (False, False, True)} <= kinds
+
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_directional_derivative(self, space):
+        for x, y in _verdict_cases(space, seed=22):
+            if not x.any():
+                continue
+            u = space.vector(x).unit()
+            for d in (y, -y, x):
+                got = directional_derivative(u, space.vector(d))
+                want = oracles.frozen_directional_derivative(u, space.vector(d))
+                assert got.hex() == want.hex(), (x, d)
+
+
+class TestExtremeScales:
+    """The verdict is homogeneous in x: a norm that under- or overflows is
+    taken after an exact power-of-two rescaling of x."""
+
+    @pytest.mark.parametrize("space", [NormSpec.lp(4, 1), NormSpec.lp(4, 2),
+                                       NormSpec.lp(4, float("inf")), POLY3],
+                             ids=["l1", "l2", "linf", "poly"])
+    def test_power_of_two_multiples(self, space, rng):
+        for i in range(40):
+            x = rng.standard_normal(space.dim)
+            y = (orthogonal_hyperplane(space.vector(x)).sample(rng, 1)[0].coords if i % 2
+                 else rng.standard_normal(space.dim))
+            want = _verdict_text(birkhoff_verdict(space.vector(x), space.vector(y)))
+            for k in (600, -600, 1000, -1000):
+                with np.errstate(over="ignore", under="ignore"):
+                    got = birkhoff_verdict(space.vector(np.ldexp(x, k)), space.vector(y))
+                assert _verdict_text(got) == want, (x, y, k)
+        zero = space.vector(np.zeros(space.dim))
+        want = _verdict_text(birkhoff_verdict(space.vector(x), zero))
+        for k in (600, -600, 1000, -1000):
+            with np.errstate(over="ignore", under="ignore"):
+                got = birkhoff_verdict(space.vector(np.ldexp(x, k)), zero)
+            assert _verdict_text(got) == want, (x, k)
+
+    @pytest.mark.parametrize("space, x, y, slope", [
+        (L2_2, [1e-170, 1e-170], [0, 1], 2 ** -0.5),
+        (L2_2, [1e200, 1e200], [0, 1], 2 ** -0.5),
+        (L2_2, [3e-162, 4e-162], [0, 1], 0.8),
+        (POLY3, [1e308, 1e308, 1e308], [0, 1, 0], 1.0),
+    ], ids=["underflow", "overflow", "subnormal-squares", "poly-overflow"])
+    def test_norms_out_of_range(self, space, x, y, slope):
+        with np.errstate(over="ignore", under="ignore"):
+            verdict = birkhoff_verdict(space.vector(x), space.vector(y))
+        assert not verdict.orthogonal and verdict.witness is None
+        assert verdict.forward_slope == pytest.approx(slope, rel=1e-12)
+        assert verdict.backward_slope == pytest.approx(-slope, rel=1e-12)
+
+    @pytest.mark.parametrize("space, x", [
+        (L2_2, [1e-170, 1e-170]),
+        (L2_2, [1e200, 1e200]),
+        (L2_2, [3e-162, 4e-162]),
+        (POLY3, [1e308, 1e308, 1e308]),
+    ], ids=["underflow", "overflow", "subnormal-squares", "poly-overflow"])
+    def test_zero_y_witness_supports_x(self, space, x):
+        with np.errstate(over="ignore", under="ignore"):
+            verdict = birkhoff_verdict(space.vector(x), space.vector([0.0] * space.dim))
+            normal = orthogonal_hyperplane(space.vector(x)).normal
+            u = space.vector(x).unit()
+        assert verdict.orthogonal and verdict.witness is not None
+        for g in (verdict.witness, normal):
+            assert space.dual_norm_of(g.coords) == pytest.approx(1.0, rel=1e-12)
+            assert g(u) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weights_out_of_range(self):
+        # w_i x_i^2 overflows; the rescale reads the weighted magnitudes
+        space = NormSpec.weighted_lp(3, 2, [1e308] * 3)
+        y = space.vector([0, 1, 0])
+        with np.errstate(over="ignore"):
+            got = birkhoff_verdict(space.vector([0.9, 0.9, 0.9]), y)
+        want = birkhoff_verdict(space.vector(np.ldexp([0.9, 0.9, 0.9], -600)), y)
+        assert _verdict_text(got) == _verdict_text(want)
+        assert got.forward_slope == pytest.approx((1e308 / 3) ** 0.5, rel=1e-12)
+
+    def test_coordinate_flushed_by_rescale(self):
+        # 1e-300 / 2^1024 is 0: the l1 face would lose it, so no verdict is given
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="binary orders"):
+            birkhoff_verdict(L1_3.vector([1e308, 1e308, 1e-300]), L1_3.vector([1, -1, 1]))
 
 
 class TestHyperplane:

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 import oracles
 from conftest import space_zoo, zoo_ids
 from phaseiso import (NormSpec, Vector, birkhoff_verdict, directional_derivative,
-                      finite_difference_directional, is_w_star_exposed, norm,
+                      finite_difference_directional, is_w_star_exposed, norm, plan_queries,
                       support_set)
+from phaseiso.decomposition import _seed_free_part, route_for
 
 L1_2 = NormSpec.lp(2, 1)
 L2_2 = NormSpec.lp(2, 2)
@@ -152,6 +155,72 @@ class TestConstruction:
         v = L2_2.vector([1.0, 2.0])
         with pytest.raises(ValueError):
             v.coords[0] = 5.0
+
+
+def _rebuilt(space):
+    """Equal copies of a space that are other objects: built again from its
+    fields, through JSON text, and deep-copied."""
+    if space.functionals is not None:
+        again = NormSpec.polyhedral(space.dim, space.functionals.tolist())
+    elif space.weights is not None:
+        again = NormSpec.weighted_lp(space.dim, space.p, list(space.weights))
+    else:
+        again = NormSpec.lp(space.dim, space.p)
+    return [again, NormSpec.from_json(json.dumps(space.to_json())), copy.deepcopy(space)]
+
+
+@pytest.mark.parametrize("space", space_zoo(), ids=zoo_ids())
+class TestSpaceIdentity:
+    """The spec key is stored once; ``==`` and ``hash`` read it."""
+
+    def test_key_is_the_old_formula(self, space):
+        want = oracles.frozen_spec_key(space)
+        assert repr(space.spec_key()) == repr(want)
+        assert hash(space) == hash(want)
+        assert space.spec_key() is space.spec_key()
+
+    def test_equal_copies(self, space):
+        for other in _rebuilt(space):
+            assert other is not space
+            assert other == space and space == other and hash(other) == hash(space)
+            assert other.spec_key() == space.spec_key()
+        assert space != space.spec_key() and space != None  # noqa: E711
+
+    def test_equal_copies_share_a_plan_cache_entry(self, space):
+        route = route_for(space)
+        _seed_free_part.cache_clear()
+        plan_queries(space, route, 0)
+        for i, other in enumerate(_rebuilt(space), start=1):
+            plan_queries(other, route, i)
+            info = _seed_free_part.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (i, 1, 1)
+
+    def test_vector_arithmetic_across_equal_copies(self, space):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, space.dim))
+        for other in _rebuilt(space):
+            x, y = space.vector(a), other.vector(b)
+            assert (x + y).coords.tobytes() == (a + b).tobytes()
+            assert (x - y).coords.tobytes() == (a - b).tobytes()
+            assert (birkhoff_verdict(x, y).to_dict()
+                    == birkhoff_verdict(x, space.vector(b)).to_dict())
+
+    def test_unequal_spaces_are_told_apart(self, space):
+        n = space.dim
+        others = [NormSpec.lp(n, 1.5) if space.p == 2.0 else NormSpec.lp(n, 2.0),
+                  NormSpec.polyhedral(n, np.vstack([np.eye(n), -2.0 * np.ones(n)])),
+                  NormSpec.lp(n + 1, space.p or 2.0)]
+        if space.kind == "lp":
+            others.append(NormSpec.weighted_lp(n, space.p, np.ones(n)))
+        if space.weights is not None:
+            others.append(NormSpec.weighted_lp(n, space.p, space.weights * 2.0))
+        x = space.vector(np.ones(n))
+        for other in others:
+            assert other != space and space != other
+            y = other.vector(np.ones(other.dim))
+            for op in (lambda: x + y, lambda: x - y, lambda: birkhoff_verdict(x, y)):
+                with pytest.raises(ValueError, match="vectors belong to different spaces"):
+                    op()
 
 
 @pytest.mark.parametrize("space", space_zoo(), ids=zoo_ids())
@@ -357,6 +426,26 @@ class TestVectorAlgebra:
         f = L2_2.functional([2, -1])
         assert f(L2_2.vector([1, 1])) == pytest.approx(1.0)
         assert f([3, 0]) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("space", space_zoo(), ids=zoo_ids())
+    def test_unit_in_range_is_the_quotient(self, space, rng):
+        for _ in range(10):
+            x = space.vector(rng.standard_normal(space.dim))
+            assert _bits(x.unit().coords) == _bits(x.coords / x.norm)
+
+    @pytest.mark.parametrize("x, want", [
+        ([1e-170, 1e-170], [2 ** -0.5] * 2),
+        ([1e200, 1e200], [2 ** -0.5] * 2),
+        ([3e-162, 4e-162], [0.6, 0.8]),
+    ], ids=["underflow", "overflow", "subnormal-squares"])
+    def test_unit_out_of_range(self, x, want):
+        with np.errstate(over="ignore", under="ignore"):
+            u = L2_2.vector(x).unit()
+        np.testing.assert_allclose(u.coords, want, rtol=1e-15)
+
+    def test_unit_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            L2_2.vector([0, 0]).unit()
 
 
 def _bits(value) -> bytes:
