@@ -156,7 +156,8 @@ def cmd_ortho(args) -> int:
     space = _load_space(args.space)
     x = space.vector(_parse_vector(args.x, space.dim))
     y = space.vector(_parse_vector(args.y, space.dim))
-    verdict = birkhoff_verdict(x, y, tol)
+    with np.errstate(over="ignore"):  # a norm that overflows is handled by the verdict
+        verdict = birkhoff_verdict(x, y, tol)
     data = verdict.to_dict()
     data["x"] = list(x.coords)
     data["y"] = list(y.coords)
@@ -181,13 +182,14 @@ def cmd_lemma(args) -> int:
     tol = _tolerances(args)
     space = _load_space(args.space)
     coords = _parse_vector(args.functional, space.dim)
-    dn = space.dual_norm_of(coords)
+    with np.errstate(over="ignore"):  # a dual norm past the float range reads inf
+        dn = space.dual_norm_of(coords)
     if args.normalize:
         if dn == 0.0:
             raise ValueError("the functional is zero and cannot be normalized")
-        if dn < 0.0:  # HiGHS can return one for a polyhedral functional below about 1e-7
-            raise ValueError(f"the dual norm of the functional came out negative ({dn}); "
-                             "it cannot be normalized")
+        if not 0.0 < dn < np.inf:  # inf on overflow; negative only as a boundary check
+            raise ValueError(f"the dual norm of the functional is not a positive finite "
+                             f"number ({dn}); it cannot be normalized")
         coords = coords / dn
     elif abs(dn - 1.0) > 1e-6:
         raise DimensionMismatch(f"functional must be unit in the dual norm (got {dn}); "

@@ -202,7 +202,12 @@ class NormSpec:
         """Norm of a dual element acting by the dot product.
 
         Conjugate-exponent formulas for the lp kinds; a linear program over
-        the unit ball for polyhedral norms.
+        the unit ball for polyhedral norms.  The polyhedral LP is solved on
+        ``c / 2^k``, with ``2^k <= max|c_i| < 2^(k+1)``, and its optimum is
+        multiplied back by ``2^k``: both steps are exact, so the result
+        scales exactly with ``c`` by powers of two, and entries far below 1
+        are not lost to the solver's tolerances.  An all-zero ``c`` solves no
+        LP and gives ``-0.0`` on a polyhedral space (``+0.0`` on the lp kinds).
         """
         c = _coerce(coords, self.dim)
         if self.functionals is None:
@@ -213,13 +218,19 @@ class NormSpec:
                 return float(np.maximum.reduce(np.abs(c) / w))
             q = self.p / (self.p - 1.0)
             return float(np.add.reduce((np.abs(c) / w ** (1.0 / self.p)) ** q) ** (1.0 / q))
-        # max c.x subject to |a_i . x| <= 1
+        if not c.any():
+            # the LP's -(+0.0): HiGHS gives +0.0 as the optimum of every zero cost,
+            # whatever the mix of signed zeros
+            return -0.0
+        # max c.x subject to |a_i . x| <= 1, on c rescaled by a power of two
+        k = int(np.frexp(np.max(np.abs(c)))[1]) - 1
         a = self.functionals
         ub = np.vstack([a, -a])
-        res = _highs_lp(-c, A_ub=ub, b_ub=np.ones(2 * len(a)), bounds=[(None, None)] * self.dim)
+        res = _highs_lp(-np.ldexp(c, -k), A_ub=ub, b_ub=np.ones(2 * len(a)),
+                        bounds=[(None, None)] * self.dim)
         if not res.success:
             raise ArithmeticError(f"dual norm LP failed: {res.message}")
-        return float(-res.fun)
+        return float(np.ldexp(-res.fun, k))
 
     # -- element constructors ---------------------------------------------
 

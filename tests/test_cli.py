@@ -329,6 +329,22 @@ class TestOrtho:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["forward_slope"] == pytest.approx(slope, rel=1e-12)
 
+    @pytest.mark.parametrize("space, x, y", [
+        (L2_2, "[1e200, 1e200]", "[0, 1]"),
+        (POLY3_SPACE, "[1e308, 1e308, 1e308]", "[0, 1, 0]"),
+    ], ids=["overflow", "poly-overflow"])
+    def test_overflow_prints_no_warning(self, capsys, space, x, y):
+        """A first norm that overflows leaves stderr empty, in a fresh interpreter
+        whose warning filters are the defaults, and the verdict as it was."""
+        argv = ["ortho", "--space", space, "--x", x, "--y", y]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "phaseiso.cli", *argv],
+                              env={"PYTHONPATH": src}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with np.errstate(over="ignore"):
+            assert run(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
     @pytest.mark.parametrize("space, x", [
         (L2_2, "[1e-170, 1e-170]"),
         (L2_2, "[1e200, 1e200]"),
@@ -470,17 +486,29 @@ class TestLemma:
         assert capsys.readouterr().err.strip() == \
             "error: the functional is zero and cannot be normalized"
 
-    def test_negative_dual_norm_cannot_be_normalized(self, capsys):
-        """The polyhedral LP gives a tiny functional a negative dual norm; dividing by
-        it would flip the functional's sign."""
+    def test_tiny_functional_normalizes_by_positive_dual_norm(self, capsys):
+        """A polyhedral functional far below 1 keeps its sign: its dual norm is positive."""
         functional = [1e-12, 0.0, 0.0]
         dn = NormSpec.polyhedral(3, POLY3).dual_norm_of(functional)
-        assert dn < 0.0
+        assert dn == pytest.approx(1e-12, rel=1e-12)
         code = run(["lemma", "--space", POLY3_SPACE, "--functional", json.dumps(functional),
+                    "--normalize", "--oracle-seed", "5"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["x_star"] == (np.array(functional) / dn).tolist()
+        assert out["x_star"][0] > 0.0
+
+    @pytest.mark.parametrize("space, functional", [
+        (POLY3_SPACE, "[1e308, 1e308, 0]"),
+        (L2_2, "[1e308, 1e308]"),
+    ], ids=["polyhedral", "lp"])
+    def test_overflowing_dual_norm_cannot_be_normalized(self, capsys, space, functional):
+        """Dividing by an infinite dual norm would give the zero functional."""
+        code = run(["lemma", "--space", space, "--functional", functional,
                     "--normalize", "--oracle-seed", "5"])
         assert code == 64
         assert capsys.readouterr().err.strip() == (
-            f"error: the dual norm of the functional came out negative ({dn}); "
+            "error: the dual norm of the functional is not a positive finite number (inf); "
             "it cannot be normalized")
 
 

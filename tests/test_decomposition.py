@@ -15,7 +15,7 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       recover_functional, recover_projective_linear, score_certificate,
                       Tolerances)
 from conftest import zoo_ids
-from phaseiso import harness
+from phaseiso import harness, spaces
 from phaseiso.decomposition import (ROUTES, _TWO_DIM_GRID, _assemble_certificate,
                                     _check_expansion, _seed_free_part, route_for)
 from phaseiso.phase_maps import _row_keys
@@ -430,6 +430,29 @@ class TestRecoverFunctional:
         with pytest.raises(SmoothnessFailure) as err:
             recover_functional(f, L2_2.functional([1.0, 0.0]))
         assert err.value.t >= 1.0
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_polyhedral_lemma_solves_two_lps(self, row, rng, monkeypatch):
+        """On a polyhedral codomain the witnesses at f(u) and f(2u) are one signed
+        facet functional, so the stop rule's dual norm is of zero and solves no LP:
+        the lemma's LPs are the unit check and the exposure LP of its x*."""
+        space = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        calls, highs = [], spaces._highs_lp
+
+        def counted(c, **constraints):
+            calls.append(c)
+            return highs(c, **constraints)
+        monkeypatch.setattr(spaces, "_highs_lp", counted)
+        for sign in (1.0, -1.0):
+            for seed in (0, 1):
+                f = generate_phase_isometry(generate_isometry(space, seed), seed)
+                x_star = space.functional(sign * space.functionals[row])
+                verify = [rng.standard_normal(3) for _ in range(20)]
+                calls.clear()
+                rec = recover_functional(f, x_star, verify_points=verify)
+                assert len(calls) == 2
+                assert rec.trace == [(2.0, -0.0)]
+                assert math.copysign(1.0, rec.trace[0][1]) == -1.0
 
     def test_sign_pattern_matches_hidden_signs(self, rng):
         space = NormSpec.lp(2, 2)

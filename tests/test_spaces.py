@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 
@@ -519,3 +520,57 @@ class TestPlainLpIsUnitWeighted:
                 assert (a.witness is None) == (b.witness is None)
                 if a.witness is not None:
                     assert _bits(a.witness.coords) == _bits(b.witness.coords)
+
+
+POLY3 = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+
+
+def _random_polyhedral(seed: int) -> NormSpec:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    return NormSpec.polyhedral(n, rng.standard_normal((n + int(rng.integers(1, 4)), n)).tolist())
+
+
+class TestPolyhedralDualNorm:
+    """The polyhedral dual norm: no LP for the zero functional, and an LP on the
+    functional rescaled by a power of two, so tiny entries are not lost and the
+    value scales exactly."""
+
+    _ZEROS = [list(z) for z in itertools.product([0.0, -0.0], repeat=3)]
+
+    def test_zero_is_negative_zero_without_lp(self, monkeypatch):
+        """-0.0 is the value the LP's -res.fun gave for every signed-zero mix."""
+        def fail(c, **constraints):
+            raise AssertionError("the zero functional solved an LP")
+        monkeypatch.setattr("phaseiso.spaces._highs_lp", fail)
+        for z in self._ZEROS:
+            assert _bits(POLY3.dual_norm_of(z)) == _bits(-0.0)
+        wide = _random_polyhedral(5)
+        assert _bits(wide.dual_norm_of([-0.0] * wide.dim)) == _bits(-0.0)
+
+    @pytest.mark.parametrize("space", [
+        NormSpec.lp(3, 1), NormSpec.lp(3, 2), NormSpec.lp(3, float("inf")),
+        NormSpec.weighted_lp(3, 1.5, [1.0, 2.0, 0.5]),
+        NormSpec.weighted_lp(3, float("inf"), [1.0, 2.0, 0.5]),
+    ], ids=["l1", "l2", "linf", "w-l1.5", "w-linf"])
+    def test_lp_kinds_keep_positive_zero(self, space):
+        for z in self._ZEROS:
+            assert _bits(space.dual_norm_of(z)) == _bits(0.0)
+
+    @pytest.mark.parametrize("c, want", [
+        ([1e-7, 0.0, 0.0], 1e-7),
+        ([3e-8, 2e-8, 1e-8], 4e-8),   # at the dual-ball vertex (1, 1, -1)
+        ([1e-12, 0.0, 0.0], 1e-12),
+        ([-1e-300, 0.0, 0.0], 1e-300),
+    ])
+    def test_tiny_functionals(self, c, want):
+        assert POLY3.dual_norm_of(c) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("space", [POLY3] + [_random_polyhedral(s) for s in (1, 2, 3)],
+                             ids=["poly3", "random1", "random2", "random3"])
+    def test_power_of_two_scaling_is_exact(self, space):
+        rng = np.random.default_rng(space.dim)
+        for c in rng.standard_normal((3, space.dim)):
+            dn = space.dual_norm_of(c)
+            for k in range(-40, 41):
+                assert _bits(space.dual_norm_of(np.ldexp(c, k))) == _bits(np.ldexp(dn, k)), k
