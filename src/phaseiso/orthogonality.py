@@ -96,13 +96,17 @@ def birkhoff_verdict(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) -> Ort
     annihilates ``y`` when one exists.
 
     One norm of the unit point and one face serve both slopes and the witness.
+    l1 reads its signs at ``x`` or its power-of-two multiple, where ``x / |x|``
+    could flush a coordinate to zero.
     """
     x._check_space(y)
     if x.is_zero or y.is_zero:
-        witness = None if x.is_zero else _supporting_functional(x, tol)
+        witness = None if x.is_zero else support_set(x, tol).witness
         return OrthogonalityVerdict(True, 0.0, 0.0, 0.0, False, witness)
     space = x.space
-    u, un, _ = _unit_coords(space, x.coords)
+    u, un, c, _ = _unit_coords(space, x.coords)
+    if space.p == 1.0:
+        u = c
     face = _face(space, u, un, tol)
     fwd = _slope(space, u, face, y.coords)
     bwd = _slope(space, u, face, y.coords * -1.0)
@@ -142,22 +146,7 @@ def orthogonal_hyperplane(x: Vector, tol: Tolerances = DEFAULT_TOL) -> Hyperplan
     """
     if x.is_zero:
         raise ValueError("orthogonal_hyperplane is undefined at x = 0")
-    return Hyperplane(_supporting_functional(x, tol))
-
-
-def _supporting_functional(x: Vector, tol: Tolerances) -> Functional:
-    """``support_set(x).witness``, read where the norm of ``x`` is in range.
-
-    lp with p < inf reads it at ``x``, or at the power-of-two multiple of
-    ``x`` that ``_unit_coords`` settles on: its formulas are exact under such
-    a scaling.  linf and polyhedral read it at the unit point, since the
-    tolerance that finds their tied maxima has an absolute floor.
-    """
-    space = x.space
-    u, _, c = _unit_coords(space, x.coords)
-    if not space.is_smooth_space and space.p != 1.0:
-        c = u
-    return support_set(x if c is x.coords else Vector(c, space), tol).witness
+    return Hyperplane(support_set(x, tol).witness)
 
 
 def l1_orthogonality_triple(x: Vector, y: Vector,

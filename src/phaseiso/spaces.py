@@ -401,7 +401,7 @@ _UNIT_TOL = 1e-6  # how far from 1 the computed norm of a unit vector may be
 
 
 def _unit_coords(space: NormSpec, c: np.ndarray):
-    """``(u, |u|, c')`` with ``u = c' / |c'|`` a unit vector on the ray of ``c``.
+    """``(u, |u|, c', |c'|)`` with ``u = c' / |c'|`` a unit vector on the ray of ``c``.
 
     ``c'`` is ``c`` when its norm is positive, finite and exact enough for
     ``c / |c|`` to have norm one; otherwise ``c`` times the power of two that
@@ -409,24 +409,20 @@ def _unit_coords(space: NormSpec, c: np.ndarray):
     unless a coordinate lands in the subnormal range; one flushed to zero
     raises, as does a norm still out of range.
     """
-    n = space.norm_of(c)
-    if 0.0 < n < np.inf:
-        u = c / n
-        un = space.norm_of(u)
-        if abs(un - 1.0) <= _UNIT_TOL:
-            return u, un, c
-    if not c.any():
-        raise ValueError("cannot normalize the zero vector")
-    s = np.ldexp(c, -_magnitude_exponent(space, c))
-    n = space.norm_of(s)
-    if 0.0 < n < np.inf:
-        u = s / n
-        un = space.norm_of(u)
-        if np.count_nonzero(u) < np.count_nonzero(c):
-            raise ValueError(f"cannot normalize {c.tolist()}: its coordinates span more "
-                             "binary orders than a float holds")
-        if abs(un - 1.0) <= _UNIT_TOL:
-            return u, un, s
+    for s in (c, None):
+        if s is None:  # the rescaled try; only it pays for the zero and flush tests
+            if not c.any():
+                raise ValueError("cannot normalize the zero vector")
+            s = np.ldexp(c, -_magnitude_exponent(space, c))
+        n = space.norm_of(s)
+        if 0.0 < n < np.inf:
+            u = s / n
+            if s is not c and np.count_nonzero(u) < np.count_nonzero(c):
+                raise ValueError(f"cannot normalize {c.tolist()}: its coordinates span more "
+                                 "binary orders than a float holds")
+            un = space.norm_of(u)
+            if abs(un - 1.0) <= _UNIT_TOL:
+                return u, un, s, n
     raise ValueError(f"cannot normalize {c.tolist()}: its norm evaluates to {n} "
                      "after rescaling")
 
@@ -526,29 +522,35 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
     The witness has dual norm one and attains the norm of ``x``.  For the
     face cases (l1 with a zero coordinate, linf/polyhedral with a tied max)
     one member of the face is returned.
+
+    The face is read on the ray of ``x`` where its norm is in range, as
+    ``_unit_coords`` gives it: smooth lp and l1 at ``c'``, which is ``x`` or a
+    power-of-two multiple of it (their formulas are exact under such a
+    scaling); linf and polyhedral at the unit point, since the tolerance that
+    finds their tied maxima has an absolute floor.
     """
     if x.is_zero:
         raise ValueError("support_set is undefined at x = 0")
     space = x.space
-    xc = x.coords
+    u, _, c, n = _unit_coords(space, x.coords)
     w = space._w
-    face = _face(space, xc, x.norm, tol)
 
     if space.is_smooth_space:
-        return SupportDescription(x, "singleton", Functional(face, space), True)
+        g = _face(space, c, n, tol)
+        return SupportDescription(x, "singleton", Functional(g, space), True)
 
     if space.p == 1.0:
-        on = xc != 0.0
-        g = np.where(on, w * np.sign(xc), 0.0)
+        on = c != 0.0
+        g = np.where(on, w * np.sign(c), 0.0)
         smooth = bool(np.all(on))
         return SupportDescription(x, "singleton" if smooth else "face",
                                   Functional(g, space), smooth)
 
-    vals, active = face
+    vals, active = _active_sets(space, u, tol)
     if space.functionals is None:  # p = inf
         i = int(active[0])
         g = np.zeros(space.dim)
-        g[i] = w[i] * np.sign(xc[i])
+        g[i] = w[i] * np.sign(u[i])
         smooth = len(active) == 1
         return SupportDescription(x, "singleton" if smooth else "face",
                                   Functional(g, space), smooth)
@@ -638,19 +640,14 @@ def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> Expo
         for s in (1.0, -1.0):
             if np.max(np.abs(c - s * a[i])) > tol.scaled(scale) * 1e3:
                 continue
-            # maximize t with a_i.x = s, |a_j.x| <= 1 - t for j not parallel
-            others = [j for j in range(len(a))
-                      if j != i and np.max(np.abs(np.abs(a[j]) - np.abs(a[i]))) > 1e-12]
+            # maximize t with a_i.x = s, |a_j.x| <= 1 - t for every a_j other than +-a_i
+            others = a[np.minimum(np.max(np.abs(a - a[i]), axis=1),
+                                  np.max(np.abs(a + a[i]), axis=1)) > 1e-12]
             n = space.dim
-            if others:
-                rows = np.vstack([np.hstack([a[others], np.ones((len(others), 1))]),
-                                  np.hstack([-a[others], np.ones((len(others), 1))])])
-                b = np.ones(2 * len(others))
-            else:
-                rows = np.zeros((0, n + 1))
-                b = np.zeros(0)
+            ones = np.ones((len(others), 1))
+            rows = np.vstack([np.hstack([others, ones]), np.hstack([-others, ones])])
             eq = np.hstack([s * a[i], 0.0])[None, :]
-            res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=b,
+            res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=np.ones(len(rows)),
                             A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
             if res.success and res.x[-1] > 1e-9:
                 x = res.x[:n]

@@ -565,3 +565,60 @@ def frozen_birkhoff_verdict(x, y, tol=None):
             lam = min(max(lam, 0.0), 1.0)
             witness = Functional((1.0 - lam) * g_hi + lam * g_lo, xu.space)
     return OrthogonalityVerdict(orthogonal, fwd, bwd, margin, near_tie, witness)
+
+
+def frozen_support_set(x, tol=None):
+    """``spaces.support_set`` when it read the face at ``x`` itself (a frozen
+    copy): the gradient at ``x`` over ``|x|``, the signs of ``x``, or the tied
+    maxima of ``x`` under ``tol.scaled`` of their own magnitude."""
+    from phaseiso import Functional, SupportDescription
+    from phaseiso.settings import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if tol is None else tol
+    if x.is_zero:
+        raise ValueError("support_set is undefined at x = 0")
+    space = x.space
+    xc = x.coords
+    w, p = space._w, space.p
+    if space.is_smooth_space:
+        xn = x.norm
+        g = w * np.sign(xc) * np.abs(xc) ** (p - 1.0) / xn ** (p - 1.0)
+        return SupportDescription(x, "singleton", Functional(g, space), True)
+    if p == 1.0:
+        on = xc != 0.0
+        smooth = bool(np.all(on))
+        return SupportDescription(x, "singleton" if smooth else "face",
+                                  Functional(np.where(on, w * np.sign(xc), 0.0), space), smooth)
+    vals, active = _frozen_active_sets(space, xc, tol)
+    if space.functionals is None:  # p = inf
+        i = int(active[0])
+        g = np.zeros(space.dim)
+        g[i] = w[i] * np.sign(xc[i])
+        smooth = len(active) == 1
+        return SupportDescription(x, "singleton" if smooth else "face",
+                                  Functional(g, space), smooth)
+    signed = np.sign(vals[active])[:, None] * space.functionals[active]
+    distinct = [signed[0]]
+    for row in signed[1:]:
+        if all(np.max(np.abs(row - d)) > tol.scaled(1.0) for d in distinct):
+            distinct.append(row)
+    smooth = len(distinct) == 1
+    return SupportDescription(x, "singleton" if smooth else "face",
+                              Functional(distinct[0], space), smooth)
+
+
+def frozen_supporting_functional(x, tol=None):
+    """``orthogonality._supporting_functional``, the witness for ``y = 0`` and the
+    hyperplane normal, before ``support_set`` chose its own reading point (a
+    frozen copy): smooth lp and l1 read ``frozen_support_set`` at ``c'``, linf
+    and polyhedral at the unit point."""
+    from phaseiso import Vector
+    from phaseiso.settings import DEFAULT_TOL
+    from phaseiso.spaces import _unit_coords
+
+    tol = DEFAULT_TOL if tol is None else tol
+    space = x.space
+    u, _, c, _ = _unit_coords(space, x.coords)
+    if not space.is_smooth_space and space.p != 1.0:
+        c = u
+    return frozen_support_set(x if c is x.coords else Vector(c, space), tol).witness

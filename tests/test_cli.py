@@ -364,6 +364,14 @@ class TestOrtho:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["forward_slope"] == pytest.approx((1e308 / 3) ** 0.5, rel=1e-12)
 
+    def test_l1_coordinate_flushed_by_division(self, capsys):
+        code = run(["ortho", "--space", '{"kind": "lp", "dim": 2, "p": 1}',
+                    "--x", "[1e300, 1e-300]", "--y", "[1, 1]"])
+        assert code == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["orthogonal"] is False
+        assert (verdict["forward_slope"], verdict["backward_slope"]) == (2.0, -2.0)
+
     def test_coordinates_beyond_float_range(self, capsys):
         with np.errstate(over="ignore"):
             code = run(["ortho", "--space", '{"kind": "lp", "dim": 3, "p": 1}',
@@ -467,6 +475,13 @@ class TestLemma:
         code = run(["lemma", "--space", L1_3, "--functional", "[1, 1, 0]",
                     "--oracle-seed", "5"])
         assert code == 4
+
+    def test_rotated_square_facet(self, capsys):
+        space = json.dumps({"kind": "polyhedral", "dim": 2, "functionals": [[1, 1], [1, -1]]})
+        code = run(["lemma", "--space", space, "--functional", "[1,1]", "--normalize",
+                    "--oracle-seed", "0"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["exposing_point"] == [0.5, 0.5]
 
     def test_non_unit_requires_normalize(self):
         code = run(["lemma", "--space", L1_3, "--functional", "[2, 2, 2]",

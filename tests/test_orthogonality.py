@@ -233,6 +233,27 @@ class TestExtremeScales:
         assert _verdict_text(got) == _verdict_text(want)
         assert got.forward_slope == pytest.approx((1e308 / 3) ** 0.5, rel=1e-12)
 
+    def test_l1_signs_read_before_division(self):
+        # x / |x| flushes 1e-300 / 1e300 to zero; the l1 face reads the signs of x
+        verdict = birkhoff_verdict(L1_2.vector([1e300, 1e-300]), L1_2.vector([1, 1]))
+        assert not verdict.orthogonal and verdict.witness is None
+        assert (verdict.forward_slope, verdict.backward_slope) == (2.0, -2.0)
+
+    @pytest.mark.parametrize("space", TestVerdictBytes.SPACES, ids=TestVerdictBytes.IDS)
+    def test_zero_y_witness_bytes(self, space):
+        """The witness for y = 0 and the hyperplane normal are ``support_set``'s
+        witness, with the bytes of the reading point the verdict chose for itself."""
+        zero = space.vector(np.zeros(space.dim))
+        for x, _ in _verdict_cases(space, seed=23):
+            if not x.any():
+                continue
+            for k in (0, 600, -600, 1000, -1000):
+                xv = space.vector(np.ldexp(x, k))
+                with np.errstate(over="ignore", under="ignore"):
+                    want = oracles.frozen_supporting_functional(xv).coords.tobytes()
+                    assert birkhoff_verdict(xv, zero).witness.coords.tobytes() == want, (x, k)
+                    assert orthogonal_hyperplane(xv).normal.coords.tobytes() == want, (x, k)
+
     def test_coordinate_flushed_by_rescale(self):
         # 1e-300 / 2^1024 is 0: the l1 face would lose it, so no verdict is given
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="binary orders"):

@@ -356,6 +356,66 @@ class TestSupportSet:
             assert desc.witness.dual_norm == pytest.approx(1.0, rel=1e-9)
 
 
+class TestSupportReadingPoint:
+    """``support_set`` reads smooth lp and l1 at ``x`` (or its power-of-two
+    multiple) and linf/polyhedral at the unit point: in range that gives the
+    bytes of the reading at ``x`` itself, and at any scale the face of ``x``."""
+
+    SPACES = space_zoo() + [NormSpec.polyhedral(2, [[1, 0], [0, 1], [1, -1]])]
+    IDS = zoo_ids() + ["poly2"]
+
+    @staticmethod
+    def _points(space):
+        """Random points, and the points of {-1, 0, 1}^n divided by the weights:
+        zero coordinates and tied maxima."""
+        rng = np.random.default_rng(31)
+        w = np.ones(space.dim) if space.functionals is not None else space._w
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=space.dim))) / w
+        points = list(rng.standard_normal((40, space.dim))) + list(grid)
+        return [x for x in points if x.any()]
+
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_in_range_bytes(self, space):
+        kinds = set()
+        for x in self._points(space):
+            xv = space.vector(x)
+            got, want = support_set(xv), oracles.frozen_support_set(xv)
+            assert got.point is xv
+            assert (got.kind, got.is_smooth) == (want.kind, want.is_smooth), x
+            assert _bits(got.witness.coords) == _bits(want.witness.coords), x
+            kinds.add(got.is_smooth)
+        assert kinds == ({True} if space.is_smooth_space else {True, False})
+
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_power_of_two_multiples(self, space):
+        for x in self._points(space):
+            want = support_set(space.vector(x))
+            for k in (600, -600, 1000, -1000):
+                with np.errstate(over="ignore", under="ignore"):
+                    got = support_set(space.vector(np.ldexp(x, k)))
+                assert (got.kind, got.is_smooth) == (want.kind, want.is_smooth), (x, k)
+                np.testing.assert_allclose(got.witness.coords, want.witness.coords,
+                                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [1e-170, 1e-170]],
+                             ids=["overflow", "underflow"])
+    def test_euclidean_norm_out_of_range(self, x):
+        with np.errstate(over="ignore", under="ignore"):
+            desc = support_set(L2_2.vector(x))
+            u = L2_2.vector(x).unit()
+        assert desc.is_smooth and desc.kind == "singleton"
+        assert desc.witness.dual_norm == pytest.approx(1.0, rel=1e-12)
+        assert desc.witness(u) == pytest.approx(1.0, rel=1e-12)
+        assert desc.witness.coords == pytest.approx([2 ** -0.5] * 2, rel=1e-12)
+
+    def test_linf_far_below_one(self):
+        # the tie tolerance rel * (1 + m) would tie every coordinate of x itself
+        space = NormSpec.lp(3, float("inf"))
+        desc = support_set(space.vector(np.ldexp([0.9, 0.5, 0.3], -600)))
+        assert desc.is_smooth and desc.kind == "singleton"
+        assert _bits(desc.witness.coords) == _bits([1.0, 0.0, 0.0])
+
+
 class TestExposedPoints:
     def test_l1_full_sign_pattern(self):
         space = NormSpec.lp(3, 1)
@@ -396,6 +456,20 @@ class TestExposedPoints:
         assert is_w_star_exposed(space.functional([1, 0])).exposed
         # dominated functional: never the unique support at a smooth point
         assert not is_w_star_exposed(space.functional([0.5, 0.5])).exposed
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, -1]], [[1, 1, 0], [1, -1, 0], [0, 0, 1]]],
+                             ids=["square", "prism"])
+    def test_rotated_facets_exposed(self, rows):
+        # |a_j| = |a_i| entry by entry does not make a_j parallel to a_i
+        space = NormSpec.polyhedral(len(rows[0]), rows)
+        for a in space.functionals:
+            for c in (a, -a):
+                res = is_w_star_exposed(space.functional(c))
+                assert res.exposed
+                desc = support_set(res.point)
+                assert desc.is_smooth and _bits(desc.witness.coords) == _bits(c)
+        res = is_w_star_exposed(space.functional(space.functionals[0]))
+        assert res.point.coords[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_exposing_point_is_smooth(self, rng):
         for space in space_zoo():
