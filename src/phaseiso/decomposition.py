@@ -457,7 +457,7 @@ def recover_functional(f: PhaseMapOracle, x_star: Functional,
     lhs = _row_dots(V, x_star.coords)
     rhs = _row_dots(f.images(V), phi.coords)
     dev = np.abs(np.abs(lhs) - np.abs(rhs))
-    failed = dev > tol.functional * (1.0 + f.domain.norms_of(V))
+    failed = ~(dev <= tol.functional * (1.0 + f.domain.norms_of(V)))  # NaN fails
     if failed.any():
         k = int(np.argmax(failed))
         raise NotDecomposable(

@@ -40,6 +40,18 @@ __all__ = [
 _KINDS = ("lp", "weighted_lp", "polyhedral")
 
 
+def _unit_functionals(space: "NormSpec"):
+    """``(A / 2^m, m)`` for a polyhedral spec ``A``, with ``2^m <= max|A_ij| < 2^(m+1)``.
+
+    Both polyhedral LPs run on these functionals, so the solver meets entries
+    near 1 at every scale of the spec, and a power of two maps each result
+    back exactly.
+    """
+    a = space.functionals
+    m = int(np.frexp(np.max(np.abs(a)))[1]) - 1
+    return np.ldexp(a, -m), m
+
+
 def _highs_lp(c, **constraints):
     """``min c.x`` under ``constraints`` (``linprog``'s keywords), solved by HiGHS.
 
@@ -202,12 +214,13 @@ class NormSpec:
         """Norm of a dual element acting by the dot product.
 
         Conjugate-exponent formulas for the lp kinds; a linear program over
-        the unit ball for polyhedral norms.  The polyhedral LP is solved on
-        ``c / 2^k``, with ``2^k <= max|c_i| < 2^(k+1)``, and its optimum is
-        multiplied back by ``2^k``: both steps are exact, so the result
-        scales exactly with ``c`` by powers of two, and entries far below 1
-        are not lost to the solver's tolerances.  An all-zero ``c`` solves no
-        LP and gives ``-0.0`` on a polyhedral space (``+0.0`` on the lp kinds).
+        the unit ball for polyhedral norms.  The polyhedral LP is solved for
+        ``c / 2^k``, with ``2^k <= max|c_i| < 2^(k+1)``, on the functionals of
+        ``_unit_functionals``, and its optimum is multiplied back by
+        ``2^(k - m)``: every step is exact, so the result scales exactly with
+        ``c`` and with the spec by powers of two, and entries far from 1 are
+        not lost to the solver's tolerances.  An all-zero ``c`` solves no LP
+        and gives ``-0.0`` on a polyhedral space (``+0.0`` on the lp kinds).
         """
         c = _coerce(coords, self.dim)
         if self.functionals is None:
@@ -222,15 +235,14 @@ class NormSpec:
             # the LP's -(+0.0): HiGHS gives +0.0 as the optimum of every zero cost,
             # whatever the mix of signed zeros
             return -0.0
-        # max c.x subject to |a_i . x| <= 1, on c rescaled by a power of two
+        # max c.x subject to |a_i . x| <= 1, with c and the a_i rescaled by powers of two
         k = int(np.frexp(np.max(np.abs(c)))[1]) - 1
-        a = self.functionals
-        ub = np.vstack([a, -a])
-        res = _highs_lp(-np.ldexp(c, -k), A_ub=ub, b_ub=np.ones(2 * len(a)),
+        a, m = _unit_functionals(self)
+        res = _highs_lp(-np.ldexp(c, -k), A_ub=np.vstack([a, -a]), b_ub=np.ones(2 * len(a)),
                         bounds=[(None, None)] * self.dim)
         if not res.success:
             raise ArithmeticError(f"dual norm LP failed: {res.message}")
-        return float(np.ldexp(-res.fun, k))
+        return float(np.ldexp(-res.fun, k - m))
 
     # -- element constructors ---------------------------------------------
 
@@ -601,9 +613,9 @@ def is_w_star_exposed(f: Functional, tol: Tolerances = DEFAULT_TOL) -> ExposedPo
     """
     space = f.space
     c = f.coords
-    dn = space.dual_norm_of(c)
-    if abs(dn - 1.0) > 1e-6:
-        raise ValueError(f"functional must have dual norm 1 (got {dn})")
+    if space.functionals is not None:
+        return _polyhedral_exposed(space, c, tol)
+    _require_unit(space, c)
     w, p = space._w, space.p
 
     if space.is_smooth_space:
@@ -620,39 +632,61 @@ def is_w_star_exposed(f: Functional, tol: Tolerances = DEFAULT_TOL) -> ExposedPo
             return ExposedPoint(True, Vector(x, space))
         return ExposedPoint(False, None)
 
-    if space.functionals is None:  # p = inf, dual is sum-type
-        scaled = np.abs(c) / w
-        i = int(np.argmax(scaled))
-        e = np.zeros(space.dim)
-        e[i] = np.sign(c[i]) / w[i]
-        if space.dual_norm_of(c - w[i] * np.sign(c[i]) * np.eye(space.dim)[i]) <= tol.scaled(1.0):
-            x = e / space.norm_of(e)
-            return ExposedPoint(True, Vector(x, space))
-        return ExposedPoint(False, None)
+    # p = inf, dual is sum-type
+    scaled = np.abs(c) / w
+    i = int(np.argmax(scaled))
+    e = np.zeros(space.dim)
+    e[i] = np.sign(c[i]) / w[i]
+    if space.dual_norm_of(c - w[i] * np.sign(c[i]) * np.eye(space.dim)[i]) <= tol.scaled(1.0):
+        x = e / space.norm_of(e)
+        return ExposedPoint(True, Vector(x, space))
+    return ExposedPoint(False, None)
 
-    return _polyhedral_exposed(space, c, tol)
+
+def _require_unit(space: NormSpec, c: np.ndarray) -> None:
+    dn = space.dual_norm_of(c)
+    if abs(dn - 1.0) > 1e-6:
+        raise ValueError(f"functional must have dual norm 1 (got {dn})")
 
 
 def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> ExposedPoint:
-    a = space.functionals
-    scale = np.max(np.abs(c))
+    """The polyhedral case of ``is_w_star_exposed``, on ``_unit_functionals``.
+
+    Each signed row near ``c`` is tried in turn: an LP looks for a point that
+    the row maps to 1 and every other row to less.  A row of the spec has
+    dual norm at most 1, and such a point is a unit vector that the row
+    norms, so when ``c`` is that row bit for bit its exposure LP proves the
+    unit check and the dual-norm LP is skipped.  Any other ``c`` takes the
+    unit check first, as does a row whose exposure fails, after its LP.
+    """
+    spec = space.functionals
+    is_row = bool(np.any(np.all(spec == c, axis=1) | np.all(spec == -c, axis=1)))
+    if not is_row:
+        _require_unit(space, c)
+    a, m = _unit_functionals(space)
+    cm = np.ldexp(c, -m)
+    scale = np.max(np.abs(cm))
+    n = space.dim
     for i in range(len(a)):
         for s in (1.0, -1.0):
-            if np.max(np.abs(c - s * a[i])) > tol.scaled(scale) * 1e3:
+            if np.max(np.abs(cm - s * a[i])) > tol.scaled(scale) * 1e3:
                 continue
             # maximize t with a_i.x = s, |a_j.x| <= 1 - t for every a_j other than +-a_i
             others = a[np.minimum(np.max(np.abs(a - a[i]), axis=1),
                                   np.max(np.abs(a + a[i]), axis=1)) > 1e-12]
-            n = space.dim
             ones = np.ones((len(others), 1))
             rows = np.vstack([np.hstack([others, ones]), np.hstack([-others, ones])])
             eq = np.hstack([s * a[i], 0.0])[None, :]
             res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=np.ones(len(rows)),
                             A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
             if res.success and res.x[-1] > 1e-9:
-                x = res.x[:n]
+                x = np.ldexp(res.x[:n], -m)
                 x = x / space.norm_of(x)
                 desc = support_set(Vector(x, space), tol)
                 if desc.is_smooth:
+                    if is_row and not np.array_equal(s * spec[i], c):
+                        _require_unit(space, c)
                     return ExposedPoint(True, Vector(x, space))
+    if is_row:
+        _require_unit(space, c)
     return ExposedPoint(False, None)

@@ -5,8 +5,9 @@ finite differences for directional derivatives, golden-section search for
 one-dimensional norm minimization, and exhaustive enumeration for polyhedral
 quantities.  The scalar loops and the line-by-line sample reader are frozen
 copies of earlier library code, kept as references for the array versions;
-so are the per-call spec key and the Birkhoff verdict that computed its face
-once per slope.
+so are the per-call spec key, the Birkhoff verdict that computed its face
+once per slope, and the polyhedral exposure test that solved the dual-norm
+LP on every call.
 """
 
 import json
@@ -622,3 +623,47 @@ def frozen_supporting_functional(x, tol=None):
     if not space.is_smooth_space and space.p != 1.0:
         c = u
     return frozen_support_set(x if c is x.coords else Vector(c, space), tol).witness
+
+
+def frozen_is_w_star_exposed(f, tol=None):
+    """``spaces.is_w_star_exposed`` on a polyhedral space when every call solved
+    the dual-norm LP first (a frozen copy): the unit check, then the exposure LP
+    of each signed row near ``f``, both on the spec as it is."""
+    from phaseiso import ExposedPoint, Vector, support_set
+    from phaseiso.settings import DEFAULT_TOL
+    from phaseiso.spaces import _highs_lp
+
+    tol = DEFAULT_TOL if tol is None else tol
+    space, c = f.space, f.coords
+    a = space.functionals
+    assert a is not None, "frozen_is_w_star_exposed covers polyhedral spaces"
+    if not c.any():
+        dn = -0.0
+    else:
+        k = int(np.frexp(np.max(np.abs(c)))[1]) - 1
+        res = _highs_lp(-np.ldexp(c, -k), A_ub=np.vstack([a, -a]), b_ub=np.ones(2 * len(a)),
+                        bounds=[(None, None)] * space.dim)
+        if not res.success:
+            raise ArithmeticError(f"dual norm LP failed: {res.message}")
+        dn = float(np.ldexp(-res.fun, k))
+    if abs(dn - 1.0) > 1e-6:
+        raise ValueError(f"functional must have dual norm 1 (got {dn})")
+    scale = np.max(np.abs(c))
+    for i in range(len(a)):
+        for s in (1.0, -1.0):
+            if np.max(np.abs(c - s * a[i])) > tol.scaled(scale) * 1e3:
+                continue
+            others = a[np.minimum(np.max(np.abs(a - a[i]), axis=1),
+                                  np.max(np.abs(a + a[i]), axis=1)) > 1e-12]
+            n = space.dim
+            ones = np.ones((len(others), 1))
+            rows = np.vstack([np.hstack([others, ones]), np.hstack([-others, ones])])
+            eq = np.hstack([s * a[i], 0.0])[None, :]
+            res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=np.ones(len(rows)),
+                            A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
+            if res.success and res.x[-1] > 1e-9:
+                x = res.x[:n]
+                x = x / space.norm_of(x)
+                if support_set(Vector(x, space), tol).is_smooth:
+                    return ExposedPoint(True, Vector(x, space))
+    return ExposedPoint(False, None)

@@ -513,6 +513,37 @@ class TestLemma:
         assert out["x_star"] == (np.array(functional) / dn).tolist()
         assert out["x_star"][0] > 0.0
 
+    @pytest.mark.parametrize("k", [-20, -30, 40])
+    def test_scaled_polyhedral_facet(self, k, capsys):
+        """Both polyhedral LPs run on the spec over its leading power of two, so
+        POLY3 scaled by 2^k exposes its row at 2^-k times POLY3's point."""
+        def lemma(scale):
+            space = json.dumps({"kind": "polyhedral", "dim": 3,
+                                "functionals": np.ldexp(POLY3, scale).tolist()})
+            code = run(["lemma", "--space", space, "--normalize", "--oracle-seed", "0",
+                        "--functional", json.dumps(np.ldexp([1.0, 1.0, 1.0], scale).tolist())])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["exposing_point"]
+        assert lemma(k) == np.ldexp(lemma(0), -k).tolist()
+
+    def test_rejected_dual_norm_lp_exit_64(self, capsys):
+        """Entries that span more orders than the solver keeps: its dual-norm LP
+        reads unbounded, so the functional's norm cannot be read."""
+        space = json.dumps({"kind": "polyhedral", "dim": 2, "functionals": [[1, 0], [0, 1e-12]]})
+        code = run(["lemma", "--space", space, "--functional", "[0, 1]", "--normalize",
+                    "--oracle-seed", "0"])
+        assert code == 64
+        assert capsys.readouterr().err.startswith("numerical error: dual norm LP failed")
+
+    def test_nan_deviation_exit_2(self, capsys):
+        space = json.dumps({"kind": "weighted_lp", "dim": 2, "p": "inf",
+                            "weights": [1e308, 1e308]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["lemma", "--space", space, "--functional", "[1e308, 0]",
+                        "--oracle-seed", "0"])
+        assert code == 2
+        assert "disagree by nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("space, functional", [
         (POLY3_SPACE, "[1e308, 1e308, 0]"),
         (L2_2, "[1e308, 1e308]"),

@@ -432,10 +432,12 @@ class TestRecoverFunctional:
         assert err.value.t >= 1.0
 
     @pytest.mark.parametrize("row", range(4))
-    def test_polyhedral_lemma_solves_two_lps(self, row, rng, monkeypatch):
+    def test_polyhedral_lemma_solves_one_lp(self, row, rng, monkeypatch):
         """On a polyhedral codomain the witnesses at f(u) and f(2u) are one signed
-        facet functional, so the stop rule's dual norm is of zero and solves no LP:
-        the lemma's LPs are the unit check and the exposure LP of its x*."""
+        facet functional, so the stop rule's dual norm is of zero and solves no LP.
+        An x* that is a signed row, bit for bit, is proved unit by its exposure
+        LP, so that LP is the lemma's only one; a near row also takes the unit
+        check's dual-norm LP."""
         space = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
         calls, highs = [], spaces._highs_lp
 
@@ -445,14 +447,27 @@ class TestRecoverFunctional:
         monkeypatch.setattr(spaces, "_highs_lp", counted)
         for sign in (1.0, -1.0):
             for seed in (0, 1):
-                f = generate_phase_isometry(generate_isometry(space, seed), seed)
-                x_star = space.functional(sign * space.functionals[row])
-                verify = [rng.standard_normal(3) for _ in range(20)]
-                calls.clear()
-                rec = recover_functional(f, x_star, verify_points=verify)
-                assert len(calls) == 2
-                assert rec.trace == [(2.0, -0.0)]
-                assert math.copysign(1.0, rec.trace[0][1]) == -1.0
+                for stretch, lps in ((1.0, 1), (1.0 + 2.0 ** -40, 2)):
+                    f = generate_phase_isometry(generate_isometry(space, seed), seed)
+                    x_star = space.functional(sign * stretch * space.functionals[row])
+                    verify = [rng.standard_normal(3) for _ in range(20)]
+                    calls.clear()
+                    rec = recover_functional(f, x_star, verify_points=verify)
+                    assert len(calls) == lps
+                    assert rec.trace == [(2.0, -0.0)]
+                    assert math.copysign(1.0, rec.trace[0][1]) == -1.0
+
+    def test_nan_deviation_fails(self):
+        """x*(x) and phi(f(x)) both overflow at x = (3, 0.5) on a space scaled
+        near 1e308; their NaN deviation fails the check, as a NaN residual
+        fails the replay."""
+        space = NormSpec.weighted_lp(2, math.inf, [1e308, 1e308])
+        verify = [np.array([0.25, 0.5]), np.array([3.0, 0.5])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = generate_phase_isometry(generate_isometry(space, 0), 0)
+            with pytest.raises(NotDecomposable, match="disagree by nan") as err:
+                recover_functional(f, space.functional([1e308, 0.0]), verify_points=verify)
+        assert err.value.witness == [3.0, 0.5]
 
     def test_sign_pattern_matches_hidden_signs(self, rng):
         space = NormSpec.lp(2, 2)

@@ -416,6 +416,35 @@ class TestSupportReadingPoint:
         assert _bits(desc.witness.coords) == _bits([1.0, 0.0, 0.0])
 
 
+FACETED = {
+    "poly3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    "square": [[1, 1], [1, -1]],
+    "prism": [[1, 1, 0], [1, -1, 0], [0, 0, 1]],
+    "dominated": [[1, 0], [0, 1], [0.5, 0.5]],   # its third row is the mean of the others
+}
+
+
+def _exposure_candidates(space: NormSpec) -> list:
+    """Signed rows, near rows, non-unit rows, the mean of two rows (a point of
+    an edge of the dual ball) and other non-unit functionals."""
+    a = space.functionals
+    out = []
+    for r in a:
+        out += [r, -r, r * (1.0 + 2.0 ** -40), -r * (1.0 - 2.0 ** -40), 2.0 * r, 0.25 * r]
+    mean = (a[0] + a[1]) / 2.0
+    out += [mean, -mean, 3.0 * mean, np.zeros(space.dim), np.full(space.dim, 1e-3)]
+    return out
+
+
+def _exposure_outcome(test, f):
+    """The verdict and point bytes of ``test(f)``, or its exception type and message."""
+    try:
+        res = test(f)
+    except ValueError as err:
+        return type(err), str(err)
+    return res.exposed, None if res.point is None else _bits(res.point.coords)
+
+
 class TestExposedPoints:
     def test_l1_full_sign_pattern(self):
         space = NormSpec.lp(3, 1)
@@ -470,6 +499,37 @@ class TestExposedPoints:
                 assert desc.is_smooth and _bits(desc.witness.coords) == _bits(c)
         res = is_w_star_exposed(space.functional(space.functionals[0]))
         assert res.point.coords[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("rows", list(FACETED.values()), ids=list(FACETED))
+    def test_matches_unit_check_first(self, rows):
+        """A signed row skips the dual-norm LP; verdicts, points and errors are
+        those of the test that solved it first on every call."""
+        space = NormSpec.polyhedral(len(rows[0]), rows)
+        seen = set()
+        for c in _exposure_candidates(space):
+            f = space.functional(c)
+            got = _exposure_outcome(is_w_star_exposed, f)
+            assert got == _exposure_outcome(oracles.frozen_is_w_star_exposed, f), c
+            seen.add(got[0])
+        assert seen == {True, False, ValueError}
+
+    @pytest.mark.parametrize("rows", [FACETED["poly3"], FACETED["square"]],
+                             ids=["poly3", "square"])
+    def test_power_of_two_scaled_spec(self, rows):
+        """Both LPs run on the spec over its leading power of two: a spec and
+        functional scaled by 2^k give the same verdict, at 2^-k times the point."""
+        space = NormSpec.polyhedral(len(rows[0]), rows)
+        a = space.functionals
+        candidates = [s * r for r in a for s in (1.0, -1.0)] + [(a[0] + a[1]) / 2.0]
+        want = [is_w_star_exposed(space.functional(c)) for c in candidates]
+        assert {w.exposed for w in want} == {True, False}
+        for k in range(-40, 41):
+            scaled = NormSpec.polyhedral(space.dim, np.ldexp(a, k))
+            for c, w in zip(candidates, want):
+                got = is_w_star_exposed(scaled.functional(np.ldexp(c, k)))
+                assert got.exposed == w.exposed, (k, c)
+                if w.exposed:
+                    assert _bits(got.point.coords) == _bits(np.ldexp(w.point.coords, -k)), (k, c)
 
     def test_exposing_point_is_smooth(self, rng):
         for space in space_zoo():
@@ -607,8 +667,8 @@ def _random_polyhedral(seed: int) -> NormSpec:
 
 class TestPolyhedralDualNorm:
     """The polyhedral dual norm: no LP for the zero functional, and an LP on the
-    functional rescaled by a power of two, so tiny entries are not lost and the
-    value scales exactly."""
+    functional and the spec, each rescaled by a power of two, so tiny entries
+    are not lost and the value scales exactly with both."""
 
     _ZEROS = [list(z) for z in itertools.product([0.0, -0.0], repeat=3)]
 
@@ -648,3 +708,15 @@ class TestPolyhedralDualNorm:
             dn = space.dual_norm_of(c)
             for k in range(-40, 41):
                 assert _bits(space.dual_norm_of(np.ldexp(c, k))) == _bits(np.ldexp(dn, k)), k
+
+    @pytest.mark.parametrize("space", [POLY3] + [_random_polyhedral(s) for s in (1, 2, 3)],
+                             ids=["poly3", "random1", "random2", "random3"])
+    def test_power_of_two_scaled_spec(self, space):
+        """Scaling the spec by 2^k scales the dual norm by 2^-k exactly."""
+        rng = np.random.default_rng(space.dim)
+        for c in rng.standard_normal((3, space.dim)):
+            dn = space.dual_norm_of(c)
+            for k in range(-40, 41):
+                scaled = NormSpec.polyhedral(space.dim, np.ldexp(space.functionals, k))
+                assert _bits(scaled.dual_norm_of(c)) == _bits(np.ldexp(dn, -k)), k
+                assert _bits(scaled.dual_norm_of(np.ldexp(c, k))) == _bits(dn), k
