@@ -14,6 +14,7 @@ exposed-point test on the dual ball.  Three families are covered:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -650,14 +651,15 @@ def _require_unit(space: NormSpec, c: np.ndarray) -> None:
 
 
 def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> ExposedPoint:
-    """The polyhedral case of ``is_w_star_exposed``, on ``_unit_functionals``.
+    """The polyhedral case of ``is_w_star_exposed``.
 
-    Each signed row near ``c`` is tried in turn: an LP looks for a point that
-    the row maps to 1 and every other row to less.  A row of the spec has
-    dual norm at most 1, and such a point is a unit vector that the row
-    norms, so when ``c`` is that row bit for bit its exposure LP proves the
-    unit check and the dual-norm LP is skipped.  Any other ``c`` takes the
-    unit check first, as does a row whose exposure fails, after its LP.
+    Each signed row near ``c`` is tried in turn: ``_facet_point`` gives the
+    unit point that the row maps to 1 and every other row to less, if there
+    is one.  A row of the spec has dual norm at most 1, and that point is a
+    unit vector that the row norms, so when ``c`` is that row bit for bit its
+    exposure LP proves the unit check and the dual-norm LP is skipped.  Any
+    other ``c`` takes the unit check first, as does a row whose exposure
+    fails, after its LP.
     """
     spec = space.functionals
     is_row = bool(np.any(np.all(spec == c, axis=1) | np.all(spec == -c, axis=1)))
@@ -666,27 +668,42 @@ def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> Expo
     a, m = _unit_functionals(space)
     cm = np.ldexp(c, -m)
     scale = np.max(np.abs(cm))
-    n = space.dim
     for i in range(len(a)):
         for s in (1.0, -1.0):
             if np.max(np.abs(cm - s * a[i])) > tol.scaled(scale) * 1e3:
                 continue
-            # maximize t with a_i.x = s, |a_j.x| <= 1 - t for every a_j other than +-a_i
-            others = a[np.minimum(np.max(np.abs(a - a[i]), axis=1),
-                                  np.max(np.abs(a + a[i]), axis=1)) > 1e-12]
-            ones = np.ones((len(others), 1))
-            rows = np.vstack([np.hstack([others, ones]), np.hstack([-others, ones])])
-            eq = np.hstack([s * a[i], 0.0])[None, :]
-            res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=np.ones(len(rows)),
-                            A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
-            if res.success and res.x[-1] > 1e-9:
-                x = np.ldexp(res.x[:n], -m)
-                x = x / space.norm_of(x)
-                desc = support_set(Vector(x, space), tol)
-                if desc.is_smooth:
+            x = _facet_point(space, i, s)
+            if x is not None:
+                point = Vector(x, space)
+                if support_set(point, tol).is_smooth:
                     if is_row and not np.array_equal(s * spec[i], c):
                         _require_unit(space, c)
-                    return ExposedPoint(True, Vector(x, space))
+                    return ExposedPoint(True, point)
     if is_row:
         _require_unit(space, c)
     return ExposedPoint(False, None)
+
+
+@functools.lru_cache(maxsize=256)
+def _facet_point(space: NormSpec, i: int, s: float) -> Optional[np.ndarray]:
+    """The unit point, read-only, that ``s * a_i`` maps to 1 and every other
+    row of the spec to less, or None when the LP finds no such point.
+
+    The LP runs on ``_unit_functionals`` and its point is scaled back by
+    ``2^-m``.  Cached per ``(space, i, s)``: the point depends on the space
+    and the signed row alone, so each facet is solved once per process.
+    """
+    a, m = _unit_functionals(space)
+    n = space.dim
+    # maximize t with a_i.x = s, |a_j.x| <= 1 - t for every a_j other than +-a_i
+    others = a[np.minimum(np.max(np.abs(a - a[i]), axis=1),
+                          np.max(np.abs(a + a[i]), axis=1)) > 1e-12]
+    ones = np.ones((len(others), 1))
+    rows = np.vstack([np.hstack([others, ones]), np.hstack([-others, ones])])
+    eq = np.hstack([s * a[i], 0.0])[None, :]
+    res = _highs_lp(np.hstack([np.zeros(n), -1.0]), A_ub=rows, b_ub=np.ones(len(rows)),
+                    A_eq=eq, b_eq=[1.0], bounds=[(None, None)] * n + [(None, 2.0)])
+    if not (res.success and res.x[-1] > 1e-9):
+        return None
+    x = np.ldexp(res.x[:n], -m)
+    return _frozen(x / space.norm_of(x))

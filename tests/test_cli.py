@@ -501,6 +501,18 @@ class TestLemma:
         assert capsys.readouterr().err.strip() == \
             "error: the functional is zero and cannot be normalized"
 
+    def test_space_near_float_range_warns_nothing(self, capsys):
+        """Products overflow on a spec near 1e308; the lemma judges the inf and
+        nan they give without a numpy RuntimeWarning on stderr."""
+        space = json.dumps({"kind": "polyhedral", "dim": 2,
+                            "functionals": [[1e308, 0], [0, 1e308]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["lemma", "--space", space, "--functional", "[1, 0]", "--normalize",
+                        "--oracle-seed", "0", "--verify-points", "5"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_tiny_functional_normalizes_by_positive_dual_norm(self, capsys):
         """A polyhedral functional far below 1 keeps its sign: its dual norm is positive."""
         functional = [1e-12, 0.0, 0.0]

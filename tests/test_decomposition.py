@@ -436,18 +436,21 @@ class TestRecoverFunctional:
         """On a polyhedral codomain the witnesses at f(u) and f(2u) are one signed
         facet functional, so the stop rule's dual norm is of zero and solves no LP.
         An x* that is a signed row, bit for bit, is proved unit by its exposure
-        LP, so that LP is the lemma's only one; a near row also takes the unit
-        check's dual-norm LP."""
-        space = NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        LP, which is solved once per facet: the first lemma on a signed row
+        solves that one LP, a repeat on an equal spec built apart solves none,
+        and a near row still takes the unit check's dual-norm LP on every call."""
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
         calls, highs = [], spaces._highs_lp
 
         def counted(c, **constraints):
             calls.append(c)
             return highs(c, **constraints)
         monkeypatch.setattr(spaces, "_highs_lp", counted)
+        spaces._facet_point.cache_clear()
         for sign in (1.0, -1.0):
             for seed in (0, 1):
-                for stretch, lps in ((1.0, 1), (1.0 + 2.0 ** -40, 2)):
+                for stretch, lps in ((1.0, 1 - seed), (1.0 + 2.0 ** -40, 1)):
+                    space = NormSpec.polyhedral(3, rows)
                     f = generate_phase_isometry(generate_isometry(space, seed), seed)
                     x_star = space.functional(sign * stretch * space.functionals[row])
                     verify = [rng.standard_normal(3) for _ in range(20)]

@@ -8,10 +8,11 @@ import pytest
 
 import oracles
 from conftest import space_zoo, zoo_ids
-from phaseiso import (NormSpec, Vector, birkhoff_verdict, directional_derivative,
-                      finite_difference_directional, is_w_star_exposed, norm, plan_queries,
-                      support_set)
+from phaseiso import (DEFAULT_TOL, NormSpec, Tolerances, Vector, birkhoff_verdict,
+                      directional_derivative, finite_difference_directional, is_w_star_exposed,
+                      norm, plan_queries, support_set)
 from phaseiso.decomposition import _seed_free_part, route_for
+from phaseiso.spaces import _facet_point
 
 L1_2 = NormSpec.lp(2, 1)
 L2_2 = NormSpec.lp(2, 2)
@@ -540,6 +541,72 @@ class TestExposedPoints:
             res = is_w_star_exposed(space.functional(c))
             if res.exposed:
                 assert support_set(res.point).is_smooth
+
+
+class TestFacetPointCache:
+    """Each signed facet's exposure LP is solved once per space and facet; the
+    tolerance checks and the unit check still run on every call."""
+
+    @pytest.mark.parametrize("rows", list(FACETED.values()), ids=list(FACETED))
+    def test_repeat_matches_unit_check_first(self, rows):
+        """The first call and a repeat on an equal spec built apart give the
+        verdict, point bytes and error of the test that solved every LP."""
+        _facet_point.cache_clear()
+        for attempt in range(2):
+            space = NormSpec.polyhedral(len(rows[0]), rows)
+            for c in _exposure_candidates(space):
+                f = space.functional(c)
+                got = _exposure_outcome(is_w_star_exposed, f)
+                assert got == _exposure_outcome(oracles.frozen_is_w_star_exposed, f), (attempt, c)
+            if attempt == 0:
+                solved = _facet_point.cache_info().misses
+                assert solved > 0
+        assert _facet_point.cache_info().misses == solved
+
+    def test_power_of_two_scaled_repeats(self):
+        """POLY3 and its candidates scaled by 2^k give, on a first call and a
+        repeat, the unscaled frozen verdict at 2^-k times its point."""
+        space = NormSpec.polyhedral(3, FACETED["poly3"])
+        a = space.functionals
+        candidates = [s * r for r in a for s in (1.0, -1.0)] + [(a[0] + a[1]) / 2.0, 2.0 * a[3]]
+        want = [_exposure_outcome(oracles.frozen_is_w_star_exposed, space.functional(c))
+                for c in candidates]
+        assert {w[0] for w in want} == {True, False, ValueError}
+        for k in range(-40, 41):
+            scaled = NormSpec.polyhedral(3, np.ldexp(a, k))
+            for c, (verdict, detail) in zip(candidates, want):
+                if verdict is True:
+                    detail = _bits(np.ldexp(np.frombuffer(detail), -k))
+                for attempt in range(2):
+                    got = _exposure_outcome(is_w_star_exposed, scaled.functional(np.ldexp(c, k)))
+                    assert got == (verdict, detail), (k, c, attempt)
+        # 81 specs of 8 signed facets each: the cache keeps a bounded number of them
+        assert _facet_point.cache_info().maxsize is not None
+
+    def test_cached_point_is_read_only(self):
+        space = NormSpec.polyhedral(3, FACETED["poly3"])
+        res = is_w_star_exposed(space.functional(space.functionals[3]))
+        cached = _facet_point(space, 3, 1.0)
+        for coords in (res.point.coords, cached):
+            with pytest.raises(ValueError, match="read-only"):
+                coords[0] = 0.0
+        again = is_w_star_exposed(NormSpec.polyhedral(3, FACETED["poly3"]).functional([1, 1, 1]))
+        assert _bits(again.point.coords) == _bits(res.point.coords) == _bits(cached)
+
+    def test_other_tol_runs_its_own_smoothness_check(self):
+        """At rel = 0.4 every row ties at each facet point of POLY3 (its values
+        are within 0.8 of the max) and no two signed rows merge (they are 1
+        apart), so no facet is exposed: the cached point does not carry the
+        default tolerance's verdict."""
+        space = NormSpec.polyhedral(3, FACETED["poly3"])
+        loose = Tolerances(0.4)
+        for c in space.functionals:
+            f = space.functional(c)
+            for tol in (DEFAULT_TOL, loose, DEFAULT_TOL):
+                got = _exposure_outcome(lambda g: is_w_star_exposed(g, tol), f)
+                assert got == _exposure_outcome(
+                    lambda g: oracles.frozen_is_w_star_exposed(g, tol), f)
+                assert got[0] is (tol is DEFAULT_TOL)
 
 
 class TestVectorAlgebra:
