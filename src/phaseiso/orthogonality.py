@@ -96,17 +96,15 @@ def birkhoff_verdict(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) -> Ort
     annihilates ``y`` when one exists.
 
     One norm of the unit point and one face serve both slopes and the witness.
-    l1 reads its signs at ``x`` or its power-of-two multiple, where ``x / |x|``
-    could flush a coordinate to zero.
+    l1 reads its signs at ``x`` itself: they are its whole face, and
+    ``x / |x|`` could flush a coordinate to zero.
     """
     x._check_space(y)
     if x.is_zero or y.is_zero:
         witness = None if x.is_zero else support_set(x, tol).witness
         return OrthogonalityVerdict(True, 0.0, 0.0, 0.0, False, witness)
     space = x.space
-    u, un, c, _ = _unit_coords(space, x.coords)
-    if space.p == 1.0:
-        u = c
+    u, un = (x.coords, None) if space.p == 1.0 else _unit_coords(space, x.coords)[:2]
     face = _face(space, u, un, tol)
     fwd = _slope(space, u, face, y.coords)
     bwd = _slope(space, u, face, y.coords * -1.0)
@@ -124,8 +122,9 @@ def is_birkhoff_orthogonal(x: Vector, y: Vector, tol: Tolerances = DEFAULT_TOL) 
 
 def _annihilating_witness(space: NormSpec, u: np.ndarray, face, y: np.ndarray,
                           tol: Tolerances) -> Optional[Functional]:
-    """A supporting functional at the unit point u vanishing on y, built as the
-    convex combination of the extreme supporting functionals that brackets zero."""
+    """A supporting functional at u (the unit point, or x for l1) vanishing on y,
+    built as the convex combination of the extreme supporting functionals that
+    brackets zero."""
     (g_hi, v_hi), (g_lo, v_lo) = _extreme_support_values(space, u, face, y)
     if v_hi < -tol.boundary or v_lo > tol.boundary:
         return None

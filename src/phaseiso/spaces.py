@@ -41,16 +41,20 @@ __all__ = [
 _KINDS = ("lp", "weighted_lp", "polyhedral")
 
 
+def _binade(a: np.ndarray) -> int:
+    """The e with ``2^e <= max|a_i| < 2^(e+1)``, for a nonzero finite array."""
+    return math.frexp(np.max(np.abs(a)))[1] - 1
+
+
 def _unit_functionals(space: "NormSpec"):
-    """``(A / 2^m, m)`` for a polyhedral spec ``A``, with ``2^m <= max|A_ij| < 2^(m+1)``.
+    """``(A / 2^m, m)`` for a polyhedral spec ``A``, with ``m = _binade(A)``.
 
     Both polyhedral LPs run on these functionals, so the solver meets entries
     near 1 at every scale of the spec, and a power of two maps each result
     back exactly.
     """
-    a = space.functionals
-    m = int(np.frexp(np.max(np.abs(a)))[1]) - 1
-    return np.ldexp(a, -m), m
+    m = _binade(space.functionals)
+    return np.ldexp(space.functionals, -m), m
 
 
 def _highs_lp(c, **constraints):
@@ -216,7 +220,7 @@ class NormSpec:
 
         Conjugate-exponent formulas for the lp kinds; a linear program over
         the unit ball for polyhedral norms.  The polyhedral LP is solved for
-        ``c / 2^k``, with ``2^k <= max|c_i| < 2^(k+1)``, on the functionals of
+        ``c / 2^k``, with ``k = _binade(c)``, on the functionals of
         ``_unit_functionals``, and its optimum is multiplied back by
         ``2^(k - m)``: every step is exact, so the result scales exactly with
         ``c`` and with the spec by powers of two, and entries far from 1 are
@@ -237,7 +241,7 @@ class NormSpec:
             # whatever the mix of signed zeros
             return -0.0
         # max c.x subject to |a_i . x| <= 1, with c and the a_i rescaled by powers of two
-        k = int(np.frexp(np.max(np.abs(c)))[1]) - 1
+        k = _binade(c)
         a, m = _unit_functionals(self)
         res = _highs_lp(-np.ldexp(c, -k), A_ub=np.vstack([a, -a]), b_ub=np.ones(2 * len(a)),
                         bounds=[(None, None)] * self.dim)
@@ -470,7 +474,8 @@ def _active_sets(space: NormSpec, u: np.ndarray, tol: Tolerances):
 def _face(space: NormSpec, u: np.ndarray, un: float, tol: Tolerances):
     """What the slopes and supporting functionals at ``u`` (norm ``un``) read:
     the norm gradient for smooth lp, None for l1 (the signs of ``u`` are the
-    face), the values and active indices of the max for linf/polyhedral."""
+    face, so ``u`` may be any point with them and ``un`` is unused), the
+    values and active indices of the max for linf/polyhedral."""
     if space.is_smooth_space:
         w, p = space._w, space.p
         return w * np.sign(u) * np.abs(u) ** (p - 1.0) / un ** (p - 1.0)
@@ -480,8 +485,8 @@ def _face(space: NormSpec, u: np.ndarray, un: float, tol: Tolerances):
 
 
 def _slope(space: NormSpec, u: np.ndarray, face, x: np.ndarray) -> float:
-    """One-sided derivative of the norm at the unit point ``u`` toward ``x``,
-    given ``face = _face(space, u, |u|, tol)``."""
+    """One-sided derivative of the norm at the unit point ``u`` (for l1, any
+    point with its signs) toward ``x``, given ``face = _face(space, u, |u|, tol)``."""
     if space.is_smooth_space:
         return float(np.dot(face, x))
     w = space._w
@@ -536,70 +541,59 @@ def support_set(x: Vector, tol: Tolerances = DEFAULT_TOL) -> SupportDescription:
     face cases (l1 with a zero coordinate, linf/polyhedral with a tied max)
     one member of the face is returned.
 
-    The face is read on the ray of ``x`` where its norm is in range, as
-    ``_unit_coords`` gives it: smooth lp and l1 at ``c'``, which is ``x`` or a
-    power-of-two multiple of it (their formulas are exact under such a
-    scaling); linf and polyhedral at the unit point, since the tolerance that
-    finds their tied maxima has an absolute floor.
+    l1 reads its signs at ``x`` itself.  Smooth lp reads its gradient at
+    ``c'``, which ``_unit_coords`` gives as ``x`` or a power-of-two multiple of
+    it (the formula is exact under such a scaling), and linf and polyhedral
+    read their face rows at the unit point, since the tolerance that finds
+    their tied maxima has an absolute floor.  Those rows are one functional
+    when each is within ``tol.scaled(1.0)`` of the first, in units of the
+    rows' leading power of two.
     """
     if x.is_zero:
         raise ValueError("support_set is undefined at x = 0")
     space = x.space
-    u, _, c, n = _unit_coords(space, x.coords)
-    w = space._w
-
-    if space.is_smooth_space:
-        g = _face(space, c, n, tol)
-        return SupportDescription(x, "singleton", Functional(g, space), True)
-
     if space.p == 1.0:
-        on = c != 0.0
-        g = np.where(on, w * np.sign(c), 0.0)
-        smooth = bool(np.all(on))
-        return SupportDescription(x, "singleton" if smooth else "face",
-                                  Functional(g, space), smooth)
+        on = x.coords != 0.0
+        g, smooth = np.where(on, space._w * np.sign(x.coords), 0.0), bool(np.all(on))
+    elif space.is_smooth_space:
+        _, _, c, n = _unit_coords(space, x.coords)
+        g, smooth = _face(space, c, n, tol), True
+    else:
+        u = _unit_coords(space, x.coords)[0]
+        rows = _face_rows(space, u, _active_sets(space, u, tol))
+        g = rows[0]
+        smooth = len(rows) == 1 or bool(  # one active row needs no coincidence test
+            np.max(np.abs(rows - g)) <= math.ldexp(tol.scaled(1.0), _binade(rows)))
+    return SupportDescription(x, "singleton" if smooth else "face", Functional(g, space), smooth)
 
-    vals, active = _active_sets(space, u, tol)
-    if space.functionals is None:  # p = inf
-        i = int(active[0])
-        g = np.zeros(space.dim)
-        g[i] = w[i] * np.sign(u[i])
-        smooth = len(active) == 1
-        return SupportDescription(x, "singleton" if smooth else "face",
-                                  Functional(g, space), smooth)
 
-    # polyhedral: active signed functionals, deduplicated up to coincidence
-    signed = np.sign(vals[active])[:, None] * space.functionals[active]
-    distinct = [signed[0]]
-    for row in signed[1:]:
-        if all(np.max(np.abs(row - d)) > tol.scaled(1.0) for d in distinct):
-            distinct.append(row)
-    smooth = len(distinct) == 1
-    return SupportDescription(x, "singleton" if smooth else "face",
-                              Functional(distinct[0], space), smooth)
+def _face_rows(space: NormSpec, u: np.ndarray, face) -> np.ndarray:
+    """The extreme supporting functionals at the unit point ``u`` of a linf or
+    polyhedral space, one a row, given ``face = _face(space, u, |u|, tol)``:
+    the active coordinates or defining functionals, signed as at ``u``."""
+    vals, active = face
+    if space.functionals is not None:
+        return np.sign(vals[active])[:, None] * space.functionals[active]
+    rows = np.zeros((len(active), space.dim))
+    rows[np.arange(len(active)), active] = space._w[active] * np.sign(u[active])
+    return rows
 
 
 def _extreme_support_values(space: NormSpec, u: np.ndarray, face, y: np.ndarray):
-    """Supporting functionals at the unit point ``u`` maximizing / minimizing
-    the value on ``y``, given ``face = _face(space, u, |u|, tol)``."""
+    """Supporting functionals at ``u`` maximizing / minimizing the value on
+    ``y``, given ``face = _face(space, u, |u|, tol)``: the unit point, or for
+    l1 any point with its signs."""
     if space.is_smooth_space:
         v = float(np.dot(face, y))
         return (face, v), (face, v)
-    w = space._w
     if space.p == 1.0:
+        w = space._w
         on = u != 0.0
         base = np.where(on, w * np.sign(u), 0.0)
         hi = np.where(on, base, w * np.sign(y))
         lo = np.where(on, base, -w * np.sign(y))
         return (hi, float(np.dot(hi, y))), (lo, float(np.dot(lo, y)))
-    # the face is spanned by the active signed coordinate (linf) or defining functionals
-    vals, active = face
-    if space.functionals is None:  # p = inf
-        rows = np.zeros((len(active), space.dim))
-        rows[np.arange(len(active)), active] = w[active] * np.sign(u[active])
-    else:
-        rows = np.sign(vals[active])[:, None] * space.functionals[active]
-    cand = [(g, float(np.dot(g, y))) for g in rows]
+    cand = [(g, float(np.dot(g, y))) for g in _face_rows(space, u, face)]
     return max(cand, key=lambda t: t[1]), min(cand, key=lambda t: t[1])
 
 
@@ -655,32 +649,24 @@ def _polyhedral_exposed(space: NormSpec, c: np.ndarray, tol: Tolerances) -> Expo
 
     Each signed row near ``c`` is tried in turn: ``_facet_point`` gives the
     unit point that the row maps to 1 and every other row to less, if there
-    is one.  A row of the spec has dual norm at most 1, and that point is a
-    unit vector that the row norms, so when ``c`` is that row bit for bit its
-    exposure LP proves the unit check and the dual-norm LP is skipped.  Any
-    other ``c`` takes the unit check first, as does a row whose exposure
-    fails, after its LP.
+    is one, and the first such point that is smooth exposes ``c``.  A row of
+    the spec has dual norm at most 1, and that point is a unit vector that
+    the row norms, so when ``c`` is the matched row bit for bit its exposure
+    LP proves the unit check; every other ``c`` takes the unit check, and its
+    dual-norm LP, after the row loop.
     """
-    spec = space.functionals
-    is_row = bool(np.any(np.all(spec == c, axis=1) | np.all(spec == -c, axis=1)))
-    if not is_row:
-        _require_unit(space, c)
     a, m = _unit_functionals(space)
     cm = np.ldexp(c, -m)
-    scale = np.max(np.abs(cm))
+    bound = tol.scaled(np.max(np.abs(cm))) * 1e3
     for i in range(len(a)):
         for s in (1.0, -1.0):
-            if np.max(np.abs(cm - s * a[i])) > tol.scaled(scale) * 1e3:
-                continue
-            x = _facet_point(space, i, s)
-            if x is not None:
-                point = Vector(x, space)
-                if support_set(point, tol).is_smooth:
-                    if is_row and not np.array_equal(s * spec[i], c):
-                        _require_unit(space, c)
-                    return ExposedPoint(True, point)
-    if is_row:
-        _require_unit(space, c)
+            x = _facet_point(space, i, s) if np.max(np.abs(cm - s * a[i])) <= bound else None
+            point = None if x is None else Vector(x, space)
+            if point is not None and support_set(point, tol).is_smooth:
+                if not np.array_equal(s * space.functionals[i], c):
+                    _require_unit(space, c)
+                return ExposedPoint(True, point)
+    _require_unit(space, c)
     return ExposedPoint(False, None)
 
 

@@ -376,8 +376,10 @@ class TestOrtho:
         with np.errstate(over="ignore"):
             code = run(["ortho", "--space", '{"kind": "lp", "dim": 3, "p": 1}',
                         "--x", "[1e308, 1e308, 1e-300]", "--y", "[1, -1, 1]"])
-        assert code == 64
-        assert "cannot normalize" in capsys.readouterr().err
+        assert code == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["orthogonal"] is False
+        assert (verdict["forward_slope"], verdict["backward_slope"]) == (1.0, -1.0)
 
 
 class TestConflictingRows:

@@ -255,9 +255,21 @@ class TestExtremeScales:
                     assert orthogonal_hyperplane(xv).normal.coords.tobytes() == want, (x, k)
 
     def test_coordinate_flushed_by_rescale(self):
-        # 1e-300 / 2^1024 is 0: the l1 face would lose it, so no verdict is given
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="binary orders"):
-            birkhoff_verdict(L1_3.vector([1e308, 1e308, 1e-300]), L1_3.vector([1, -1, 1]))
+        # 1e-300 / 2^1024 is 0, but the l1 face reads its signs at x itself
+        with np.errstate(over="ignore"):
+            verdict = birkhoff_verdict(L1_3.vector([1e308, 1e308, 1e-300]), L1_3.vector([1, -1, 1]))
+        assert not verdict.orthogonal and verdict.witness is None
+        assert (verdict.forward_slope, verdict.backward_slope) == (1.0, -1.0)
+
+    def test_smooth_coordinate_flushed_by_rescale(self):
+        # lp(3, 1.5) reads its gradient at the rescaled point, which has lost 1e-300
+        space = NormSpec.lp(3, 1.5)
+        x = space.vector([1e308, 1e308, 1e-300])
+        with np.errstate(over="ignore"):
+            for read in (lambda: birkhoff_verdict(x, space.vector([1, -1, 1])),
+                         lambda: support_set(x), x.unit):
+                with pytest.raises(ValueError, match="binary orders"):
+                    read()
 
 
 class TestHyperplane:

@@ -416,6 +416,29 @@ class TestSupportReadingPoint:
         assert desc.is_smooth and desc.kind == "singleton"
         assert _bits(desc.witness.coords) == _bits([1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[1, 1, -1], [1, 0, 0], [0.5, 0.25, 0]],
+                             ids=["vertex", "edge", "facet"])
+    def test_power_of_two_scaled_spec(self, x):
+        """POLY3 scaled by 2^k reads the face of k = 0 at x and at 2^-k x, with
+        the witness 2^k times that of k = 0: the rows merge only within
+        ``tol.scaled(1.0)`` of their own leading power of two."""
+        rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+        want = support_set(NormSpec.polyhedral(3, rows).vector(x))
+        assert want.is_smooth is (x[2] == 0 and x[1] != 0)
+        for k in range(-40, 41):
+            space = NormSpec.polyhedral(3, np.ldexp(rows, k))
+            for point in (x, np.ldexp(x, -k)):
+                got = support_set(space.vector(point))
+                assert (got.kind, got.is_smooth) == (want.kind, want.is_smooth), (k, point)
+                assert _bits(got.witness.coords) == _bits(np.ldexp(want.witness.coords, k))
+
+    def test_weighted_linf_tie_far_below_one(self):
+        # the two tied rows are 2^-39 apart, far inside the absolute floor rel * (1 + 1)
+        space = NormSpec.weighted_lp(3, float("inf"), np.ldexp([1.0, 2.0, 0.5], -40))
+        desc = support_set(space.vector([1.0, 0.5, 0.0]))
+        assert not desc.is_smooth and desc.kind == "face"
+        assert _bits(desc.witness.coords) == _bits([2.0 ** -40, 0.0, 0.0])
+
 
 FACETED = {
     "poly3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
@@ -513,6 +536,22 @@ class TestExposedPoints:
             assert got == _exposure_outcome(oracles.frozen_is_w_star_exposed, f), c
             seen.add(got[0])
         assert seen == {True, False, ValueError}
+
+    def test_unit_check_after_the_rows(self):
+        """The unit check runs after the row loop: functionals that match no row,
+        or match one within the tolerance but are off the unit sphere, give the
+        verdict, point bytes and error of the test that took the check first."""
+        space = NormSpec.polyhedral(3, FACETED["poly3"])
+        row = space.functionals[3]
+        candidates = [row * (1.0 + 1e-3), 2.0 * row, np.array([1.0, 0.5, 0.5]),
+                      np.array([0.3, 0.2, 0.1]), row * (1.0 + 1e-7), -row * (1.0 + 1.5e-6)]
+        outcomes = []
+        for c in candidates:
+            f = space.functional(c)
+            got = _exposure_outcome(is_w_star_exposed, f)
+            assert got == _exposure_outcome(oracles.frozen_is_w_star_exposed, f), c
+            outcomes.append(got[0])
+        assert outcomes == [ValueError, ValueError, False, ValueError, True, ValueError]
 
     @pytest.mark.parametrize("rows", [FACETED["poly3"], FACETED["square"]],
                              ids=["poly3", "square"])
