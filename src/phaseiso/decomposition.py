@@ -15,9 +15,10 @@ witness.  Four constructive routes are provided:
 plus a best-effort ``generic`` route for space kinds none of the specialized
 arguments cover: the ``smooth`` route without its corroboration, open to
 every domain of dimension >= 2.  ``route_for`` alone maps a space to its
-route.  Every run finishes by re-verifying the defining equation on fresh
-pairs through the recovered factorization and by replaying the full query
-log against it.
+route.  Every run starts by fetching the fixed probes its route reads
+(``QueryPlan.reads``) in one oracle call, and finishes by re-verifying the
+defining equation on fresh pairs through the recovered factorization and by
+replaying the full query log against it.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ def _nearer_signs(cod: NormSpec, A: np.ndarray, B: np.ndarray):
 
 
 _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_SIGN_PRODUCTS = np.array([a * b for a, b in _SIGN_PAIRS])
 
 
 def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
@@ -180,17 +182,13 @@ def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
     return best, r_best, tied, r_best > tol.scaled(scale)
 
 
-def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> List[SignPinning]:
-    """:func:`pin_signs` on the pairs (X[k], Y[k]) of two (m, dim) arrays.
+def _pin_pairs(f: PhaseMapOracle, X: np.ndarray, Y: np.ndarray, tol: Tolerances):
+    """The pinning rule on the pairs (X[k], Y[k]) of two (m, dim) float arrays.
 
-    Every pair is checked for independence before the oracle is asked
-    anything.  The images are then fetched in one call, in the order x0, y0,
-    x0+y0, x1, ... that pinning the pairs one by one queries, and the first
-    pair in row order that no sign combination fits is the witness.
+    Returns the arrays (best, residual, tied) of :func:`_pin_rows`: per pair,
+    the index into ``_SIGN_PAIRS`` of the winning sign pair, its residual and
+    whether it is tied.  Raises as :func:`pin_signs_batch` does.
     """
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if len(X) == 0:
-        return []
     s = np.linalg.svd(np.stack([X, Y], axis=1), compute_uv=False)
     # a pair of vectors in dimension 1 has one singular value and is always dependent
     if s.shape[1] < 2 or not np.all(s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)):
@@ -205,6 +203,21 @@ def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> L
         raise NotDecomposable(
             f"no sign combination reproduces f(x+y); best residual {r_best[k]:.3e}",
             witness=(list(X[k]), list(Y[k])))
+    return best, r_best, tied
+
+
+def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> List[SignPinning]:
+    """:func:`pin_signs` on the pairs (X[k], Y[k]) of two (m, dim) arrays.
+
+    Every pair is checked for independence before the oracle is asked
+    anything.  The images are then fetched in one call, in the order x0, y0,
+    x0+y0, x1, ... that pinning the pairs one by one queries, and the first
+    pair in row order that no sign combination fits is the witness.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if len(X) == 0:
+        return []
+    best, r_best, tied = _pin_pairs(f, X, Y, tol)
     return [SignPinning(*_SIGN_PAIRS[i], r, t)
             for i, r, t in zip(best.tolist(), r_best.tolist(), tied.tolist())]
 
@@ -251,11 +264,18 @@ class QueryPlan:
     rows of ``random_pairs``.  ``schedules`` maps each planned functional
     recovery to its exposed functional and exposing point; their doubling
     schedules are the rows of the ``schedules`` group.
+
+    ``reads`` names the groups the route reads in full, in the order it
+    first reads them: :func:`decompose` fetches their rows, group after
+    group, in one ``images`` call before the route runs, so every later
+    stage is a cache hit.  ``schedules`` is never among them, as a recovery
+    stops where its estimates settle.
     """
 
     space: NormSpec
     route: str
     seed: int
+    reads: Tuple[str, ...] = ()
     probes: Dict[str, np.ndarray] = field(default_factory=dict)
     schedules: Dict[str, Tuple[Functional, Vector]] = field(default_factory=dict)
 
@@ -266,6 +286,22 @@ class QueryPlan:
         for key, p in zip(_row_keys(P), P):
             seen.setdefault(key, p)
         return list(seen.values())
+
+
+# the groups each route reads in full; "two_dim" stands for smooth and generic at n = 2,
+# and smooth reads "randoms" as the verify points of its coord0 recovery
+_READS = {
+    "one_dim": ("unit", "scales", "fresh_pairs"),
+    "two_dim": ("homogeneity", "two_dim", "fresh_pairs"),
+    "smooth": ("homogeneity", "basis", "basis_pairs", "random_pairs", "randoms", "ones", "verify",
+               "fresh_pairs"),
+    "generic": ("homogeneity", "basis", "basis_pairs", "random_pairs", "ones", "verify",
+                "fresh_pairs"),
+    "linf": ("randoms", "basis", "sign_vectors", "homogeneity", "hyperplane", "basis_pairs",
+             "fresh_pairs"),
+    "l1": ("basis_rays", "basis", "basis_pairs", "randoms", "ones", "homogeneity", "hyperplane",
+           "fresh_pairs"),
+}
 
 
 def _hom_ts(m: int) -> np.ndarray:
@@ -335,7 +371,9 @@ def plan_queries(space: NormSpec, route: str = "auto", seed: int = 0,
     route = _validate_route(space, route)
     n = space.dim
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E37]))
-    plan = QueryPlan(space=space, route=route, seed=seed)
+    two_dim = n == 2 and route in ("smooth", "generic")
+    plan = QueryPlan(space=space, route=route, seed=seed,
+                     reads=_READS["two_dim" if two_dim else route])
     probes = plan.probes
 
     if route == "one_dim":
@@ -526,7 +564,7 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL) -> TwoDi
         raise NotDecomposable(
             f"sign pinning failed on the normalization grid at a={grid[k]}",
             witness=("grid", grid[k], r_best[k]))
-    products = {a: math.prod(_SIGN_PAIRS[i]) for a, i in zip(grid, best.tolist())}
+    products = dict(zip(grid, _SIGN_PRODUCTS[best].tolist()))
     pi = products[1.0]
     offenders = [a for a, v in products.items() if v != pi]
     if offenders:
@@ -732,21 +770,21 @@ def _column_signs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Tuple[
     """
     basis = plan.probes["basis"]
     i, j = np.triu_indices(len(basis), 1)
-    pins = pin_signs_batch(f, basis[i], basis[j], tol)
-    product = np.array([p.product for p in pins], dtype=float)
+    best, _, tied = _pin_pairs(f, basis[i], basis[j], tol)
+    product = _SIGN_PRODUCTS[best]
     sigma = np.concatenate([[1.0], product[:len(basis) - 1]])  # the pairs (0, j) lead triu order
     incoherent = product != sigma[i] * sigma[j]
     if incoherent.any():
         k = int(np.argmax(incoherent))
         raise NotDecomposable("pairwise sign products are incoherent across basis triples",
                               witness=(int(i[k]), int(j[k])))
-    return sigma, sum(p.tied for p in pins)
+    return sigma, int(tied.sum())
 
 
 def _pin_group(f: PhaseMapOracle, plan: QueryPlan, name: str, tol: Tolerances):
     """Pin the sign pairs of a planned group of (x, y, x + y) rows."""
     xy = plan.probes[name]
-    pin_signs_batch(f, xy[:, 0], xy[:, 1], tol)
+    _pin_pairs(f, xy[:, 0], xy[:, 1], tol)
 
 
 def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
@@ -959,9 +997,17 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
     :func:`plan_queries` on (f.domain, route, seed, tol), so an oracle over a
     sample table that lacks any of them raises :class:`MissingSamples`, listing
     every missing point, before the oracle is asked anything.  Raises
-    :class:`NotDecomposable` with a witness when the oracle violates a
-    required identity, and :class:`SurjectivityNotDeclared` when the oracle
+    :class:`SurjectivityNotDeclared`, also before any query, when the oracle
     lacks the surjectivity declaration and ``force`` is not set.
+
+    The oracle is then asked for every row of the groups in ``plan.reads``,
+    group after group, in one ``images`` call; only the functional-recovery
+    schedules are queried later, point by point, where the route reaches
+    them.  A run therefore queries every fixed probe of its route before its
+    first check, and a rejected run, which raises :class:`NotDecomposable`
+    with the witness and message of the first identity the oracle violates,
+    has done so too.  A fetch that fails (an image of the wrong dimension or
+    with non-finite values) names the first failing row of that block.
     """
     plan = plan_queries(f.domain, route, seed, tol)
     if f.table is not None:
@@ -973,6 +1019,7 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
             "decomposition requires a surjectivity declaration on the oracle "
             "(or force=True to attempt anyway)")
 
+    f.images(np.vstack([plan.probes[name].reshape(-1, f.domain.dim) for name in plan.reads]))
     diagnostics: dict = {}
     matrix = _ROUTE_IMPL[plan.route](f, plan, tol, diagnostics)
     return _assemble_certificate(f, matrix, plan.route, plan, tol, diagnostics)

@@ -16,7 +16,7 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       Tolerances)
 from conftest import zoo_ids
 from phaseiso import harness, spaces
-from phaseiso.decomposition import (ROUTES, _TWO_DIM_GRID, _assemble_certificate,
+from phaseiso.decomposition import (_ROUTE_IMPL, ROUTES, _TWO_DIM_GRID, _assemble_certificate,
                                     _check_expansion, _seed_free_part, route_for)
 from phaseiso.phase_maps import _row_keys
 
@@ -1154,6 +1154,68 @@ class TestPlanLayout:
                     assert is_birkhoff_orthogonal(ev, zv) and is_birkhoff_orthogonal(zv, ev)
                     pairs += 1
         assert pairs == 7 * 20 * 6
+
+
+READS_CASES = [
+    (NormSpec.lp(1, 2), "one_dim"),
+    (L2_2, "smooth"),
+    (L2_2, "generic"),
+    (NormSpec.polyhedral(2, [[1, 0], [0, 1], [1, 1]]), "generic"),
+    (NormSpec.lp(3, 2), "smooth"),
+    (NormSpec.lp(5, 1.5), "smooth"),
+    (NormSpec.lp(3, 2), "generic"),
+    (POLY_3, "generic"),
+    (L1_3, "l1"),
+    (L1_4, "l1"),
+    (LINF_3, "linf"),
+    (NormSpec.lp(4, float("inf")), "linf"),
+    (NormSpec.weighted_lp(3, 1, [1.0, 2.0, 0.5]), "generic"),
+    (NormSpec.weighted_lp(3, float("inf"), [1.0, 2.0, 0.5]), "generic"),
+]
+
+
+class TestPlanReads:
+    """``QueryPlan.reads`` names exactly the groups a run reads in full: a route run
+    without the up-front fetch logs their rows plus a prefix of each doubling
+    schedule, and ``decompose``, which fetches them first, logs the same set."""
+
+    @staticmethod
+    def keys(rows):
+        return set(_row_keys(np.asarray(rows, dtype=float)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("space,route", READS_CASES,
+                             ids=[f"{s.kind}{s.dim}-{r}" for s, r in READS_CASES])
+    def test_logged_points_are_reads_plus_reached_schedules(self, space, route, seed):
+        plan = plan_queries(space, route, seed)
+        assert plan.route == route
+        assert "schedules" not in plan.reads and set(plan.reads) <= set(plan.probes)
+        f = generate_phase_isometry(generate_isometry(space, seed), seed)
+        matrix = _ROUTE_IMPL[route](f, plan, DEFAULT_TOL, {})  # the route, point by point
+        _assemble_certificate(f, matrix, route, plan, DEFAULT_TOL, {})
+        logged = self.keys(f.query_log)
+        read = self.keys(np.vstack([plan.probes[g].reshape(-1, space.dim) for g in plan.reads]))
+        reached = set()
+        for steps in plan.probes.get("schedules", ()):
+            hit = [key in logged for key in _row_keys(steps)]
+            m = hit.index(False) if False in hit else len(hit)
+            assert m >= 2 and not any(hit[m:])  # a recovery compares two estimates at least
+            reached |= self.keys(steps[:m])
+        assert logged == read | reached  # so no unread group, such as l1's verify, is queried
+        g = generate_phase_isometry(generate_isometry(space, seed), seed)
+        decompose(g, route=route, seed=seed)
+        assert self.keys(g.query_log) == logged and len(g.query_log) == len(f.query_log)
+
+    def test_rejected_run_has_queried_every_read(self):
+        # f(e_0 + e_1) doubled: sign pinning on the basis pairs rejects it, before any
+        # schedule is reached, and every read group has been fetched by then
+        space = NormSpec.lp(4, 2)
+        f = tampered(space, 3, [np.array([1.0, 1.0, 0.0, 0.0])], lambda fx: 2.0 * fx)
+        with pytest.raises(NotDecomposable, match="^no sign combination reproduces f"):
+            decompose(f, seed=3)
+        plan = plan_queries(space, seed=3)
+        read = np.vstack([plan.probes[g].reshape(-1, space.dim) for g in plan.reads])
+        assert self.keys(f.query_log) == self.keys(read)
 
 
 # Every (family, dim, route) a plan accepts, dims 1, 2 and 3, each family's own route and generic.

@@ -5,8 +5,11 @@ is pinned for twelve spaces at seeds 0-3.  A change that moves any bit of a
 certificate (the matrix, the sign table, a residual, a discrepancy) or of a
 trial outcome fails here.  So does a change to the order in which
 ``decompose`` queries the oracle: the SHA-256 of the bytes of
-``np.array(oracle.query_log)`` is pinned for the same spaces and seeds, and
-so is the layout of every probe plan: the SHA-256 of the bytes of
+``np.array(oracle.query_log)`` is pinned for the same spaces and seeds.  The
+set of queried points is pinned apart from its order, as the SHA-256 of the
+logged rows sorted lexicographically, so a change that only reorders the
+queries moves the order pins and keeps these.  The layout of every probe
+plan is pinned too: the SHA-256 of the bytes of
 ``np.array(plan.all_points())``, the row order of ``phaseiso gen`` tables, for
 each space's own route and, from dimension 2 on, the ``generic`` route.
 The table path is pinned end to end through ``phaseiso``'s command lines:
@@ -69,6 +72,14 @@ def query_log_digest(name: str, seed: int) -> str:
     oracle = generate_phase_isometry(generate_isometry(SPACES[name], seed), seed)
     decompose(oracle, seed=seed)
     return hashlib.sha256(np.array(oracle.query_log).tobytes()).hexdigest()
+
+
+def query_set_digest(name: str, seed: int) -> str:
+    oracle = generate_phase_isometry(generate_isometry(SPACES[name], seed), seed)
+    decompose(oracle, seed=seed)
+    # + 0.0 as in the cache key: of two points equal but for a zero's sign, the first is logged
+    rows = np.array(oracle.query_log) + 0.0
+    return hashlib.sha256(rows[np.lexsort(rows.T[::-1])].tobytes()).hexdigest()
 
 
 def plan_routes(name: str):
@@ -281,74 +292,150 @@ PINNED_QUERY_LOGS = {
         "0": "eee1cef9269c3d60b9139bd847c67bf7ea0f3c9f2f2d49221d7ad46d07024603",
         "1": "c37161544bbe22d82e5fa92e322ffa723228db0aeb0f63307802edcb39da63bd",
         "2": "3f9933f32fc11e187e1fc14c71fa6ffe0e7d24c174b6d6eb7c0db03f8ee0b12f",
-        "3": "10af7d3185ce1de0a80b5268c33b03d5d2e1d2539464b9bab69a1c909c67e3e2",
+        "3": "10af7d3185ce1de0a80b5268c33b03d5d2e1d2539464b9bab69a1c909c67e3e2"
     },
     "l1_n3": {
-        "0": "715ab23c6391f15562eb8c7fab84ed9314992290ef674e36c62b939b415d073c",
-        "1": "c4958cfdf14291e587e0a5f9c2727ab8de2221192f439f0e6510ab79a1644c5e",
-        "2": "4e79c235479bd65a0a6e43bc906266f843b56a8ca63249d08dc31e1f86396d7b",
-        "3": "8c5b5caceac4fc20bb0403727a935decd578f092baf60494d7b312ca39856307",
+        "0": "6cf99407cfce8c223c3135d95f205cfe36a739a1e5ee1fa77846ba40db347440",
+        "1": "4679eb04cb24be2dfe8a70510c3002f855c2f18e590e0421cac790027760b6d7",
+        "2": "6c8303b23747f0eee165da5acd96a8873c49bba3bfdc7c05b40be7346743f7a4",
+        "3": "42b3841aff5f0b69ae01bf01a908d41006df204bac0398e21cdae0f94aed6e57"
     },
     "l1_n8": {
-        "0": "a204ab74f782a07e771726203b7af3dbbbbfc4f29a637c626296470b1a9e16f0",
-        "1": "6d6ad90de73e0d29b79fc5fc8825892389a37cd253fc40ec906509e9adc2e906",
-        "2": "8d061864bb9e20c0eaf86767beee937cc8a0e9c88131fc016a398b4c9609f3f1",
-        "3": "a832ccfcd1ddb518532a779c861c7896ba0836f11611a1e6db211a9762a1eda2",
+        "0": "7bea680b7c946e757991294343fae869ec16b8b787a0854d2e34ac4784ca6d61",
+        "1": "e1eda3cda87d1b954668aafde47873e821e4d89b096dc7f69c312749752f28f2",
+        "2": "0a975dd72ecccd99e1e4bf7637c2e790d40ca54ebbc6d9bb7fe0b9a828eb43fd",
+        "3": "384f9eb76c53c64e5fb95d060853a78bd97e964bb203cd21cc35e97dbdc04b0e"
     },
     "l1p5_n5": {
-        "0": "8810b5285b433752083497eede0db1b3cecd41c98c19e31331db303c1f8a87f6",
-        "1": "9225e04078a2ec246d50b38ce91793699968a08908b6e826687f08e46f41f78e",
-        "2": "729dd459a76ffad2a6da433d0b5612c724944e08a74507f6d09deada26e74df1",
-        "3": "fb3c4ec20800844e2be6adee9c61a40721159570a6da7fb3391d5cbb90dc6dcc",
+        "0": "40846053409eb4b99b7bb64d635680cf3c35dc405c179802be461623dc44d753",
+        "1": "e6f4b4099d5d012904101bb607afff9ff9a9449334d090478105c6ee0618ae8e",
+        "2": "4062852dfe49c5804b86cad47d594baa721526bd1f50d8b050a5eef3497b15c9",
+        "3": "0b2009ee8e2d64ebdf52b60f544acd8cc1537ad4358c7a8b46a655d5bf3d4558"
     },
     "l2_n2": {
-        "0": "c2f92de4efd1dff4bf9d03cadce2c51688a6ac3b073dbc1c94efbcf5c855c4b3",
-        "1": "e256347ec8251d092ea76420429760d8f3c38d3f7a79a9eb02fdd9befd3add4b",
-        "2": "0656bda566516de8becccb39054e4d4877a46de57794502c20096669643a5bce",
-        "3": "de9cebb49c649bff65e611decabb71dc1254b27deb87341b0f504aa4124b7431",
+        "0": "fa1038899d834bb56b311a05131702624332206613a3cf5034d1a21fe4cc0dfb",
+        "1": "f0f2489f1c528bc4167ac4fcd5cfc3aa261006eb606663a8c556ebdf877c69ef",
+        "2": "7cfab007ce4e7282cdbb0f0d3de97d9e987a397457e60d7e6843886af431464e",
+        "3": "c8b6fd76fee3b2853dad4274a67eb044c90bb6c4ff56f98e81d56779ab374454"
     },
     "l2_n6": {
-        "0": "17675ffd29b14a7084a4295bf3444ea0a543ee10f5d08956ad1c4171f658ce21",
-        "1": "6ba4c62df30a509ae6b18fc1daeb05ae5792703cac6fd764ddbaf52959ba098b",
-        "2": "27a1c21f0727032b3bfc1a909c9185682fa9f7fcc0f44e9b4cefb0f9ef563c72",
-        "3": "85ceddb9128ac42defd583abc0ebaa072779488304e306fd28ab837a2d03ebbf",
+        "0": "54f0274dfda271453c7dff57b62dcfd9f4ae47a9bb8b646d796637fb2da19d72",
+        "1": "9435cc6be2fe4093a1604bb6ab85c56b55c22afbf5c738ad41fd14068b126b62",
+        "2": "c84088d96d7683cff99f0e884ce737e1fe046952ee086c3932a03e0d906d4358",
+        "3": "5a7627e92a91549f30917c87af6b6a0c54c66d0265796cfab194da386473a961"
     },
     "l3_n5": {
-        "0": "8810b5285b433752083497eede0db1b3cecd41c98c19e31331db303c1f8a87f6",
-        "1": "9225e04078a2ec246d50b38ce91793699968a08908b6e826687f08e46f41f78e",
-        "2": "729dd459a76ffad2a6da433d0b5612c724944e08a74507f6d09deada26e74df1",
-        "3": "fb3c4ec20800844e2be6adee9c61a40721159570a6da7fb3391d5cbb90dc6dcc",
+        "0": "40846053409eb4b99b7bb64d635680cf3c35dc405c179802be461623dc44d753",
+        "1": "e6f4b4099d5d012904101bb607afff9ff9a9449334d090478105c6ee0618ae8e",
+        "2": "4062852dfe49c5804b86cad47d594baa721526bd1f50d8b050a5eef3497b15c9",
+        "3": "0b2009ee8e2d64ebdf52b60f544acd8cc1537ad4358c7a8b46a655d5bf3d4558"
     },
     "linf_n3": {
-        "0": "396b27ccc997b47c663541e34b90abd51e65c4c022f4319b67064207785e7511",
-        "1": "74e1a3e85780c8b753fda472d74e07a6a3c3b6b2986ce030a44d79ff6e294918",
-        "2": "55674864ef38f94cfb0a1cc8abab59dc3d3b4b0c4bba04acaa7869d90d36be40",
-        "3": "61e0ba15703551a011c4c180c1e33d7280a1dd0e54a3f979a9ff682f9edf7f8e",
+        "0": "f2bb551dd8e5263c212958d4e6d79ebd82043e5a19f4838eeed5b01747e14e2b",
+        "1": "05f360f5a2a046773813386b9b63914dc0e698c8300520aef74374efcde45526",
+        "2": "6f8f6973bc7942123ddfc5211c1197622b86045892b9ff6a2bab7ab460b9b620",
+        "3": "140c659a9c42d3253f5b2443ffa2dc0ae61324a1ea015163646cf7f68907b3c1"
     },
     "linf_n8": {
-        "0": "8642ef245043866398a3ff1cf8e16bf17e82b3454940d3cc906f64284a81fe62",
-        "1": "16654d953863a6fd116155097fb2afdac3d603542faff8804e81ee3bb0eb3c74",
-        "2": "2ceb8352b5d038ac738b9d5852b351d778b760e3c7c68d3560de9a275a3326aa",
-        "3": "0d6af86da799190418985286d7319ba87fc9e29bf37233c280aa34794c4fb593",
+        "0": "1ed624229bb139d8437abff8b5d838fe8f94ec3a88ce74305eb56be09f903112",
+        "1": "0e4888e26e6f11e93213fec5eafa9282a43be02485ff2c2f1cb8716b6b30b045",
+        "2": "57d2faf17cc079dfd95e714ae983b4255799e03b5db188261177bb71fa238a8f",
+        "3": "e9a2fe79490552e2abd44b497e4b535bc97177a1a475ea93aa983aad7cfb3f1e"
     },
     "poly_n2": {
-        "0": "8834aece8d928cadde8d1cc5b447c3868629a170c8d06707901b88c54d45b793",
-        "1": "e4ec194033fef1111f108bc501e2c7dac5477e56df14d4c85e8ff300c3750e30",
-        "2": "7866192e15770388636ce74e798155491b9b22a775bf849e3bac5becdd38e2fd",
-        "3": "7dae0a9d1f1a3bb4b42ed9e50ad66aae7c6269429fa2f6826a8f6247cc1a0804",
+        "0": "c76d76883a0ae082859ee6b3ffd2c0bfd23352d6f0091b3608f33871c81d2183",
+        "1": "4e0206d6c016b6a0ff7cb7b7076d938fab644a31feeee4c1345cea3bc67e34b7",
+        "2": "c2a42928eb9de6d96803b3e1bc62b5c3bcd755ba4857f5f737e07b3d4c4afe44",
+        "3": "b4c81388bc2470b08bf915b80ed55867f3d6a9a8530b2ec5a2ab23268439373d"
     },
     "poly_n3": {
-        "0": "411f94f4f17e6796b66698bb8fb44ef07ae8fea1457fecacd27f37ce4941e0f6",
-        "1": "e283393e35e95f672f9da8d758e4a6ef28da16c12a51b43ea6254779a91e1754",
-        "2": "e634e6c4bcab95276af5a9b94209de0a77379edf133a4d5071157450f78b3c0a",
-        "3": "991785d21d439fe5aa7ad000dfa2ebc32d1b84798e6773d483d908f96e2afcfb",
+        "0": "df0e2399822e61f143e45785ce685f35b827e59090dbf12e916d3bcb05b5f822",
+        "1": "0998e7f79c500f1296805b144b7bd7374af38b91af648ae4f0bb76f88a2b9e1f",
+        "2": "c9d40707a58f37f542a88cad4be5304ac98c46c3d700333e0eb30f9b41ba8779",
+        "3": "f13c828d30d2e9be49f8b3056841278dc83dbb58704b38c3302c1913fffc62c0"
     },
     "wl1p5_n3": {
-        "0": "69b230bdc5da935cc347e736326c2da585046edb93a18527bd655a523ab210df",
-        "1": "cbedf347fb1ae5d6ec096c46a39357c1cdc6822691669ec36c13cb514603cfc3",
-        "2": "0b0cd4c63c909f7ee5b676bae1c50e0529155cf3556f6dfac3feb9ec57e6f30d",
-        "3": "9a67f5c95380798a139f71860dc425a202f78fa5cf1709956a2af96b37317523",
+        "0": "8a3ada6cbb60a80fbad1483fac59b0839dcb5f23310131c17264aafe1e61db2b",
+        "1": "f55dce5a1d0d783d9860b3128b7519d698fb30efb189da3c88ccec316f5771bb",
+        "2": "c0b889d28f90dea0bc04f08688e2603ce4ea217df9651e0b249f97c5e2dceed5",
+        "3": "8030a37f086d57f04c58dc17c9a07a5937b2b8e7892f79cad4de482053ee2cd8"
+    }
+}
+
+
+PINNED_QUERY_SETS = {
+    "l1_n1": {
+        "0": "33df9db0cbaf8efd719e9c8bd246d5619f04ba2ebdffeff3da497daa60c0e0c7",
+        "1": "ef12e112f8a4287987c54ec44de9d3b0a119a2066a6a8903c0fe95f2b7343439",
+        "2": "21ba63dfafa4454d519ef2f2654405478c6bdf6fa161bf9e4a2c9446cd43069d",
+        "3": "9d3d146a4ea37122d9b05585eb33de368ffe9c8d07ea2d9684996f324705aa73"
     },
+    "l1_n3": {
+        "0": "5c2e8d751ecf42b313b5b188d3bbf77f098f4da5e3a17c90deed4717a4e8ea79",
+        "1": "217b615a7b3fb0a8add0da1a30b4d7a211238452133f8bb4e50472e442a98689",
+        "2": "c7474d10d51dba11de06e23ec861d47c45935f987e810b16cf01f2e51b584f04",
+        "3": "232e6b2e8f2175c59a6dc9d8938da6cab3d3c18c98d6157d7531bcb00280dc94"
+    },
+    "l1_n8": {
+        "0": "0945de20f64e5320e81a1ce3151abbd3c49dfed56288d09537226e77b39204da",
+        "1": "eb5327cf57641a59e4e0297acb4e52639f0eb0eac886a44b6e9068933f87b04e",
+        "2": "794b47a61abf42cd3e57f1e97d2f079a8b4a8dbf16bdd34c25804f58af6c8d4b",
+        "3": "4ba0397dc24806405cf02be2d59e8886c3b471f9bfe2c7751c80c23839bbfaf8"
+    },
+    "l1p5_n5": {
+        "0": "f20e4cd815c48c151e13efef18c0ea5340b9fe941550dfd16ffc54a5f79c0b2e",
+        "1": "efe4eaba560394a76f9d201a6a7a88425562ba7a420ddfbc3d77d3e63a1e0c49",
+        "2": "6a1c1d659aafec9dd0aed7fdb302a83f736f8955463f3ed019cd0c703a3ea812",
+        "3": "7d759ad1058b131aff0c218f1e907e279f3bf6d797334550b276128d9dbb4f99"
+    },
+    "l2_n2": {
+        "0": "4e7f6c01aa3d1c265f2ba03d0196e8eb8cec153c1b06b801ae8120e6d9d498bc",
+        "1": "73249ec1ed718527d5b1abac95903304732a00daeb6e9b6cfffd954a8066ff80",
+        "2": "e1a0f18e4b6ddb0967a80303ff85a8f7c2ca85ff45ab9209e81e5dd7b0d3f2cf",
+        "3": "8926b6e9632262359aaa7eddadc871d27b777b3767742fe74d71194f357c9d92"
+    },
+    "l2_n6": {
+        "0": "cb70f05771543de1da4d2cbf201abeeb49474e39454da04b33cbc724b347c639",
+        "1": "56648ec9cbfa3fd0c631b8afbbdc0c99b63e616c1bfca173ef0d358afc660a9c",
+        "2": "3a1451170b224489d6135d18bf5b39e97a90b8abddd4658341bc457ebb2172ad",
+        "3": "64f3ae2220505f31aa392b31c43bdd3145212345ae5d6a640a3689422e3abaea"
+    },
+    "l3_n5": {
+        "0": "f20e4cd815c48c151e13efef18c0ea5340b9fe941550dfd16ffc54a5f79c0b2e",
+        "1": "efe4eaba560394a76f9d201a6a7a88425562ba7a420ddfbc3d77d3e63a1e0c49",
+        "2": "6a1c1d659aafec9dd0aed7fdb302a83f736f8955463f3ed019cd0c703a3ea812",
+        "3": "7d759ad1058b131aff0c218f1e907e279f3bf6d797334550b276128d9dbb4f99"
+    },
+    "linf_n3": {
+        "0": "9c7801831cb64ea4e97783544347d554a8b39613dbc14f1dec767f8a2d004123",
+        "1": "31b276dda0db941f80451c526db6d329ffb611c236119119b7ba8b13ea38d611",
+        "2": "0fc0834abd2c5a772c3ec7f2eda8e8663e77db6e63a13b4be7a7bf00805ca9a1",
+        "3": "6fc25b423c3cd21652129e2e3cda50b3d6c61de9816cc77bb70b40550f1dee71"
+    },
+    "linf_n8": {
+        "0": "77130ae4440d38d9a6413b98eaffed3259fa6424d1cdb1309b45feae1fe44582",
+        "1": "ed8329707b88c9e9da9638c538c907ebedb67aa3f62d3c8aec353008514e1034",
+        "2": "90e53fcb3141f10489381ed596745b9bbf2387bef60ce6af9a1cc1b14396365f",
+        "3": "0896e2dab3f2102de39f66df9986a27d90025e127ddc5388f72b78f9e7c69c87"
+    },
+    "poly_n2": {
+        "0": "e7a7e32af63146e7df889f1a262a7e1ba7678b930d188db71c4b9e0a41a25b83",
+        "1": "8fd21c8680e2965e5982ac6bc0866c65a5e12230a5cfbe03ec217a3c970937ee",
+        "2": "1d4d21b59b9a631588e9ccc84b7b3b178211c117fc8b2fc82a7ea8b4ddca7843",
+        "3": "369cfc763a1c83f2576126421e1d266957205a71d1df009f2118ef29c36dc21a"
+    },
+    "poly_n3": {
+        "0": "cb23d0ca7cbbdc70dc49854e5e2d093a1d0dbcd5673524c288d6b18767efb3b6",
+        "1": "96f67839f0dd96b3e2257a603876f9e1d60313264f31264e516b1ee9689cff1a",
+        "2": "93dfd4deffd2490c8bc68b075697c980fc4e6d6044f177114065620c316a3a6b",
+        "3": "2a449a81edcfe0b9fb00ce90f4d4f6b103636f9ef3b65e94351f906017ab5e84"
+    },
+    "wl1p5_n3": {
+        "0": "2c53c7b1abad1c52776151f8ce3c5c7f3715a767711acff012e24ced40c3a4e6",
+        "1": "acd5c60f4f06ceac4548ac0daaaece199c54f34bd3960562af286233f071f873",
+        "2": "a410fe892ddfe98c688ec4b80658c335eef43881b0ac927a6d223623ee124695",
+        "3": "76d6f2fdca2323a49220b44e527280c0ecaed94c18836115ea82708447a57df1"
+    }
 }
 
 
@@ -578,6 +665,12 @@ def test_query_order_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
+def test_query_set_is_pinned(name):
+    got = {str(seed): query_set_digest(name, seed) for seed in SEEDS}
+    assert got == PINNED_QUERY_SETS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
 def test_plan_layout_is_pinned(name):
     assert plan_digests(name) == PINNED_PLANS[name]
 
@@ -604,6 +697,9 @@ if __name__ == "__main__":
     logs = {name: {str(seed): query_log_digest(name, seed) for seed in SEEDS}
             for name in sorted(SPACES)}
     print("PINNED_QUERY_LOGS =", json.dumps(logs, indent=4, sort_keys=True))
+    sets = {name: {str(seed): query_set_digest(name, seed) for seed in SEEDS}
+            for name in sorted(SPACES)}
+    print("PINNED_QUERY_SETS =", json.dumps(sets, indent=4, sort_keys=True))
     plans = {name: plan_digests(name) for name in sorted(SPACES)}
     print("PINNED_PLANS =", json.dumps(plans, indent=4, sort_keys=True))
     import tempfile
