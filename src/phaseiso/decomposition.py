@@ -16,9 +16,10 @@ plus a best-effort ``generic`` route for space kinds none of the specialized
 arguments cover: the ``smooth`` route without its corroboration, open to
 every domain of dimension >= 2.  ``route_for`` alone maps a space to its
 route.  Every run starts by fetching the fixed probes its route reads
-(``QueryPlan.reads``) in one oracle call, and finishes by re-verifying the
-defining equation on fresh pairs through the recovered factorization and by
-replaying the full query log against it.
+(``QueryPlan.reads``) in one oracle call, whose block the route's own stages
+read, and finishes by re-verifying the defining equation on fresh pairs
+through the recovered factorization and by replaying the full query log
+against it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,9 @@ ROUTES = ("auto", "one_dim", "smooth", "linf", "l1", "generic")
 _HOM_GRID = (0.5, 2.0, -1.0, 3.0)
 _TWO_DIM_GRID = tuple(s * 2.0 ** k for k in range(-6, 7) for s in (1.0, -1.0))
 _SCHEDULE = tuple(2.0 ** k for k in range(21))
+# the images of a plan's read groups by name, each shaped like its group with the
+# codomain dimension last
+_Images = Mapping[str, np.ndarray]
 
 
 class DecompositionError(Exception):
@@ -182,22 +186,26 @@ def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
     return best, r_best, tied, r_best > tol.scaled(scale)
 
 
-def _pin_pairs(f: PhaseMapOracle, X: np.ndarray, Y: np.ndarray, tol: Tolerances):
-    """The pinning rule on the pairs (X[k], Y[k]) of two (m, dim) float arrays.
-
-    Returns the arrays (best, residual, tied) of :func:`_pin_rows`: per pair,
-    the index into ``_SIGN_PAIRS`` of the winning sign pair, its residual and
-    whether it is tied.  Raises as :func:`pin_signs_batch` does.
-    """
+def _require_independent(X: np.ndarray, Y: np.ndarray):
+    """ValueError unless every pair (X[k], Y[k]) of two (m, dim) arrays is linearly independent."""
     s = np.linalg.svd(np.stack([X, Y], axis=1), compute_uv=False)
     # a pair of vectors in dimension 1 has one singular value and is always dependent
     if s.shape[1] < 2 or not np.all(s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)):
         raise ValueError("pin_signs requires linearly independent inputs; "
                          "route dependent pairs through the one-dimensional path")
-    S = X + Y
-    F = f.images(_interleaved(X, Y, S)).reshape(len(X), 3, f.codomain.dim)
-    best, r_best, tied, failed = _pin_rows(f.codomain, F[:, 0], F[:, 1], F[:, 2],
-                                           f.domain.norms_of(S), tol)
+
+
+def _pin_pairs(f: PhaseMapOracle, X: np.ndarray, Y: np.ndarray, F: Sequence[np.ndarray],
+               tol: Tolerances):
+    """The pinning rule on the independent pairs (X[k], Y[k]) of two (m, dim) float arrays.
+
+    ``F`` holds their images as three (m, codomain dim) arrays: f(X), f(Y) and
+    f(X + Y).  Returns the arrays (best, residual, tied) of :func:`_pin_rows`:
+    per pair, the index into ``_SIGN_PAIRS`` of the winning sign pair, its
+    residual and whether it is tied.  Raises as :func:`pin_signs_batch` does.
+    """
+    FX, FY, FS = F
+    best, r_best, tied, failed = _pin_rows(f.codomain, FX, FY, FS, f.domain.norms_of(X + Y), tol)
     if failed.any():
         k = int(np.argmax(failed))
         raise NotDecomposable(
@@ -217,7 +225,9 @@ def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> L
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if len(X) == 0:
         return []
-    best, r_best, tied = _pin_pairs(f, X, Y, tol)
+    _require_independent(X, Y)
+    F = f.images(_interleaved(X, Y, X + Y)).reshape(len(X), 3, f.codomain.dim)
+    best, r_best, tied = _pin_pairs(f, X, Y, np.moveaxis(F, 1, 0), tol)
     return [SignPinning(*_SIGN_PAIRS[i], r, t)
             for i, r, t in zip(best.tolist(), r_best.tolist(), tied.tolist())]
 
@@ -267,9 +277,9 @@ class QueryPlan:
 
     ``reads`` names the groups the route reads in full, in the order it
     first reads them: :func:`decompose` fetches their rows, group after
-    group, in one ``images`` call before the route runs, so every later
-    stage is a cache hit.  ``schedules`` is never among them, as a recovery
-    stops where its estimates settle.
+    group, in one ``images`` call before the route runs, and the route's
+    stages read their images from that block.  ``schedules`` is never among
+    them, as a recovery stops where its estimates settle.
     """
 
     space: NormSpec
@@ -582,11 +592,16 @@ def normalize_two_dim(f: PhaseMapOracle, tol: Tolerances = DEFAULT_TOL) -> TwoDi
 # ---------------------------------------------------------------------------
 
 
-def _basis_frame(f: PhaseMapOracle, plan: QueryPlan) -> np.ndarray:
-    """The images of the basis probes as the columns of a matrix, or RangeDegenerate."""
-    v = np.column_stack(f.images(plan.probes["basis"]))
+def _basis_frame(basis_images: np.ndarray) -> np.ndarray:
+    """The images of the n basis probes, the rows of ``basis_images``, as the
+    columns of a matrix, or RangeDegenerate.
+
+    In a codomain of dimension below n the matrix has fewer than n singular
+    values, and the frame is degenerate.
+    """
+    v = np.column_stack(basis_images)
     sing = np.linalg.svd(v, compute_uv=False)
-    if sing[-1] <= 1e-9 * max(sing[0], 1.0):
+    if len(sing) < v.shape[1] or sing[-1] <= 1e-9 * max(sing[0], 1.0):
         raise RangeDegenerate(
             "basis images are linearly dependent; the range collapses into "
             "a lower-dimensional subspace", witness=None)
@@ -606,7 +621,7 @@ def recover_projective_linear(f: PhaseMapOracle, plan: QueryPlan,
     if n < 2:
         raise RouteUnsupported("projective recovery requires dimension >= 2; "
                                "use the one-dimensional path")
-    v = _basis_frame(f, plan)
+    v = _basis_frame(f.images(plan.probes["basis"]))
     ones = plan.probes["ones"][0]
     s_img = f(ones)
     c = np.linalg.lstsq(v, s_img, rcond=None)[0]
@@ -685,19 +700,21 @@ def _normalize_global_sign(matrix: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
-                          plan: QueryPlan, tol: Tolerances,
+                          plan: QueryPlan, images: _Images, tol: Tolerances,
                           diagnostics: dict) -> DecompositionCertificate:
-    """Shared final stage: sign normalization, fresh-pair re-verification,
-    and the full query-log replay that the certificate asserts."""
+    """Shared final stage: sign normalization, fresh-pair re-verification on
+    the images of ``fresh_pairs`` that ``images`` holds, and the full
+    query-log replay that the certificate asserts, which re-fetches the
+    logged points by key."""
     space, cod = f.domain, f.codomain
     matrix = _normalize_global_sign(matrix, tol)
     t_map = LinearMap(matrix, space, cod, isometric=True)
 
     # re-verify the defining equation through the factorization on fresh pairs;
-    # the rows run x0, y0, x1, y1, ..., the order the oracle sees them in
+    # the rows run x0, y0, x1, y1, ...
     xy = plan.probes["fresh_pairs"].reshape(-1, space.dim)
     txy = _row_products(matrix, xy)
-    rxy = _nearer_signs(cod, f.images(xy), txy)[0][:, None] * txy
+    rxy = _nearer_signs(cod, images["fresh_pairs"].reshape(-1, cod.dim), txy)[0][:, None] * txy
     report = check_phase_equation_batch(space, cod, xy[0::2], xy[1::2],
                                         rxy[0::2], rxy[1::2], tol)
     if not report.passed:
@@ -740,20 +757,16 @@ def _assemble_certificate(f: PhaseMapOracle, matrix: np.ndarray, route: str,
 # ---------------------------------------------------------------------------
 
 
-def _scale_residuals(f: PhaseMapOracle, B: np.ndarray, P: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-    """min(|f(p) - t f(b)|, |f(p) + t f(b)|) for the rows b, p, t of B, P and t.
-
-    The images are fetched in one call, in the order b0, p0, b1, p1, ...
-    """
-    F = f.images(_interleaved(B, P)).reshape(len(P), 2, f.codomain.dim)
-    return _nearer_signs(f.codomain, F[:, 1], t[:, None] * F[:, 0])[1]
+def _scale_residuals(cod: NormSpec, FB: np.ndarray, FP: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """min(|f(p) - t f(b)|, |f(p) + t f(b)|) per row, from the images FB = f(b)
+    (one row, or one per p) and FP = f(p), and the scales t."""
+    return _nearer_signs(cod, FP, t[:, None] * FB)[1]
 
 
-def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
+def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, images: _Images, tol: Tolerances):
     """f(t x) must be +- t f(x) at every grid point."""
-    H = plan.probes["homogeneity"]  # rows (x, t x)
-    r = _scale_residuals(f, H[:, 0], H[:, 1], _hom_ts(len(H)))
+    H, F = plan.probes["homogeneity"], images["homogeneity"]  # rows (x, t x)
+    r = _scale_residuals(f.codomain, F[:, 0], F[:, 1], _hom_ts(len(H)))
     failed = r > tol.scaled(f.domain.norms_of(H[:, 1]))
     if failed.any():
         k = int(np.argmax(failed))
@@ -762,15 +775,17 @@ def _check_homogeneity(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances):
                               witness=(t, list(H[k, 0])))
 
 
-def _column_signs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Tuple[np.ndarray, int]:
+def _column_signs(f: PhaseMapOracle, plan: QueryPlan, images: _Images,
+                  tol: Tolerances) -> Tuple[np.ndarray, int]:
     """Pin every basis pair i < j; return the column signs of T and the number of tied pins.
 
     Column j carries product(0, j), and each product(i, j) must equal
     product(0, i) * product(0, j); the first incoherent pair in triu order is the witness.
     """
-    basis = plan.probes["basis"]
-    i, j = np.triu_indices(len(basis), 1)
-    best, _, tied = _pin_pairs(f, basis[i], basis[j], tol)
+    basis, FB = plan.probes["basis"], images["basis"]
+    i, j = np.triu_indices(len(basis), 1)  # the rows of basis_pairs, e_i + e_j
+    _require_independent(basis[i], basis[j])
+    best, _, tied = _pin_pairs(f, basis[i], basis[j], (FB[i], FB[j], images["basis_pairs"]), tol)
     product = _SIGN_PRODUCTS[best]
     sigma = np.concatenate([[1.0], product[:len(basis) - 1]])  # the pairs (0, j) lead triu order
     incoherent = product != sigma[i] * sigma[j]
@@ -781,17 +796,18 @@ def _column_signs(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances) -> Tuple[
     return sigma, int(tied.sum())
 
 
-def _pin_group(f: PhaseMapOracle, plan: QueryPlan, name: str, tol: Tolerances):
+def _pin_group(f: PhaseMapOracle, plan: QueryPlan, images: _Images, name: str, tol: Tolerances):
     """Pin the sign pairs of a planned group of (x, y, x + y) rows."""
     xy = plan.probes[name]
-    _pin_pairs(f, xy[:, 0], xy[:, 1], tol)
+    _require_independent(xy[:, 0], xy[:, 1])
+    _pin_pairs(f, xy[:, 0], xy[:, 1], np.moveaxis(images[name], 1, 0), tol)
 
 
-def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
-    x0 = plan.probes["unit"]
-    fx0 = f(x0[0])
+def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, images: _Images, tol: Tolerances,
+                   diagnostics: dict):
+    fx0 = images["unit"][0]
     t = plan.probes["scales"][:, 0]
-    r = _scale_residuals(f, np.broadcast_to(x0, (len(t), 1)), t[:, None], t)
+    r = _scale_residuals(f.codomain, fx0, images["scales"], t)
     failed = r > tol.scaled(t)
     if failed.any():
         k = int(np.argmax(failed))
@@ -801,18 +817,19 @@ def _route_one_dim(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnost
     return fx0[:, None]
 
 
-def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
+def _route_projective(f: PhaseMapOracle, plan: QueryPlan, images: _Images, tol: Tolerances,
+                      diagnostics: dict):
     """The ``smooth`` and ``generic`` routes: homogeneity, then the certified
     normalization in dimension 2, or sign pinning and projective recovery
     from dimension 3 on, corroborated by functional recovery where the plan
     holds a ``coord0`` schedule (the smooth route)."""
-    _check_homogeneity(f, plan, tol)
+    _check_homogeneity(f, plan, images, tol)
     if f.domain.dim == 2:
         norm2 = normalize_two_dim(f, tol)
         diagnostics["two_dim_products"] = {str(a): v for a, v in norm2.products.items()}
         return norm2.linear.matrix
-    _, ties = _column_signs(f, plan, tol)
-    _pin_group(f, plan, "random_pairs", tol)
+    _, ties = _column_signs(f, plan, images, tol)
+    _pin_group(f, plan, images, "random_pairs", tol)
     if "coord0" in plan.schedules:
         x_star, u = plan.schedules["coord0"]
         rec = recover_functional(f, x_star, plan.probes["randoms"], u, tol)
@@ -823,14 +840,15 @@ def _route_projective(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagn
     return lin.matrix
 
 
-def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
+def _route_linf(f: PhaseMapOracle, plan: QueryPlan, images: _Images, tol: Tolerances,
+                diagnostics: dict):
     space, cod = f.domain, f.codomain
     n = space.dim
 
     # Step 1: recover and align one codomain functional per coordinate
     w_matrix = np.vstack([recover_functional(f, x_star, plan.probes["randoms"], u, tol).phi.coords
                           for x_star, u in plan.schedules.values()])
-    basis_images = f.images(plan.probes["basis"])
+    basis_images = images["basis"]
     # vals[i, j] = phi_i(f(e_j)), each a row dot equal to np.dot bit for bit
     vals = _row_dots(np.repeat(w_matrix, n, axis=0), np.tile(basis_images, (n, 1))).reshape(n, n)
     failed = np.abs(vals - np.eye(n)) > math.sqrt(tol.rel)
@@ -843,8 +861,7 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     # Step 2: the coordinate sign map must commute with f up to phase: the pairs
     # (theta, |x| theta) and (|x| theta, x), theta = sign(x), keep their norms
     X, thetas, scaled = np.moveaxis(plan.probes["sign_vectors"], 1, 0)
-    F = f.images(_interleaved(thetas, scaled, X)).reshape(len(X), 3, cod.dim)
-    f_theta, f_scaled, f_x = F[:, 0], F[:, 1], F[:, 2]
+    f_x, f_theta, f_scaled = np.moveaxis(images["sign_vectors"], 1, 0)
     unit = check_phase_equation_batch(space, cod, thetas, scaled, f_theta, f_scaled, tol)
     pair = check_phase_equation_batch(space, cod, scaled, X, f_scaled, f_x, tol)
     support = np.abs(X) > 0.0
@@ -868,21 +885,21 @@ def _route_linf(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics
     # Step 3: homogeneity, pinning across the coordinate hyperplane and the
     # marked direction e_0 (mutually Birkhoff orthogonal in plain l1 and
     # linf, whatever f is), basis pinning
-    _check_homogeneity(f, plan, tol)
-    _pin_group(f, plan, "hyperplane", tol)
-    sigma, _ = _column_signs(f, plan, tol)
+    _check_homogeneity(f, plan, images, tol)
+    _pin_group(f, plan, images, "hyperplane", tol)
+    sigma, _ = _column_signs(f, plan, images, tol)
     return np.column_stack(sigma[:, None] * basis_images)
 
 
-def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: dict):
-    space, cod = f.domain, f.codomain
-    n = space.dim
-    basis = plan.probes["basis"]
+def _route_l1(f: PhaseMapOracle, plan: QueryPlan, images: _Images, tol: Tolerances,
+              diagnostics: dict):
+    cod = f.codomain
+    n = f.domain.dim
 
     # Step 1: basis rays scale correctly and stay disjoint in the image
-    rays = plan.probes["basis_rays"]  # rows (e_i, t e_i)
+    rays = images["basis_rays"]  # images of the rows (e_i, t e_i), t running fastest
     t = _hom_ts(len(rays))
-    r = _scale_residuals(f, rays[:, 0], rays[:, 1], t)
+    r = _scale_residuals(cod, rays[:, 0], rays[:, 1], t)
     failed = r > tol.scaled(t)
     if failed.any():
         i, k = divmod(int(np.argmax(failed)), len(_HOM_GRID))
@@ -890,9 +907,10 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
         raise NotDecomposable(f"f(t e_{i}) is not +- t f(e_{i}) at t={t}", witness=(i, t))
     first = np.arange(min(n, 4))
     second = (first + 1) % n
-    F = f.images(_interleaved(2.0 * basis[first], basis[second])).reshape(len(first), 2, cod.dim)
+    f2 = rays[first * len(_HOM_GRID) + _HOM_GRID.index(2.0), 1]  # f(2 e_i)
+    fe = images["basis"][second]
     # got[k] = (|f(2 e_i) + f(e_j)|, |f(2 e_i) - f(e_j)|) for the k-th probe pair (i, j)
-    got = np.column_stack([cod.norms_of(F[:, 0] + F[:, 1]), cod.norms_of(F[:, 0] - F[:, 1])])
+    got = np.column_stack([cod.norms_of(f2 + fe), cod.norms_of(f2 - fe)])
     failed = np.abs(got - 3.0) > tol.scaled(3.0)
     if failed.any():
         k, sgn = divmod(int(np.argmax(failed)), 2)
@@ -901,10 +919,11 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
             f"identity ({float(got[k, sgn])} != 3)", witness=(int(first[k]), int(second[k])))
 
     # Steps 2/3: finite-support expansion in the basis images with bookkeeping
-    sigma, _ = _column_signs(f, plan, tol)
-    v = _basis_frame(f, plan)
-    X = np.vstack([plan.probes[name] for name in ("randoms", "ones", "basis_pairs")])
-    _check_expansion(f, v, sigma, X, tol)
+    sigma, _ = _column_signs(f, plan, images, tol)
+    v = _basis_frame(images["basis"])
+    expanded = ("randoms", "ones", "basis_pairs")
+    X = np.vstack([plan.probes[name] for name in expanded])
+    _check_expansion(f, v, sigma, X, np.vstack([images[name] for name in expanded]), tol)
 
     # Step 4: the exposed all-signs functional fixes the sign structure
     x_star, u = plan.schedules["exposed"]
@@ -912,16 +931,17 @@ def _route_l1(f: PhaseMapOracle, plan: QueryPlan, tol: Tolerances, diagnostics: 
     diagnostics["functional_max_deviation"] = rec.max_deviation
 
     # Step 5: homogeneity and the hyperplane pinning conditions
-    _check_homogeneity(f, plan, tol)
-    _pin_group(f, plan, "hyperplane", tol)
+    _check_homogeneity(f, plan, images, tol)
+    _pin_group(f, plan, images, "hyperplane", tol)
 
     matrix = v * sigma
     return matrix
 
 
 def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.ndarray,
-                     tol: Tolerances):
-    """Expand f(x) in the basis images v for every row x of X and check it.
+                     FX: np.ndarray, tol: Tolerances):
+    """Expand f(x), the matching row of FX, in the basis images v for every
+    row x of X and check it.
 
     The coefficients b solve v b = f(x) by one least-squares call for all
     rows.  For each probe in row order the checks are: f(x) lies in the span
@@ -931,7 +951,6 @@ def _check_expansion(f: PhaseMapOracle, v: np.ndarray, sigma: np.ndarray, X: np.
     The first failing probe, at its first failing check, is the witness.
     """
     space, cod = f.domain, f.codomain
-    FX = f.images(X)
     B = np.linalg.lstsq(v, FX.T, rcond=None)[0].T
     nx = space.norms_of(X)
     bound = tol.scaled(nx)
@@ -994,22 +1013,33 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
 
     Routes: ``one_dim``, ``smooth``, ``linf``, ``l1``, ``generic``; ``auto``
     resolves through :func:`route_for`.  The probes come from
-    :func:`plan_queries` on (f.domain, route, seed, tol), so an oracle over a
-    sample table that lacks any of them raises :class:`MissingSamples`, listing
-    every missing point, before the oracle is asked anything.  Raises
-    :class:`SurjectivityNotDeclared`, also before any query, when the oracle
-    lacks the surjectivity declaration and ``force`` is not set.
+    :func:`plan_queries` on (f.domain, route, seed, tol).  Before the oracle
+    is asked anything, a codomain of lower dimension than the domain raises
+    :class:`RangeDegenerate` (a linear isometry is injective, so no
+    ``eps * T`` exists), an oracle over a sample table that lacks any probe
+    raises :class:`MissingSamples`, listing every missing point, and an
+    oracle without the surjectivity declaration raises
+    :class:`SurjectivityNotDeclared` unless ``force`` is set.
 
     The oracle is then asked for every row of the groups in ``plan.reads``,
-    group after group, in one ``images`` call; only the functional-recovery
-    schedules are queried later, point by point, where the route reaches
-    them.  A run therefore queries every fixed probe of its route before its
-    first check, and a rejected run, which raises :class:`NotDecomposable`
-    with the witness and message of the first identity the oracle violates,
-    has done so too.  A fetch that fails (an image of the wrong dimension or
-    with non-finite values) names the first failing row of that block.
+    group after group, in one ``images`` call, and the route's stages read
+    their images from that block, one read-only view per group.  Only these
+    ask the oracle after it: the functional-recovery schedules, point by
+    point where the route reaches them; the public helpers the routes call
+    (:func:`recover_functional`, :func:`recover_projective_linear` and
+    :func:`normalize_two_dim`), which fetch their own points; and the final
+    replay of ``query_log``.  A run therefore queries every fixed probe of
+    its route before its first check, and a rejected run, which raises
+    :class:`NotDecomposable` with the witness and message of the first
+    identity the oracle violates, has done so too.  A fetch that fails (an
+    image of the wrong dimension or with non-finite values) names the first
+    failing row of that block.
     """
     plan = plan_queries(f.domain, route, seed, tol)
+    dim, cod_dim = f.domain.dim, f.codomain.dim
+    if cod_dim < dim:
+        raise RangeDegenerate(f"codomain dimension {cod_dim} is below domain dimension {dim}; "
+                              "a linear isometry is injective, so no eps * T exists")
     if f.table is not None:
         missing = f.missing_points(plan.all_points())
         if missing:
@@ -1019,7 +1049,14 @@ def decompose(f: PhaseMapOracle, route: str = "auto", seed: int = 0,
             "decomposition requires a surjectivity declaration on the oracle "
             "(or force=True to attempt anyway)")
 
-    f.images(np.vstack([plan.probes[name].reshape(-1, f.domain.dim) for name in plan.reads]))
+    groups = [plan.probes[name] for name in plan.reads]
+    block = f.images(np.vstack([group.reshape(-1, dim) for group in groups]))
+    block.setflags(write=False)
+    images, start = {}, 0
+    for name, group in zip(plan.reads, groups):
+        stop = start + group.size // dim
+        images[name] = block[start:stop].reshape(group.shape[:-1] + (cod_dim,))
+        start = stop
     diagnostics: dict = {}
-    matrix = _ROUTE_IMPL[plan.route](f, plan, tol, diagnostics)
-    return _assemble_certificate(f, matrix, plan.route, plan, tol, diagnostics)
+    matrix = _ROUTE_IMPL[plan.route](f, plan, images, tol, diagnostics)
+    return _assemble_certificate(f, matrix, plan.route, plan, images, tol, diagnostics)

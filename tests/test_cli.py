@@ -293,6 +293,16 @@ class TestCodomainTables:
                     "--force"])
         assert code == 2
 
+    def test_narrow_codomain_exits_2_before_reading_the_plan(self, tmp_path, capsys):
+        # x -> (x_0, x_1) from l1^3 onto l2^2 on two points: the dimensions settle it
+        path = tmp_path / "projection.jsonl"
+        path.write_text("".join(json.dumps({"x": x, "fx": x[:2]}) + "\n"
+                                for x in ([1.0, 0.0, 0.0], [0.0, 1.0, 2.0])))
+        code = run(["decompose", "--space", L1_3, "--codomain", '{"kind": "lp", "dim": 2, "p": 2}',
+                    "--samples", str(path), "--declare-surjective"])
+        assert code == 2
+        assert "codomain dimension 2 is below domain dimension 3" in capsys.readouterr().err
+
     def test_codomain_dimension_enforced(self, tmp_path):
         path = self.curve_table(tmp_path, [0.0, 1.0])
         code = run(["check", "--space", self.LINE, "--samples", str(path)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,22 @@ L1_4 = NormSpec.lp(4, 1)
 LINF_3 = NormSpec.lp(3, float("inf"))
 LINE = NormSpec.lp(1, 2)
 LINF_2 = NormSpec.lp(2, float("inf"))
+
+
+class GroupReads(dict):
+    """The images of a plan's groups as the routes read them: a group is fetched
+    with ``f.images`` the first time it is read, and ``read`` names the groups read."""
+
+    def __init__(self, f, plan):
+        super().__init__()
+        self.f, self.plan, self.read = f, plan, []
+
+    def __missing__(self, name):
+        group = self.plan.probes[name]
+        self.read.append(name)
+        fx = self.f.images(group.reshape(-1, group.shape[-1]))
+        self[name] = fx.reshape(group.shape[:-1] + fx.shape[1:])
+        return self[name]
 
 
 def sign_table_oracle(space, t_matrix, signs):
@@ -218,7 +235,7 @@ def expand(monkeypatch, v, X):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", lstsq)
         try:
-            _check_expansion(f, v, np.ones(v.shape[1]), X, DEFAULT_TOL)
+            _check_expansion(f, v, np.ones(v.shape[1]), X, f.images(X), DEFAULT_TOL)
         except NotDecomposable as exc:
             verdict = str(exc)
     return calls, f.images(X), verdict
@@ -258,7 +275,7 @@ class TestExpansion:
         f = PhaseMapOracle.from_callable(NormSpec.lp(3, 1), NormSpec.lp(5, 1),
                                          lambda c: v @ c + off)
         with pytest.raises(NotDecomposable, match="outside the span"):
-            _check_expansion(f, v, np.ones(3), X, DEFAULT_TOL)
+            _check_expansion(f, v, np.ones(3), X, f.images(X), DEFAULT_TOL)
 
     def test_earlier_failing_probe_is_the_witness(self):
         probes = plan_queries(L1_3, "l1", 2).probes["randoms"]
@@ -682,7 +699,8 @@ class TestCertificateReplay:
         f._cache[_row_keys(logged[None])[0]] = np.full(3, np.nan)
         plan = plan_queries(space, "smooth", 2)
         with pytest.raises(NotDecomposable, match="residual nan") as err:
-            _assemble_certificate(f, cert.T.matrix, "smooth", plan, DEFAULT_TOL, {})
+            _assemble_certificate(f, cert.T.matrix, "smooth", plan, GroupReads(f, plan),
+                                  DEFAULT_TOL, {})
         assert err.value.witness == list(logged)
 
 
@@ -780,7 +798,7 @@ class TestRejectionWitnesses:
                            match="^reconstructed map violates the defining equation on a "
                                  "fresh pair$") as err:
             _assemble_certificate(f, t.matrix @ np.diag([1.0, 1.0, 1.0, 1.01]), "smooth",
-                                  plan, DEFAULT_TOL, {})
+                                  plan, GroupReads(f, plan), DEFAULT_TOL, {})
         assert err.value.witness == [list(pairs[3, 0]), list(pairs[3, 1])]
 
     def test_linf_functional_alignment(self):
@@ -1174,9 +1192,21 @@ READS_CASES = [
 ]
 
 
+def helper_only_groups(plan):
+    """The read groups that only a public helper reads, fetching them itself:
+    ``normalize_two_dim`` the 2-D grid, ``recover_projective_linear`` ``ones`` and
+    ``verify``, and ``recover_functional`` its verify points ``randoms`` on smooth
+    and linf (l1 also expands them)."""
+    if "two_dim" in plan.reads:
+        return {"two_dim"}
+    return {"smooth": {"randoms", "ones", "verify"}, "generic": {"ones", "verify"},
+            "linf": {"randoms"}}.get(plan.route, set())
+
+
 class TestPlanReads:
     """``QueryPlan.reads`` names exactly the groups a run reads in full: a route run
-    without the up-front fetch logs their rows plus a prefix of each doubling
+    without the up-front fetch, on images fetched group by group as it reads them,
+    reads exactly those groups and logs their rows plus a prefix of each doubling
     schedule, and ``decompose``, which fetches them first, logs the same set."""
 
     @staticmethod
@@ -1191,8 +1221,10 @@ class TestPlanReads:
         assert plan.route == route
         assert "schedules" not in plan.reads and set(plan.reads) <= set(plan.probes)
         f = generate_phase_isometry(generate_isometry(space, seed), seed)
-        matrix = _ROUTE_IMPL[route](f, plan, DEFAULT_TOL, {})  # the route, point by point
-        _assemble_certificate(f, matrix, route, plan, DEFAULT_TOL, {})
+        images = GroupReads(f, plan)  # the route, fetching each group as it first reads it
+        matrix = _ROUTE_IMPL[route](f, plan, images, DEFAULT_TOL, {})
+        _assemble_certificate(f, matrix, route, plan, images, DEFAULT_TOL, {})
+        assert set(images.read) == set(plan.reads) - helper_only_groups(plan)
         logged = self.keys(f.query_log)
         read = self.keys(np.vstack([plan.probes[g].reshape(-1, space.dim) for g in plan.reads]))
         reached = set()
@@ -1216,6 +1248,86 @@ class TestPlanReads:
         plan = plan_queries(space, seed=3)
         read = np.vstack([plan.probes[g].reshape(-1, space.dim) for g in plan.reads])
         assert self.keys(f.query_log) == self.keys(read)
+
+
+PUBLIC_HELPERS = {"pin_signs_batch", "recover_functional", "recover_projective_linear",
+                  "normalize_two_dim"}
+
+
+class TestBlockReads:
+    """After the block fetch the stages read their images from it: every later oracle
+    call comes from a public helper or is the final replay of ``query_log``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("space,route", READS_CASES,
+                             ids=[f"{s.kind}{s.dim}-{r}" for s, r in READS_CASES])
+    def test_no_stage_refetches(self, space, route, seed, monkeypatch):
+        calls = []  # (method, callers from the oracle's caller up to decompose)
+
+        def recording(method):
+            real = getattr(PhaseMapOracle, method)
+
+            def wrapped(oracle, *args):
+                frame, callers = sys._getframe(1), []
+                while frame.f_code.co_name != "decompose":
+                    callers.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                calls.append((method, callers))
+                return real(oracle, *args)
+            return real, wrapped
+
+        views = {}
+        impl = _ROUTE_IMPL[route]
+
+        def route_impl(f, plan, images, tol, diagnostics):
+            views.update(images)
+            return impl(f, plan, images, tol, diagnostics)
+
+        real_images, images = recording("images")
+        monkeypatch.setattr(PhaseMapOracle, "images", images)
+        monkeypatch.setattr(PhaseMapOracle, "__call__", recording("__call__")[1])
+        monkeypatch.setitem(_ROUTE_IMPL, route, route_impl)
+        decompose(generate_phase_isometry(generate_isometry(space, seed), seed), route, seed)
+        (block, *stages, replay) = calls
+        assert block == ("images", []) and replay == ("images", ["_assemble_certificate"])
+        for method, callers in stages:
+            assert PUBLIC_HELPERS & set(callers), (method, callers)
+
+        plan = plan_queries(space, route, seed)
+        fresh = generate_phase_isometry(generate_isometry(space, seed), seed)
+        assert list(views) == list(plan.reads)
+        for name, view in views.items():
+            group = plan.probes[name]
+            want = real_images(fresh, group.reshape(-1, space.dim))
+            assert view.shape == group.shape[:-1] + want.shape[1:] and not view.flags.writeable
+            assert view.tobytes() == want.tobytes()
+
+
+NARROW_DOMAINS = [NormSpec.lp(3, 1), NormSpec.lp(3, float("inf")), NormSpec.lp(3, 2), POLY_3]
+
+
+def projection(space):
+    """x -> (x_0, x_1) onto l2^2, declared surjective."""
+    return PhaseMapOracle.from_callable(space, L2_2, lambda c: c[:2], declared_surjective=True)
+
+
+class TestNarrowCodomain:
+    """A linear isometry is injective, so no eps * T maps onto a codomain of lower dimension."""
+
+    @pytest.mark.parametrize("route", ["auto", "generic"])
+    @pytest.mark.parametrize("space", NARROW_DOMAINS, ids=["l1", "linf", "l2", "poly"])
+    def test_refused_before_any_query(self, space, route):
+        f = projection(space)
+        with pytest.raises(RangeDegenerate, match="^codomain dimension 2 is below domain "
+                                                  "dimension 3; "):
+            decompose(f, route=route)
+        assert f.query_log == []
+
+    @pytest.mark.parametrize("space", NARROW_DOMAINS, ids=["l1", "linf", "l2", "poly"])
+    def test_frame_narrower_than_the_domain_is_degenerate(self, space):
+        # three basis images in R^2 have two singular values, both 1 here
+        with pytest.raises(RangeDegenerate, match="^basis images are linearly dependent"):
+            recover_projective_linear(projection(space), plan_queries(space, "generic", 0))
 
 
 # Every (family, dim, route) a plan accepts, dims 1, 2 and 3, each family's own route and generic.
