@@ -18,11 +18,9 @@ from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SampleFormat
 from .decomposition import (CollinearityViolation, DecompositionCertificate,
                             DecompositionError, FunctionalRecovery, NoStabilization,
                             NotDecomposable, NotExposed, QueryPlan, RangeDegenerate,
-                            RouteUnsupported, SignPinning, SmoothnessFailure,
-                            SurjectivityNotDeclared, TwoDimNormalization, decompose,
-                            normalize_two_dim, pin_signs, pin_signs_batch,
-                            plan_queries, recover_functional, recover_projective_linear,
-                            route_for)
+                            RouteUnsupported, SmoothnessFailure, SurjectivityNotDeclared,
+                            TwoDimNormalization, decompose, normalize_two_dim, plan_queries,
+                            recover_functional, recover_projective_linear, route_for)
 from .harness import (CampaignConfig, CampaignReport, TrialOutcome, run_campaign,
                       run_trial, score_certificate, trial_seed)
 

@@ -32,8 +32,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment, _interleaved,
-                         _row_dots, _row_keys, canonical_rays, check_phase_equation_batch, ray_keys)
+from .phase_maps import (LinearMap, MissingSamples, PhaseMapOracle, SignAssignment, _row_dots,
+                         _row_keys, canonical_rays, check_phase_equation_batch, ray_keys)
 from .settings import DEFAULT_TOL, Tolerances
 from .spaces import (Functional, NormSpec, Vector, _row_products, is_w_star_exposed,
                      support_set)
@@ -48,15 +48,12 @@ __all__ = [
     "NoStabilization",
     "SmoothnessFailure",
     "NotExposed",
-    "SignPinning",
     "FunctionalRecovery",
     "TwoDimNormalization",
     "DecompositionCertificate",
     "QueryPlan",
     "plan_queries",
     "route_for",
-    "pin_signs",
-    "pin_signs_batch",
     "normalize_two_dim",
     "recover_projective_linear",
     "recover_functional",
@@ -132,20 +129,6 @@ class NotExposed(DecompositionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignPinning:
-    """Best (alpha, beta) in {-1,+1}^2 with f(x+y) ~ alpha f(x) + beta f(y)."""
-
-    alpha: int
-    beta: int
-    residual: float
-    tied: bool = False
-
-    @property
-    def product(self) -> int:
-        return self.alpha * self.beta
-
-
 def _nearer_signs(cod: NormSpec, A: np.ndarray, B: np.ndarray):
     """Per row: the sign s in {+1, -1} with the smaller |A - s B|, and that residual.
 
@@ -186,23 +169,17 @@ def _pin_rows(cod: NormSpec, FX: np.ndarray, FY: np.ndarray, FXY: np.ndarray,
     return best, r_best, tied, r_best > tol.scaled(scale)
 
 
-def _require_independent(X: np.ndarray, Y: np.ndarray):
-    """ValueError unless every pair (X[k], Y[k]) of two (m, dim) arrays is linearly independent."""
-    s = np.linalg.svd(np.stack([X, Y], axis=1), compute_uv=False)
-    # a pair of vectors in dimension 1 has one singular value and is always dependent
-    if s.shape[1] < 2 or not np.all(s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)):
-        raise ValueError("pin_signs requires linearly independent inputs; "
-                         "route dependent pairs through the one-dimensional path")
-
-
 def _pin_pairs(f: PhaseMapOracle, X: np.ndarray, Y: np.ndarray, F: Sequence[np.ndarray],
                tol: Tolerances):
-    """The pinning rule on the independent pairs (X[k], Y[k]) of two (m, dim) float arrays.
+    """The pinning rule on the pairs (X[k], Y[k]) of two (m, dim) float arrays.
 
-    ``F`` holds their images as three (m, codomain dim) arrays: f(X), f(Y) and
-    f(X + Y).  Returns the arrays (best, residual, tied) of :func:`_pin_rows`:
-    per pair, the index into ``_SIGN_PAIRS`` of the winning sign pair, its
-    residual and whether it is tied.  Raises as :func:`pin_signs_batch` does.
+    The routes pin plan pairs only, which are linearly independent by
+    construction (a test checks it).  ``F`` holds their images as three
+    (m, codomain dim) arrays: f(X), f(Y) and f(X + Y).  Returns the arrays
+    (best, residual, tied) of :func:`_pin_rows`: per pair, the index into
+    ``_SIGN_PAIRS`` of the winning sign pair, its residual and whether it is
+    tied.  The first pair in row order that no sign combination fits raises
+    :class:`NotDecomposable` with (x, y) as its witness.
     """
     FX, FY, FS = F
     best, r_best, tied, failed = _pin_rows(f.codomain, FX, FY, FS, f.domain.norms_of(X + Y), tol)
@@ -212,36 +189,6 @@ def _pin_pairs(f: PhaseMapOracle, X: np.ndarray, Y: np.ndarray, F: Sequence[np.n
             f"no sign combination reproduces f(x+y); best residual {r_best[k]:.3e}",
             witness=(list(X[k]), list(Y[k])))
     return best, r_best, tied
-
-
-def pin_signs_batch(f: PhaseMapOracle, X, Y, tol: Tolerances = DEFAULT_TOL) -> List[SignPinning]:
-    """:func:`pin_signs` on the pairs (X[k], Y[k]) of two (m, dim) arrays.
-
-    Every pair is checked for independence before the oracle is asked
-    anything.  The images are then fetched in one call, in the order x0, y0,
-    x0+y0, x1, ... that pinning the pairs one by one queries, and the first
-    pair in row order that no sign combination fits is the witness.
-    """
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if len(X) == 0:
-        return []
-    _require_independent(X, Y)
-    F = f.images(_interleaved(X, Y, X + Y)).reshape(len(X), 3, f.codomain.dim)
-    best, r_best, tied = _pin_pairs(f, X, Y, np.moveaxis(F, 1, 0), tol)
-    return [SignPinning(*_SIGN_PAIRS[i], r, t)
-            for i, r, t in zip(best.tolist(), r_best.tolist(), tied.tolist())]
-
-
-def pin_signs(f: PhaseMapOracle, x, y, tol: Tolerances = DEFAULT_TOL) -> SignPinning:
-    """Pin the sign combination relating f(x+y) to f(x) and f(y).
-
-    Tries all four combinations and keeps the smallest residual; exact ties
-    are broken toward (+1, +1) and flagged.  Raises :class:`NotDecomposable`
-    when no combination fits.
-    """
-    xc = x.coords if isinstance(x, Vector) else np.asarray(x, float)
-    yc = y.coords if isinstance(y, Vector) else np.asarray(y, float)
-    return pin_signs_batch(f, xc[None, :], yc[None, :], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +731,6 @@ def _column_signs(f: PhaseMapOracle, plan: QueryPlan, images: _Images,
     """
     basis, FB = plan.probes["basis"], images["basis"]
     i, j = np.triu_indices(len(basis), 1)  # the rows of basis_pairs, e_i + e_j
-    _require_independent(basis[i], basis[j])
     best, _, tied = _pin_pairs(f, basis[i], basis[j], (FB[i], FB[j], images["basis_pairs"]), tol)
     product = _SIGN_PRODUCTS[best]
     sigma = np.concatenate([[1.0], product[:len(basis) - 1]])  # the pairs (0, j) lead triu order
@@ -799,7 +745,6 @@ def _column_signs(f: PhaseMapOracle, plan: QueryPlan, images: _Images,
 def _pin_group(f: PhaseMapOracle, plan: QueryPlan, images: _Images, name: str, tol: Tolerances):
     """Pin the sign pairs of a planned group of (x, y, x + y) rows."""
     xy = plan.probes[name]
-    _require_independent(xy[:, 0], xy[:, 1])
     _pin_pairs(f, xy[:, 0], xy[:, 1], np.moveaxis(images[name], 1, 0), tol)
 
 

@@ -135,7 +135,7 @@ def key_string(key: Tuple[float, ...]) -> str:
 class SignAssignment:
     """Recorded phase values in {-1, +1} keyed by canonical ray representatives.
 
-    By convention the zero vector carries +1.
+    By convention the zero vector carries +1, so it cannot be set.
     """
 
     space: NormSpec
@@ -150,7 +150,10 @@ class SignAssignment:
     def set(self, x: Union[Vector, np.ndarray], value: int):
         if value not in (-1, 1):
             raise ValueError("sign values must be -1 or +1")
-        self.table[ray_key(x.coords if isinstance(x, Vector) else x, self.space)] = value
+        coords = x.coords if isinstance(x, Vector) else np.asarray(x, float)
+        if not coords.any():
+            raise ValueError("the zero vector carries +1 by convention and cannot be set")
+        self.table[ray_key(coords, self.space)] = value
 
     def to_dict(self) -> Dict[str, int]:
         return {key_string(k): v for k, v in sorted(self.table.items())}

@@ -11,15 +11,16 @@ from phaseiso import (DEFAULT_TOL, CollinearityViolation, DecompositionCertifica
                       NotDecomposable, NotExposed, PhaseMapOracle, RangeDegenerate,
                       RouteUnsupported, SmoothnessFailure, SurjectivityNotDeclared,
                       canonical_ray, decompose, generate_isometry,
-                      generate_phase_isometry, normalize_two_dim, pin_signs,
-                      is_birkhoff_orthogonal, pin_signs_batch, plan_queries,
+                      generate_phase_isometry, normalize_two_dim,
+                      is_birkhoff_orthogonal, plan_queries,
                       recover_functional, recover_projective_linear, score_certificate,
                       Tolerances)
 from conftest import zoo_ids
 from phaseiso import harness, spaces
-from phaseiso.decomposition import (_ROUTE_IMPL, ROUTES, _TWO_DIM_GRID, _assemble_certificate,
-                                    _check_expansion, _seed_free_part, route_for)
-from phaseiso.phase_maps import _row_keys
+from phaseiso.decomposition import (_ROUTE_IMPL, ROUTES, _SIGN_PAIRS, _TWO_DIM_GRID,
+                                    _assemble_certificate, _check_expansion, _pin_pairs,
+                                    _seed_free_part, route_for)
+from phaseiso.phase_maps import _interleaved, _row_keys, ray_key
 
 L2_2 = NormSpec.lp(2, 2)
 L2_4 = NormSpec.lp(4, 2)
@@ -54,14 +55,45 @@ def sign_table_oracle(space, t_matrix, signs):
     return PhaseMapOracle.from_callable(space, space, fn, declared_surjective=True)
 
 
-class TestPinSigns:
+def distorted(space, seed):
+    """A smooth nonlinear map, so that every sign pair has its own residual."""
+    m = np.random.default_rng(seed).standard_normal((space.dim, space.dim))
+    return PhaseMapOracle.from_callable(space, space, lambda c: m @ c + 0.05 * np.sin(3.0 * c))
+
+
+PIN_SPACES = [NormSpec.lp(4, 1), NormSpec.lp(4, 1.5), NormSpec.lp(3, 2),
+              NormSpec.lp(4, float("inf")), NormSpec.weighted_lp(3, 1, [1.0, 2.0, 0.5]),
+              NormSpec.weighted_lp(3, 2.5, [1.0, 2.0, 0.5]),
+              NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+PIN_IDS = ["l1", "l1.5", "l2", "linf", "w-l1", "w-l2.5", "poly"]
+
+
+def pin(f, X, Y, tol=DEFAULT_TOL):
+    """``_pin_pairs`` on the pairs (X[k], Y[k]), with their images fetched in one
+    ``images`` call in the order x0, y0, x0 + y0, x1, ...; per pair (alpha, beta,
+    residual, tied), as ``oracles.scalar_pin`` returns them."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    F = f.images(_interleaved(X, Y, X + Y)).reshape(len(X), 3, f.codomain.dim)
+    best, r_best, tied = _pin_pairs(f, X, Y, np.moveaxis(F, 1, 0), tol)
+    return [(*_SIGN_PAIRS[i], r, t) for i, r, t in zip(best.tolist(), r_best.tolist(),
+                                                        tied.tolist())]
+
+
+def twins(make):
+    """Two oracles from one factory: one for ``pin``, one for ``oracles.scalar_pin``."""
+    return make(), make()
+
+
+class TestPinPairs:
+    """The pinning rule of the routes, ``_pin_pairs``, against the one-pair
+    reference ``oracles.scalar_pin``."""
+
     def test_linear_map_pins_positive(self):
-        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: c.copy(),
-                                         declared_surjective=True)
-        pin = pin_signs(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert (pin.alpha, pin.beta) == (1, 1)
-        assert pin.residual == 0.0
-        assert not pin.tied
+        f, g = twins(lambda: PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: c.copy(),
+                                                          declared_surjective=True))
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert pin(f, [x], [y]) == [(1, 1, 0.0, False)]
+        assert oracles.scalar_pin(g, x, y, DEFAULT_TOL) == (1, 1, 0.0, False, True)
 
     def test_mixed_signs_recovered(self):
         x = np.array([1.0, 0.0])
@@ -69,24 +101,22 @@ class TestPinSigns:
         signs = {tuple(np.round(canonical_ray(x, L2_2), 9)): -1,
                  tuple(np.round(canonical_ray(y, L2_2), 9)): 1,
                  tuple(np.round(canonical_ray(x + y, L2_2), 9)): 1}
-        f = sign_table_oracle(L2_2, np.eye(2), signs)
-        pin = pin_signs(f, x, y)
+        f, g = twins(lambda: sign_table_oracle(L2_2, np.eye(2), signs))
         # f(x+y) = x + y while f(x) = -x, f(y) = y
-        assert (pin.alpha, pin.beta) == (-1, 1)
-        assert pin.residual == 0.0
+        assert pin(f, [x], [y]) == [(-1, 1, 0.0, False)]
+        assert oracles.scalar_pin(g, x, y, DEFAULT_TOL) == (-1, 1, 0.0, False, True)
 
     def test_unpinnable_map_raises(self):
-        f = PhaseMapOracle.from_callable(
+        f, g = twins(lambda: PhaseMapOracle.from_callable(
             L2_2, L2_2, lambda c: c if abs(c[0] - 1.0) > 1e-12 or abs(c[1] - 1.0) > 1e-12
-            else np.array([3.0, 0.1]))
+            else np.array([3.0, 0.1])))
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         with pytest.raises(NotDecomposable) as err:
-            pin_signs(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert err.value.witness is not None
-
-    def test_dependent_inputs_rejected(self):
-        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: c.copy())
-        with pytest.raises(ValueError, match="one-dimensional"):
-            pin_signs(f, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+            pin(f, [x], [y])
+        *_, r, _, fits = oracles.scalar_pin(g, x, y, DEFAULT_TOL)
+        assert not fits
+        assert err.value.witness == [[1.0, 0.0], [0.0, 1.0]]
+        assert str(err.value) == f"no sign combination reproduces f(x+y); best residual {r:.3e}"
 
     def test_parallel_images_tie_flagged(self):
         # equal images make (+1,-1) and (-1,+1) cancel identically: exact tie
@@ -98,38 +128,10 @@ class TestPinSigns:
                 return np.array([1.0, 0.0])
             return np.zeros(2)
 
-        f = PhaseMapOracle.from_callable(L2_2, L2_2, fn)
-        pin = pin_signs(f, x, y)
-        assert pin.tied
-        assert pin.residual == 0.0
-
-
-def distorted(space, seed):
-    """A smooth nonlinear map, so that every sign pair has its own residual."""
-    m = np.random.default_rng(seed).standard_normal((space.dim, space.dim))
-    return PhaseMapOracle.from_callable(space, space, lambda c: m @ c + 0.05 * np.sin(3.0 * c))
-
-
-def counting(space, fn):
-    """An oracle over fn that records every call it makes."""
-    calls = []
-
-    def wrapped(c):
-        calls.append(np.array(c))
-        return fn(c)
-
-    return PhaseMapOracle.from_callable(space, space, wrapped), calls
-
-
-PIN_SPACES = [NormSpec.lp(4, 1), NormSpec.lp(4, 1.5), NormSpec.lp(3, 2),
-              NormSpec.lp(4, float("inf")), NormSpec.weighted_lp(3, 1, [1.0, 2.0, 0.5]),
-              NormSpec.weighted_lp(3, 2.5, [1.0, 2.0, 0.5]),
-              NormSpec.polyhedral(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])]
-PIN_IDS = ["l1", "l1.5", "l2", "linf", "w-l1", "w-l2.5", "poly"]
-
-
-class TestPinSignsBatch:
-    """pin_signs_batch against the one-pair reference oracles.scalar_pin."""
+        f, g = twins(lambda: PhaseMapOracle.from_callable(L2_2, L2_2, fn))
+        (got,) = pin(f, [x], [y])
+        assert got[2:] == (0.0, True)
+        assert got + (True,) == oracles.scalar_pin(g, x, y, DEFAULT_TOL)
 
     @pytest.mark.parametrize("space", PIN_SPACES, ids=PIN_IDS)
     @pytest.mark.parametrize("kind", ["even", "uneven", "distorted"])
@@ -143,79 +145,40 @@ class TestPinSignsBatch:
             t = generate_isometry(space, 4)
             f, g = (generate_phase_isometry(t, 4, even=kind == "even") for _ in range(2))
             tol = DEFAULT_TOL
-        pins = pin_signs_batch(f, X, Y, tol)
+        pins = pin(f, X, Y, tol)
         want = [oracles.scalar_pin(g, x, y, tol) for x, y in zip(X, Y)]
         assert all(fits for *_, fits in want)
-        got = [(p.alpha, p.beta, p.residual, p.tied) for p in pins]
-        assert got == [w[:4] for w in want]
-        assert all(type(p.residual) is float for p in pins)
+        assert pins == [w[:4] for w in want]
+        assert all(type(r) is float for _, _, r, _ in pins)
         assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
 
     def test_tie_with_plus_plus_falls_back_to_it(self):
         x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         images = {(1.0, 0.0): [1.0, 0.0], (0.0, 1.0): [0.0, 1e-10], (1.0, 1.0): [1.0, -1e-10]}
-        f = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array(images[tuple(c)]))
-        g = PhaseMapOracle.from_callable(L2_2, L2_2, lambda c: np.array(images[tuple(c)]))
+        f, g = twins(lambda: PhaseMapOracle.from_callable(
+            L2_2, L2_2, lambda c: np.array(images[tuple(c)])))
         # (1, -1) fits exactly, (1, 1) comes within tol.tie of it
-        pin, = pin_signs_batch(f, [x], [y])
-        assert (pin.alpha, pin.beta, pin.tied) == (1, 1, True)
-        assert 0.0 < pin.residual <= DEFAULT_TOL.tie
-        assert (pin.alpha, pin.beta, pin.residual, pin.tied, True) == \
-            oracles.scalar_pin(g, x, y, DEFAULT_TOL)
+        (got,) = pin(f, [x], [y])
+        assert got[:2] == (1, 1) and got[3]
+        assert 0.0 < got[2] <= DEFAULT_TOL.tie
+        assert got + (True,) == oracles.scalar_pin(g, x, y, DEFAULT_TOL)
 
     def test_tie_without_plus_plus_keeps_the_first_minimum(self):
         x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         fn = lambda c: np.zeros(2) if c[0] == c[1] else np.array([1.0, 0.0])  # noqa: E731
-        f = PhaseMapOracle.from_callable(L2_2, L2_2, fn)
-        pin, = pin_signs_batch(f, [x], [y])
-        assert (pin.alpha, pin.beta, pin.residual, pin.tied) == (1, -1, 0.0, True)
+        f, g = twins(lambda: PhaseMapOracle.from_callable(L2_2, L2_2, fn))
+        assert pin(f, [x], [y]) == [(1, -1, 0.0, True)]
+        assert oracles.scalar_pin(g, x, y, DEFAULT_TOL) == (1, -1, 0.0, True, True)
 
     def test_earlier_failing_pair_is_the_witness(self, rng):
         X, Y = rng.standard_normal((2, 5, 4))
-        f = tampered(L2_4, 3, [X[3] + Y[3], X[1] + Y[1]], lambda fx: 1.5 * fx)
-        g = tampered(L2_4, 3, [X[3] + Y[3], X[1] + Y[1]], lambda fx: 1.5 * fx)
+        f, g = twins(lambda: tampered(L2_4, 3, [X[3] + Y[3], X[1] + Y[1]], lambda fx: 1.5 * fx))
         with pytest.raises(NotDecomposable) as err:
-            pin_signs_batch(f, X, Y)
+            pin(f, X, Y)
         *_, r, _, fits = oracles.scalar_pin(g, X[1], Y[1], DEFAULT_TOL)
         assert not fits
         assert err.value.witness == [list(X[1]), list(Y[1])]
         assert str(err.value) == f"no sign combination reproduces f(x+y); best residual {r:.3e}"
-
-    def test_dependent_pair_raises_before_any_oracle_call(self):
-        f, calls = counting(L2_2, lambda c: c.copy())
-        X = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 2.0]])
-        Y = np.array([[0.0, 1.0], [0.5, -0.5], [-2.0, -4.0]])
-        with pytest.raises(ValueError, match="one-dimensional"):
-            pin_signs_batch(f, X, Y)
-        assert calls == [] and f.query_log == []
-
-    def test_pairs_in_dimension_1_are_dependent(self):
-        f, calls = counting(LINE, lambda c: c.copy())
-        with pytest.raises(ValueError, match="one-dimensional"):
-            pin_signs(f, np.array([1.0]), np.array([2.0]))
-        assert calls == []
-
-    @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1.1e-12, 1e-11])
-    def test_independence_verdict_matches_reference(self, scale):
-        x = np.array([1.0, 0.3, -0.2])
-        y = 2.0 * x + scale * np.array([0.0, 1.0, 0.0])
-        space = NormSpec.lp(3, 2)
-        f = PhaseMapOracle.from_callable(space, space, lambda c: c.copy())
-        try:
-            oracles.scalar_pin(f, x, y, DEFAULT_TOL)
-            independent = True
-        except ValueError:
-            independent = False
-        if independent:
-            assert len(pin_signs_batch(f, [x], [y])) == 1
-        else:
-            with pytest.raises(ValueError):
-                pin_signs_batch(f, [x], [y])
-
-    def test_empty_batch(self):
-        f, calls = counting(L2_2, lambda c: c.copy())
-        assert pin_signs_batch(f, np.zeros((0, 2)), np.zeros((0, 2))) == []
-        assert calls == [] and f.query_log == []
 
 
 def expand(monkeypatch, v, X):
@@ -1192,6 +1155,37 @@ READS_CASES = [
 ]
 
 
+def pinned_pairs(plan):
+    """The (x, y) pairs of a plan that a route may pin, by group: the basis pairs
+    (e_i, e_j), i < j, and the (x, y) of the ``random_pairs`` and ``hyperplane`` rows."""
+    pairs = {}
+    if "basis" in plan.probes:
+        i, j = np.triu_indices(plan.space.dim, 1)
+        pairs["basis"] = (plan.probes["basis"][i], plan.probes["basis"][j])
+    for name in ("random_pairs", "hyperplane"):
+        if name in plan.probes:
+            pairs[name] = (plan.probes[name][:, 0], plan.probes[name][:, 1])
+    return pairs
+
+
+class TestPlanPairIndependence:
+    """Sign pinning needs independent pairs; the routes pin plan pairs only, and
+    ``_pin_pairs`` does not check them, so every plan must hold: [x; y] has two
+    singular values and the smaller is above 1e-12 * max(larger, 1)."""
+
+    @pytest.mark.parametrize("space,route", READS_CASES,
+                             ids=[f"{s.kind}{s.dim}-{r}" for s, r in READS_CASES])
+    def test_pinned_pairs_are_independent(self, space, route):
+        for seed in range(64):
+            pairs = pinned_pairs(plan_queries(space, route, seed))
+            assert ("basis" in pairs and "random_pairs" in pairs) == (space.dim > 1)
+            for name, (X, Y) in pairs.items():
+                s = np.linalg.svd(np.stack([X, Y], axis=1), compute_uv=False)
+                assert len(X) and s.shape[1] == 2, (seed, name)
+                bound = 1e-12 * np.maximum(s[:, 0], 1.0)
+                assert np.all(s[:, 1] > bound), (seed, name, int(np.argmin(s[:, 1] - bound)))
+
+
 def helper_only_groups(plan):
     """The read groups that only a public helper reads, fetching them itself:
     ``normalize_two_dim`` the 2-D grid, ``recover_projective_linear`` ``ones`` and
@@ -1250,8 +1244,7 @@ class TestPlanReads:
         assert self.keys(f.query_log) == self.keys(read)
 
 
-PUBLIC_HELPERS = {"pin_signs_batch", "recover_functional", "recover_projective_linear",
-                  "normalize_two_dim"}
+PUBLIC_HELPERS = {"recover_functional", "recover_projective_linear", "normalize_two_dim"}
 
 
 class TestBlockReads:
@@ -1529,29 +1522,39 @@ class TestHigherDimensions:
 
 
 W4 = np.array([1.0, 2.0, 0.5, 3.0])
-SCALED_FAMILIES = {  # each family's norm times c
-    "weighted-l1": lambda c: NormSpec.weighted_lp(4, 1, W4 * c),
-    "weighted-linf": lambda c: NormSpec.weighted_lp(4, math.inf, W4 * c),
-    "poly3": lambda c: NormSpec.polyhedral(3, np.array(POLY_3.functionals) * c),
-    "weighted-l2": lambda c: NormSpec.weighted_lp(3, 2, W4[:3] * c),
+
+
+def fuzz_family(n, p):
+    """A weighted copy of the fuzz family lp^n, weights linspace(0.5, 2, n) times c."""
+    return lambda c: NormSpec.weighted_lp(n, p, np.linspace(0.5, 2.0, n) * c)
+
+
+SCALED_FAMILIES = {  # each family's weights or functionals times c, and its seed count
+    "weighted-l1": (lambda c: NormSpec.weighted_lp(4, 1, W4 * c), 10),
+    "weighted-linf": (lambda c: NormSpec.weighted_lp(4, math.inf, W4 * c), 10),
+    "poly3": (lambda c: NormSpec.polyhedral(3, np.array(POLY_3.functionals) * c), 10),
+    "weighted-l2": (lambda c: NormSpec.weighted_lp(3, 2, W4[:3] * c), 10),
+    **{f"fuzz-l{p}-{n}": (fuzz_family(n, p), 5)
+       for p, n in ((1, 3), (1, 8), (math.inf, 3), (math.inf, 8), (2, 2), (2, 6), (1.5, 5),
+                    (3, 5))},
 }
 SCALE_KS = (-40, -34, -32, -31, -30, -28, 0, 30, 34, 38, 39, 40)
 
 
 def scaled_round_trip(family, k, seed):
-    space = SCALED_FAMILIES[family](2.0 ** k)
+    space = SCALED_FAMILIES[family][0](2.0 ** k)
     f = generate_phase_isometry(generate_isometry(space, seed), seed)
     return space, f, decompose(f, seed=seed)
 
 
 class TestScaleCovariance:
     """Scaling a norm by c > 0 keeps every phase-isometry one, with the same eps
-    and T, so a round trip must not depend on c.  For these families the norms
-    scale exactly by powers of two, so T keeps its bytes."""
+    and T, so a round trip must not depend on c.  These families scale by powers
+    of two, and T keeps its bytes."""
 
     @pytest.mark.parametrize("family", list(SCALED_FAMILIES))
     def test_sweep(self, family):
-        for seed in range(10):
+        for seed in range(SCALED_FAMILIES[family][1]):
             want = scaled_round_trip(family, 0, seed)[2].T.matrix.tobytes()
             for k in SCALE_KS:
                 space, f, cert = scaled_round_trip(family, k, seed)
@@ -1566,3 +1569,14 @@ class TestScaleCovariance:
         _, f, cert = scaled_round_trip("weighted-l1", 39, 0)
         assert sum(not any(key) for key in cert.sign_table.table) == 1
         assert score_certificate(f, cert) == oracles.rehashed_score(f, cert)
+
+    def test_nonzero_point_with_all_zero_key_can_be_set(self):
+        """Only the zero vector itself is refused by ``SignAssignment.set``: a
+        nonzero point whose ray key rounds to all zeros keeps its own sign."""
+        space, f, _ = scaled_round_trip("weighted-l1", 39, 0)
+        x = next(p for p in f.query_log if not any(ray_key(p, space)))
+        assert x.any()
+        for value in (-1, 1):
+            table = SignAssignment(space)
+            table.set(x, value)
+            assert table.get(x) == value and list(table.table) == [ray_key(x, space)]

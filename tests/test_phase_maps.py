@@ -110,6 +110,15 @@ class TestCanonicalRay:
         with pytest.raises(ValueError):
             signs.set(np.array([1.0, 0.0]), 2)
 
+    @pytest.mark.parametrize("zero", [np.zeros(2), np.array([-0.0, 0.0]), L2_2.vector([0.0, 0.0])],
+                             ids=["zeros", "signed-zero", "vector"])
+    def test_zero_vector_cannot_be_set(self, zero):
+        # get never reads a key for the zero vector, so set must not store one
+        signs = SignAssignment(L2_2)
+        with pytest.raises(ValueError, match="zero vector"):
+            signs.set(zero, -1)
+        assert signs.get(zero) == 1 and signs.table == {} and signs.to_dict() == {}
+
 
 def _key_families(dim, rng):
     """lp (p = 1, 1.5, 2, 3, inf), weighted lp and polyhedral spaces of one dimension."""
