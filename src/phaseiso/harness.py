@@ -8,6 +8,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -136,7 +137,8 @@ def score_certificate(oracle: PhaseMapOracle, cert: DecompositionCertificate) ->
     s = 1 if err_plus <= err_minus else -1
     table, space = cert.sign_table.table, cert.sign_table.space
     if truth["even"] and oracle.domain == space:
-        keys = np.array(list(table), dtype=float).reshape(-1, space.dim)
+        keys = np.fromiter(itertools.chain.from_iterable(table), float,
+                           len(table) * space.dim).reshape(-1, space.dim)
         recovered = np.fromiter(table.values(), dtype=int, count=len(table))
         hashed = _hash_signs(truth["seed"], keys, np.ones(len(keys), dtype=bool))
         eps_ok = bool(np.all(recovered * s == hashed))

@@ -269,7 +269,7 @@ class PhaseMapOracle:
         return [tuple(p) for p, key in zip(P.tolist(), _row_keys(P)) if key not in self.table]
 
     def __call__(self, x: Union[Vector, np.ndarray, Sequence[float]]) -> np.ndarray:
-        coords = x.coords if isinstance(x, Vector) else _coerce(x, self.domain.dim)
+        coords = _coerce(x.coords if isinstance(x, Vector) else x, self.domain.dim)
         U = coords.reshape(1, -1)
         key = _row_keys(U)[0]
         hit = self._cache.get(key)
@@ -280,7 +280,7 @@ class PhaseMapOracle:
         self._fetch([key], np.array(U, dtype=float))
         return self._cache[key]
 
-    def _fetch(self, keys: List[bytes], U: np.ndarray):
+    def _fetch(self, keys: List[bytes], U: np.ndarray) -> Optional[np.ndarray]:
         """Compute, check and commit the images of the uncached points U, one per key, as a block.
 
         A table answers with one gather, ``fn_batch`` with one call and
@@ -289,8 +289,9 @@ class PhaseMapOracle:
         block's shape and finiteness are checked once, the first failing row
         is named, and a failing block commits nothing.  The cache gets
         read-only rows of one frozen copy of the block, and ``query_log`` the
-        rows of U; a key that another thread committed meanwhile keeps that
-        thread's image and is logged once.
+        rows of U, which the caller must own; a key that another thread (or a
+        nested call) committed meanwhile keeps that image and is logged once.
+        Returns the frozen block when this call committed every key, else None.
         """
         cod_dim = self.codomain.dim
         if self.table is not None:
@@ -310,9 +311,13 @@ class PhaseMapOracle:
             raise ValueError(f"oracle returned a non-finite vector at {list(U[bad])}")
         V.setflags(write=False)
         cache, log = self._cache, self.query_log
+        committed_all = True
         for key, u, v in zip(keys, U, V):
             if cache.setdefault(key, v) is v:  # one atomic check-and-insert per key
                 log.append(u)
+            else:
+                committed_all = False
+        return V if committed_all else None
 
     def images(self, points) -> np.ndarray:
         """The images of the rows of an (m, dim) array, as an (m, codomain dim) array.
@@ -321,7 +326,10 @@ class PhaseMapOracle:
         cache and ``query_log``: a row seen before, in the cache or earlier in
         the batch, is a hit, and the first occurrences of the new points are
         fetched as one block, committed in row order.  Only a failing batch
-        differs: it commits nothing.
+        differs: it commits nothing.  A fresh block (no row cached, none
+        repeated) answers from a copy of the block it committed; a batch with
+        a hit or a repeat, or whose keys were committed meanwhile, is
+        gathered from the cache.
         """
         dim, cod_dim = self.domain.dim, self.codomain.dim
         X = np.asarray(points, dtype=float)
@@ -332,6 +340,10 @@ class PhaseMapOracle:
             raise ValueError("coordinates must be finite")
         keys = _row_keys(X)
         cache = self._cache
+        if keys and cache.keys().isdisjoint(keys) and len(set(keys)) == len(keys):
+            V = self._fetch(keys, X.copy())  # the log gets rows the caller cannot mutate
+            if V is not None:
+                return V.copy()
         first: Dict[bytes, int] = {}  # uncached key -> its first row
         for i, key in enumerate(keys):
             if key not in cache and key not in first:
@@ -636,14 +648,16 @@ def _hash_signs(seed: int, rounded: np.ndarray, nonzero: np.ndarray) -> np.ndarr
     A row's '<f8' bytes are the bytes ``struct.pack`` makes of its key.
     """
     seeded = hashlib.blake2b(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF), digest_size=8)
-    data = np.ascontiguousarray(rounded, dtype="<f8").tobytes()
-    width = 8 * rounded.shape[1]
-    low = np.zeros(len(rounded), dtype=int)
-    for i in np.flatnonzero(nonzero).tolist():
+    rows = np.ascontiguousarray(rounded[nonzero], dtype="<f8")
+    digests = []
+    for key in rows.view(f"V{8 * rows.shape[1]}").ravel().tolist():
         h = seeded.copy()
-        h.update(data[i * width:(i + 1) * width])
-        low[i] = h.digest()[0] & 1
-    return 1 - 2 * low
+        h.update(key)
+        digests.append(h.digest())
+    low = np.frombuffer(b"".join(digests), dtype=np.uint8)[::8] & 1  # bit 0 of each first byte
+    signs = np.ones(len(rounded), dtype=int)
+    signs[nonzero] = 1 - 2 * low.astype(int)
+    return signs
 
 
 def generate_phase_isometry(t: LinearMap, seed: int = 0, even: bool = True) -> PhaseMapOracle:

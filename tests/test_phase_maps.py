@@ -220,6 +220,19 @@ class TestOracle:
         missing = f.missing_points([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
         assert missing == [(2.0, 0.0)]
 
+    @pytest.mark.parametrize("make", [
+        lambda: identity_oracle(L2_2),
+        lambda: generate_phase_isometry(generate_isometry(L2_2, 1), 1),
+        lambda: PhaseMapOracle.from_table(L2_2, L2_2, [(np.array([1.0, 2.0]), np.array([2.0, 1.0]))]),
+    ], ids=["callable", "generated", "table"])
+    def test_vector_of_another_dimension_rejected(self, make):
+        f = make()
+        x = NormSpec.lp(3, 2).vector([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch, match=r"expected 2 coordinates, got shape \(3,\)"):
+            f(x)
+        assert f.query_log == [] and f._cache == {}
+        assert np.array_equal(f(L2_2.vector([1.0, 2.0])), f([1.0, 2.0]))
+
 
 IMAGE_SPACES = {  # the fuzz_mix families plus weighted lp
     "l1_n3": NormSpec.lp(3, 1), "l1_n8": NormSpec.lp(8, 1),
@@ -230,6 +243,12 @@ IMAGE_SPACES = {  # the fuzz_mix families plus weighted lp
     "wl1p5_n3": NormSpec.weighted_lp(3, 1.5, [1.0, 2.0, 0.5]),
     "wlinf_n3": NormSpec.weighted_lp(3, math.inf, [1.0, 2.0, 0.5]),
 }
+
+
+L3_15 = NormSpec.lp(3, 1.5)
+FRESH_X = np.array([[1.0, 2.0, -0.5], [0.0, 1.0, 3.0], [-2.0, 0.0, 1.0], [0.0, -1.0, -1.0],
+                    [0.25, 0.5, 4.0], [3.0, -3.0, 0.0], [1.0, 1.0, 1.0]])
+FRESH_X.setflags(write=False)
 
 
 def image_batch(dim, rng):
@@ -248,10 +267,11 @@ def image_batch(dim, rng):
 
 
 def assert_same_oracle_state(f, g):
-    """f and g hold the same log (order and bits) and cache."""
+    """f and g hold the same log (order and bits) and cache (keys, bits, read-only rows)."""
     assert [p.tobytes() for p in f.query_log] == [p.tobytes() for p in g.query_log]
     assert list(f._cache) == list(g._cache)
     assert all(f._cache[k].tobytes() == g._cache[k].tobytes() for k in f._cache)
+    assert not any(v.flags.writeable for v in f._cache.values())
 
 
 def raised(call):
@@ -358,6 +378,84 @@ class TestOracleImages:
             f.images(X)
         assert err.value.points == [tuple(X[2])]
         assert (MissingSamples, str(err.value)) == raised(lambda: oracles.scalar_images(g, X))
+
+    FRESH_ORACLES = {
+        "callable": lambda: PhaseMapOracle.from_callable(L3_15, L3_15, lambda c: 2.0 * c[::-1]),
+        "generated": lambda: generate_phase_isometry(generate_isometry(L3_15, 3), 3),
+        "table": lambda: PhaseMapOracle.from_table(L3_15, L3_15, [(x, np.sin(x)) for x in FRESH_X]),
+    }
+
+    @staticmethod
+    def fresh_batch(case):
+        """Rows of FRESH_X: all new and distinct, new with repeats and a -0.0 twin,
+        or with one row cached beforehand.  Returns (batch, points to query first)."""
+        if case == "distinct":
+            return FRESH_X[:6], []
+        if case == "repeats":
+            twin = FRESH_X[3].copy()
+            twin[0] = -0.0  # the key of row 3, which has a +0.0 there
+            return np.vstack([FRESH_X[:5], FRESH_X[1:3], twin[None]]), []
+        return FRESH_X[:6], [FRESH_X[4].copy()]
+
+    @pytest.mark.parametrize("case", ["distinct", "repeats", "one_cached"])
+    @pytest.mark.parametrize("kind", list(FRESH_ORACLES))
+    def test_fresh_block_matches_row_by_row(self, kind, case):
+        X, warm = self.fresh_batch(case)
+        images_parity(self.FRESH_ORACLES[kind], X, warm)
+
+    @pytest.mark.parametrize("kind", list(FRESH_ORACLES))
+    def test_written_result_leaves_the_cache(self, kind):
+        f = self.FRESH_ORACLES[kind]()
+        X = FRESH_X[:6]
+        got = f.images(X)
+        want = got.copy()
+        got[:] = 7.0
+        assert all(np.array_equal(f._cache[k], w) for k, w in zip(_row_keys(X), want))
+        assert np.array_equal(f.images(X), want) and np.array_equal(f.images(X[:1]), want[:1])
+
+    @pytest.mark.parametrize("kind", list(FRESH_ORACLES))
+    def test_mutated_input_leaves_the_log(self, kind):
+        f = self.FRESH_ORACLES[kind]()
+        X = FRESH_X[:6].copy()
+        f.images(X)
+        X[:] = 5.0
+        assert [p.tolist() for p in f.query_log] == FRESH_X[:6].tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fresh_non_finite_row_commits_nothing(self, bad):
+        X = FRESH_X[:6]
+        f = PhaseMapOracle.from_callable(L3_15, L3_15, lambda c: c.copy())
+
+        def fn_batch(rows):
+            V = rows.copy()
+            V[4, 1] = bad
+            return V
+
+        f.fn_batch = fn_batch
+        with pytest.raises(ValueError, match=re.escape(f"non-finite vector at {list(X[4])}")):
+            f.images(X)
+        assert f.query_log == [] and f._cache == {}
+
+    def test_point_committed_during_the_fetch_keeps_its_image(self):
+        """fn_batch commits row 2 through f(x) before it returns; here fn
+        disagrees with fn_batch, so the answer shows which image was kept."""
+        X = FRESH_X[:6]
+        f = PhaseMapOracle.from_callable(L3_15, L3_15, lambda c: -c)
+        earlier = []
+
+        def fn_batch(rows):
+            earlier.append(f(rows[2]))
+            return rows.copy()
+
+        f.fn_batch = fn_batch
+        got = f.images(X)
+        key = _row_keys(X[2:3])[0]
+        assert f._cache[key] is earlier[0]
+        assert [p.tobytes() for p in f.query_log].count(X[2].tobytes()) == 1
+        assert len(f.query_log) == len(X)
+        want = X.copy()
+        want[2] = -X[2]
+        assert np.array_equal(got, want)
 
 
 class TestTableOracle:
@@ -895,24 +993,35 @@ class TestSignHash:
     """The batched sign hash equals ``_hash_sign`` on each row's ray key."""
 
     @staticmethod
-    def rows(dim, rng):
+    def rows(dim, rng, batch="mixed"):
+        """30 rows with zero rows, -0.0 and a line's two rays; or 5 zero rows; or none."""
+        if batch == "empty":
+            return np.zeros((0, dim))
+        if batch == "all_zero":
+            X = np.zeros((5, dim))
+            X[1] = -0.0
+            X[2, 0] = -0.0
+            return X
         X = rng.standard_normal((30, dim))
         X[3] = 0.0
         X[4] = -0.0
         X[5, 0] = -0.0
         X[6] = -X[7]  # a line's two rays
-        X[8, 1] = -1e-14  # rounds to -0.0 in the key, which folds into +0.0
+        X[8, min(1, dim - 1)] = -1e-14  # rounds to -0.0 in the key, which folds into +0.0
         return X
 
+    @pytest.mark.parametrize("batch", ["mixed", "all_zero", "empty"])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5, 2 ** 64 + 3])
     @pytest.mark.parametrize("oriented", [False, True])
-    @pytest.mark.parametrize("space", [NormSpec.lp(3, 1), NormSpec.lp(4, 2), POLY_SPACE],
-                             ids=["l1", "l2", "poly"])
-    def test_matches_scalar_hash(self, rng, space, oriented, seed):
-        X = self.rows(space.dim, rng)
+    @pytest.mark.parametrize("space", [  # the 8-byte seed and a key of 15 doubles fill 128 bytes
+        NormSpec.lp(3, 1), NormSpec.lp(4, 2), POLY_SPACE, NormSpec.lp(1, 2),
+        NormSpec.lp(15, 1.5), NormSpec.lp(16, 1), NormSpec.lp(17, math.inf),
+    ], ids=["l1", "l2", "poly", "dim1", "dim15", "dim16", "dim17"])
+    def test_matches_scalar_hash(self, rng, space, oriented, seed, batch):
+        X = self.rows(space.dim, rng, batch)
         got = _hash_signs(seed, _rounded_rays(X, space, oriented), np.any(X, axis=1))
         want = [_hash_sign(seed, ray_key(x, space, oriented)) if np.any(x) else 1 for x in X]
-        assert got.tolist() == want
+        assert got.tolist() == want and got.shape == (len(X),)
 
     @pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
     def test_generated_signs_match_scalar_hash(self, rng, even):
